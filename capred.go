@@ -186,11 +186,10 @@ type (
 	EventKind = trace.Kind
 	// Source is a stream of trace events.
 	Source = trace.Source
-	// BatchSource is a Source that can also deliver events in batches.
-	BatchSource = trace.BatchSource
 	// Block is a struct-of-arrays batch of events (the hot-path form).
 	Block = trace.Block
-	// BlockSource is a Source that can also deliver events as Blocks.
+	// BlockSource is a Source that can also deliver events as Blocks,
+	// the one bulk delivery path.
 	BlockSource = trace.BlockSource
 	// Sink consumes trace events.
 	Sink = trace.Sink
@@ -230,8 +229,6 @@ var (
 	// TopLoads returns the hottest static loads of a source by dynamic
 	// execution count.
 	TopLoads = trace.TopLoads
-	// AsBatch adapts any Source to batch delivery.
-	AsBatch = trace.AsBatch
 	// AsBlocks adapts any Source to struct-of-arrays block delivery.
 	AsBlocks = trace.AsBlocks
 	// NewBlock allocates an empty block with pre-sized columns.

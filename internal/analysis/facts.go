@@ -119,7 +119,7 @@ func hotByContract(relPath, recv, name string) bool {
 	case "internal/sim":
 		return name == "StepBlock" || name == "forEachBlock"
 	case "internal/trace":
-		return name == "decodeColumns" || (recv == "memReader" && name == "NextBatch")
+		return name == "decodeColumns" || (recv == "colReader" && name == "NextBlock")
 	case "internal/cpu":
 		return name == "Run"
 	}
@@ -469,7 +469,7 @@ func (f *Facts) isBlockPtr(t types.Type) bool {
 // drain contract — the call sites that silently truncated streams
 // before PR 1 made them all return and check errors:
 //
-//   - internal/sim's RunTrace / RunTraceContext / forEachBatch;
+//   - internal/sim's RunTrace / RunTraceContext / forEachBlock;
 //   - any Stepper method with an error result;
 //   - every error-returning function or method of internal/trace (the
 //     encoder/decoder layer);

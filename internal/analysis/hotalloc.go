@@ -3,7 +3,7 @@ package analysis
 // HotAlloc turns the runtime zero-alloc guards (the AllocsPerRun(0)
 // warm-drain tests behind the Gev/s numbers) into a compile-time
 // check. A declared hot set — the warm-drain entry points StepBlock,
-// forEachBlock, decodeColumns, memReader.NextBatch and cpu.Run, plus
+// forEachBlock, decodeColumns, colReader.NextBlock and cpu.Run, plus
 // any function marked with a `// capvet:hot` doc directive — is
 // scanned for allocation sites:
 //

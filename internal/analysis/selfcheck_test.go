@@ -1,6 +1,9 @@
 package analysis
 
-import "testing"
+import (
+	"go/types"
+	"testing"
+)
 
 // TestSelfCheckCleanTree runs the full analyzer suite over the real
 // module tree — the same run CI and scripts/capvet.sh do — and asserts
@@ -31,9 +34,9 @@ func TestRealTreeHotSetResolved(t *testing.T) {
 	facts := BuildFacts(l, pkgs)
 	names := make(map[string]bool)
 	for obj := range facts.hotFuncs {
-		names[obj.Name()] = true
+		names[hotName(obj)] = true
 	}
-	for _, want := range []string{"StepBlock", "forEachBlock", "decodeColumns", "NextBatch", "Run"} {
+	for _, want := range []string{"Stepper.StepBlock", "forEachBlock", "decodeColumns", "colReader.NextBlock", "Run"} {
 		if !names[want] {
 			t.Errorf("declared hot function %s did not resolve; hot set: %v", want, names)
 		}
@@ -41,4 +44,19 @@ func TestRealTreeHotSetResolved(t *testing.T) {
 	if len(facts.hotCallees) == 0 {
 		t.Error("one-level propagation resolved no hot callees")
 	}
+}
+
+// hotName names a hot-set function, qualifying methods with their
+// receiver type so a same-named method elsewhere cannot stand in.
+func hotName(obj types.Object) string {
+	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			return n.Obj().Name() + "." + obj.Name()
+		}
+	}
+	return obj.Name()
 }

@@ -56,13 +56,6 @@ func (s *Stepper) Step(ev trace.Event) {
 	}
 }
 
-// StepBatch processes a batch of events in order.
-func (s *Stepper) StepBatch(evs []trace.Event) {
-	for _, ev := range evs {
-		s.Step(ev)
-	}
-}
-
 // StepBlock processes a struct-of-arrays block of events in order,
 // reading only the columns each kind carries (the Block column
 // contract). The gap-mode dispatch is hoisted out of the per-event

@@ -50,11 +50,12 @@ func TestStepperMatchesRunTrace(t *testing.T) {
 			}
 
 			st := NewStepper(mk(speculative), gap)
-			src := trace.AsBatch(trace.NewLimit(spec.Open(), events))
-			var buf [333]trace.Event // deliberately off-size batches
+			src := trace.AsBlocks(trace.NewLimit(spec.Open(), events))
+			const blockLen = 333 // deliberately off-size blocks
+			b := trace.NewBlock(blockLen)
 			for {
-				n, ok := src.NextBatch(buf[:])
-				st.StepBatch(buf[:n])
+				_, ok := src.NextBlock(b, blockLen)
+				st.StepBlock(b)
 				if !ok {
 					break
 				}

@@ -4,10 +4,10 @@ package trace
 // parallel per-field columns instead of a []Event slice: the hot replay
 // loops never materialise a 32-byte Event struct per event, decoders
 // write straight into the columns, and consumers read only the columns
-// their event kinds carry. The batch pipeline — replay cursor, wrapper
-// chain, sim.Stepper, the timing model and the serving path — moves
-// blocks end to end; []Event batches remain only as the compatibility
-// adapter for external sources (see AsBlocks).
+// their event kinds carry. NextBlock is the only bulk delivery path: the
+// generator, replay cursor, file reader, wrapper chain, sim.Stepper, the
+// timing model and the serving path all move blocks end to end, and a
+// plain per-event Source is lifted by AsBlocks.
 //
 // Column contract: a column holds meaningful data only at indices whose
 // kind carries that field (the same fields the v3 encoding stores — see
@@ -19,9 +19,8 @@ package trace
 
 import "sync"
 
-// BlockLen is the standard block capacity of the hot loops: the same
-// 1024-event granularity the []Event batch path used, large enough to
-// amortise per-call dispatch, small enough that the cancellation poll
+// BlockLen is the standard block capacity of the hot loops: large enough
+// to amortise per-call dispatch, small enough that the cancellation poll
 // between blocks stays in the microseconds.
 const BlockLen = 1024
 
@@ -195,17 +194,8 @@ func (b *Block) SetEvent(i int, ev Event) {
 	}
 }
 
-// AppendEvents gathers the whole block onto dst, for consumers that
-// still want []Event batches.
-func (b *Block) AppendEvents(dst []Event) []Event {
-	for i := range b.KindTaken {
-		dst = append(dst, b.Event(i))
-	}
-	return dst
-}
-
 // BlockSource is a Source that can deliver events as SoA blocks. The
-// contract mirrors BatchSource's scanner model:
+// contract mirrors Source's scanner model:
 //
 //   - NextBlock fills b with up to max events (max ≥ 1; the block is
 //     resized to exactly the count delivered) and returns that count.
@@ -234,41 +224,38 @@ func PutBlock(b *Block) {
 }
 
 // AsBlocks returns src itself when it already delivers blocks natively,
-// or wraps it in an adapter that assembles blocks from []Event batches
-// (which in turn fall back to per-event Next for unbatched sources).
+// or wraps it in an adapter that fills blocks with per-event Next calls.
 // Wrapper chains built from the package's own sources and wrappers stay
-// block-native end to end.
+// block-native end to end; the adapter is for plain sources such as
+// ErrSource, Hang and external implementations.
 func AsBlocks(src Source) BlockSource {
 	if bs, ok := src.(BlockSource); ok {
 		return bs
 	}
-	return &blockAdapter{bs: AsBatch(src)}
+	return &blockAdapter{src: src}
 }
 
-// blockAdapter lifts a BatchSource to block delivery: the compatibility
-// path for external sources. The scratch batch is reused across calls.
-type blockAdapter struct {
-	bs  BatchSource
-	buf []Event
-}
+// blockAdapter lifts a per-event Source to block delivery.
+type blockAdapter struct{ src Source }
 
 // Next implements Source.
-func (a *blockAdapter) Next() (Event, bool) { return a.bs.Next() }
+func (a *blockAdapter) Next() (Event, bool) { return a.src.Next() }
 
 // Err implements Source.
-func (a *blockAdapter) Err() error { return a.bs.Err() }
+func (a *blockAdapter) Err() error { return a.src.Err() }
 
-// NextBlock implements BlockSource by scattering a []Event batch.
+// NextBlock implements BlockSource by scattering one Next per event.
 func (a *blockAdapter) NextBlock(b *Block, max int) (int, bool) {
-	if max > cap(a.buf) {
-		a.buf = make([]Event, max)
-	}
-	n, ok := a.bs.NextBatch(a.buf[:max])
-	b.Resize(n)
-	for i, ev := range a.buf[:n] {
+	b.Resize(max)
+	for i := 0; i < max; i++ {
+		ev, ok := a.src.Next()
+		if !ok {
+			b.Resize(i)
+			return i, false
+		}
 		b.SetEvent(i, ev)
 	}
-	return n, ok
+	return max, true
 }
 
 // NextBlock implements BlockSource by scattering straight out of the

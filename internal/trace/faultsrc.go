@@ -48,7 +48,6 @@ func IsTransient(err error) bool {
 // ErrInjected.
 type FailAfter struct {
 	src  Source
-	bs   BatchSource
 	blks BlockSource
 	n    int64
 	err  error
@@ -71,27 +70,8 @@ func (f *FailAfter) Next() (Event, bool) {
 	return f.src.Next()
 }
 
-// NextBatch implements BatchSource: the fault budget truncates batches
+// NextBlock implements BlockSource: the fault budget truncates blocks
 // exactly as it truncates per-event delivery.
-func (f *FailAfter) NextBatch(dst []Event) (int, bool) {
-	if f.n <= 0 {
-		return 0, false
-	}
-	if int64(len(dst)) > f.n {
-		dst = dst[:f.n]
-	}
-	if f.bs == nil {
-		f.bs = AsBatch(f.src)
-	}
-	n, ok := f.bs.NextBatch(dst)
-	f.n -= int64(n)
-	if f.n <= 0 {
-		ok = false
-	}
-	return n, ok
-}
-
-// NextBlock implements BlockSource with the same truncating budget.
 func (f *FailAfter) NextBlock(b *Block, max int) (int, bool) {
 	if f.n <= 0 {
 		b.Resize(0)
@@ -129,7 +109,6 @@ func (f *FailAfter) Err() error {
 // can surface.
 type Corrupt struct {
 	src    Source
-	bs     BatchSource
 	blks   BlockSource
 	every  int64
 	n      int64
@@ -165,27 +144,11 @@ func (c *Corrupt) Next() (Event, bool) {
 	return ev, true
 }
 
-// NextBatch implements BatchSource, applying the same every-k mutation
-// schedule to batched delivery.
-func (c *Corrupt) NextBatch(dst []Event) (int, bool) {
-	if c.bs == nil {
-		c.bs = AsBatch(c.src)
-	}
-	n, ok := c.bs.NextBatch(dst)
-	for i := 0; i < n; i++ {
-		c.n++
-		if c.n%c.every == 0 {
-			c.mutate(&dst[i])
-		}
-	}
-	return n, ok
-}
-
-// NextBlock implements BlockSource. Corrupted events round-trip through
-// the AoS form so arbitrary mutate functions keep working; under the
-// block column contract only the fields the (possibly mutated) kind
-// carries survive into the columns, which is all any kind-gated
-// consumer can observe.
+// NextBlock implements BlockSource, applying the per-event every-k
+// mutation schedule. Corrupted events round-trip through the AoS form
+// so arbitrary mutate functions keep working; under the block column
+// contract only the fields the (possibly mutated) kind carries survive
+// into the columns, which is all any kind-gated consumer can observe.
 func (c *Corrupt) NextBlock(b *Block, max int) (int, bool) {
 	if c.blks == nil {
 		c.blks = AsBlocks(c.src)

@@ -155,9 +155,9 @@ func (w *Writer) Close() error {
 
 // Reader decodes a binary trace file as a Source. It buffers the input
 // in a sliding byte window and runs the same columnar decode core
-// (decodeColumns) the replay path uses, so file-backed and cached
-// streams share one decode cost model; Next and NextBatch gather events
-// out of an internal block.
+// (decodeColumns) as the streaming decoder, so file-backed and
+// network-ingested streams share one decode cost model; Next gathers
+// events out of an internal block.
 type Reader struct {
 	r       io.Reader
 	buf     []byte // window; buf[pos:filled] is undecoded input
@@ -168,8 +168,8 @@ type Reader struct {
 	started bool
 	eof     bool // underlying reader hit EOF; padding appended
 
-	// pend holds decoded-ahead events for the per-event and batch
-	// interfaces; pend[pi:] are not yet delivered.
+	// pend holds decoded-ahead events for the per-event interface;
+	// pend[pi:] are not yet delivered.
 	pend *Block
 	pi   int
 }
@@ -250,7 +250,24 @@ func (r *Reader) start() {
 // the logical end over the zero padding, where an overrun means a
 // truncated final event.
 func (r *Reader) NextBlock(b *Block, max int) (int, bool) {
-	if r.err != nil || max <= 0 {
+	if max <= 0 {
+		b.Resize(0)
+		return 0, false
+	}
+	if r.pend != nil && r.pi < r.pend.Len() {
+		// A per-event consumer left decoded-ahead events behind; deliver
+		// the remainder as a view before decoding any further — and
+		// before reporting an error, since the decode that filled pend
+		// may have stopped on one after these events.
+		n := r.pend.Len() - r.pi
+		if n > max {
+			n = max
+		}
+		viewBlock(b, r.pend, r.pi, n)
+		r.pi += n
+		return n, true
+	}
+	if r.err != nil {
 		b.Resize(0)
 		return 0, false
 	}
@@ -260,17 +277,6 @@ func (r *Reader) NextBlock(b *Block, max int) (int, bool) {
 			b.Resize(0)
 			return 0, false
 		}
-	}
-	if r.pend != nil && r.pi < r.pend.Len() {
-		// A per-event consumer left decoded-ahead events behind; deliver
-		// the remainder as a view before decoding any further.
-		n := r.pend.Len() - r.pi
-		if n > max {
-			n = max
-		}
-		viewBlock(b, r.pend, r.pi, n)
-		r.pi += n
-		return n, true
 	}
 	for {
 		end := r.filled - decodeMargin
@@ -323,7 +329,7 @@ func viewBlock(b, src *Block, off, n int) {
 }
 
 // refillPend decodes the next run of events into the internal block for
-// the per-event and batch interfaces.
+// the per-event interface.
 func (r *Reader) refillPend() int {
 	if r.pend == nil {
 		r.pend = NewBlock(BlockLen)
@@ -343,26 +349,6 @@ func (r *Reader) Next() (Event, bool) {
 	ev := r.pend.Event(r.pi)
 	r.pi++
 	return ev, true
-}
-
-// NextBatch implements BatchSource, gathering out of the columnar
-// decode. The cached and file paths run the same decode loop; only the
-// final gather differs.
-func (r *Reader) NextBatch(dst []Event) (int, bool) {
-	i := 0
-	for i < len(dst) {
-		if r.pend == nil || r.pi >= r.pend.Len() {
-			if r.refillPend() == 0 {
-				return i, false
-			}
-		}
-		for i < len(dst) && r.pi < r.pend.Len() {
-			dst[i] = r.pend.Event(r.pi)
-			i++
-			r.pi++
-		}
-	}
-	return i, true
 }
 
 // Err implements Source.

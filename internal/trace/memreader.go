@@ -7,11 +7,11 @@ import (
 
 var errTruncatedEvent = errors.New("trace: truncated event")
 
-// replayPad is the run of zero bytes the replay cache appends after an
-// encoded stream. Zero bytes are one-byte varints, so a decoder that has
-// consumed the last real event can never index past the slice while
-// finishing its bookkeeping — which lets the hot decode loop drop the
-// per-byte bounds checks a file reader needs.
+// replayPad is the run of zero bytes a decoder keeps after the logical
+// end of an encoded stream (Reader zeroes it at EOF). Zero bytes are
+// one-byte varints, so a decoder that has consumed the last real event
+// can never index past the slice while finishing its bookkeeping — which
+// lets the hot decode loop drop per-byte bounds checks.
 const replayPad = 16
 
 // maxEventBytes bounds how far one event's parse can advance, even on
@@ -29,57 +29,11 @@ const maxEventBytes = 1 + 5*10 + 4 + 1
 // event start.
 const decodeMargin = maxEventBytes + 16
 
-// memReader decodes the binary trace format straight out of a byte
-// slice ending in replayPad zero bytes. Reader pulls varints through the
-// io.ByteReader interface — one dynamic dispatch per byte — which is
-// fine for files but dominates the replay cache's hot path, where the
-// whole stream is already resident. Decoding from the slice directly,
-// with the one-byte varint fast path inlined (the delta encoding makes
-// that the common case) and the delta state kept in registers across a
-// batch, keeps a cached cursor faster than the generator it replaces.
-type memReader struct {
-	data []byte
-	pos  int
-	end  int // logical end of the stream: len(data) - replayPad
-	st   deltaState
-	err  error
-}
-
-// newMemReader returns a cursor over an encoded trace held in memory,
-// including its trailing padding. The header is validated immediately;
-// the returned Source reports any problem through Err, like Reader.
-func newMemReader(data []byte) *memReader {
-	r := &memReader{data: data, end: len(data) - replayPad}
-	if r.end < 5 {
-		r.err = ErrBadMagic
-		return r
-	}
-	if [4]byte(data[:4]) != magic {
-		r.err = ErrBadMagic
-		return r
-	}
-	if data[4] != formatVersion {
-		r.err = fmt.Errorf("%w: %d", ErrBadVersion, data[4])
-		return r
-	}
-	r.pos = 5
-	return r
-}
-
-// uvarintAt decodes an unsigned varint at pos. The caller guarantees
-// pos is in range (the padding keeps every in-event read inside the
-// slice). A negative result position reports an overlong varint.
-func uvarintAt(data []byte, pos int) (uint64, int) {
-	if b := data[pos]; b < 0x80 {
-		return uint64(b), pos + 1
-	}
-	return uvarintLongAt(data, pos)
-}
-
-// uvarintLongAt is the multi-byte continuation of uvarintAt. It is kept
-// out of line so uvarintAt itself stays under the inlining budget — the
-// one-byte fast path then compiles to a load and a compare at each call
-// site in NextBatch.
+// uvarintLongAt decodes a multi-byte unsigned varint at pos. The caller
+// has already handled the one-byte case and guarantees pos is in range
+// (the padding keeps every in-event read inside the slice). A negative
+// result position reports an overlong varint. It is kept out of line so
+// the decoders' inline one- and two-byte fast paths stay small.
 //
 //go:noinline
 func uvarintLongAt(data []byte, pos int) (uint64, int) {
@@ -108,204 +62,23 @@ func zigzag32(u uint64) uint32 {
 	return uint32(u>>1) ^ -uint32(u&1)
 }
 
-// NextBatch implements BatchSource. The whole batch decodes with the
-// position and delta state in locals; they are written back once per
-// call.
-func (r *memReader) NextBatch(dst []Event) (int, bool) {
-	if r.err != nil {
-		return 0, false
-	}
-	data := r.data
-	pos := r.pos
-	st := r.st
-	var u uint64
-	for i := range dst {
-		if pos >= r.end {
-			r.pos, r.st = pos, st
-			if pos > r.end {
-				r.err = errTruncatedEvent
-			}
-			return i, false
-		}
-		kb := data[pos]
-		pos++
-		kind := Kind(kb &^ takenBit)
-		if !kind.Valid() {
-			r.pos, r.st = pos, st
-			r.err = fmt.Errorf("trace: invalid event kind %d", kb)
-			return i, false
-		}
-		ev := &dst[i]
-		*ev = Event{Kind: kind}
-		if b := data[pos]; b < 0x80 {
-			u = uint64(b)
-			pos++
-		} else if u, pos = uvarintLongAt(data, pos); pos < 0 {
-			r.st = st
-			r.err = errTruncatedEvent
-			return i, false
-		}
-		st.prevIP += zigzag32(u)
-		ev.IP = st.prevIP
-		switch kind {
-		case KindLoad, KindStore:
-			if b := data[pos]; b < 0x80 {
-				u = uint64(b)
-				pos++
-			} else if u, pos = uvarintLongAt(data, pos); pos < 0 {
-				r.st = st
-				r.err = errTruncatedEvent
-				return i, false
-			}
-			st.prevAddr[kind] += zigzag32(u)
-			ev.Addr = st.prevAddr[kind]
-			if kind == KindLoad {
-				// Fixed-width field; the trailing padding keeps the 4-byte
-				// read in bounds even at a truncated stream's edge.
-				ev.Val = uint32(data[pos]) | uint32(data[pos+1])<<8 |
-					uint32(data[pos+2])<<16 | uint32(data[pos+3])<<24
-				pos += 4
-			}
-			if b := data[pos]; b < 0x80 {
-				u = uint64(b)
-				pos++
-			} else if u, pos = uvarintLongAt(data, pos); pos < 0 {
-				r.st = st
-				r.err = errTruncatedEvent
-				return i, false
-			}
-			ev.Offset = int32(zigzag32(u))
-			if b := data[pos]; b < 0x80 {
-				u = uint64(b)
-				pos++
-			} else if u, pos = uvarintLongAt(data, pos); pos < 0 {
-				r.st = st
-				r.err = errTruncatedEvent
-				return i, false
-			}
-			ev.Src1 = uint32(u)
-			if b := data[pos]; b < 0x80 {
-				u = uint64(b)
-				pos++
-			} else if u, pos = uvarintLongAt(data, pos); pos < 0 {
-				r.st = st
-				r.err = errTruncatedEvent
-				return i, false
-			}
-			ev.Src2 = uint32(u)
-		case KindBranch:
-			if b := data[pos]; b < 0x80 {
-				u = uint64(b)
-				pos++
-			} else if u, pos = uvarintLongAt(data, pos); pos < 0 {
-				r.st = st
-				r.err = errTruncatedEvent
-				return i, false
-			}
-			st.prevAddr[kind] += zigzag32(u)
-			ev.Addr = st.prevAddr[kind]
-			ev.Taken = kb&takenBit != 0
-			if b := data[pos]; b < 0x80 {
-				u = uint64(b)
-				pos++
-			} else if u, pos = uvarintLongAt(data, pos); pos < 0 {
-				r.st = st
-				r.err = errTruncatedEvent
-				return i, false
-			}
-			ev.Src1 = uint32(u)
-		case KindCall, KindReturn:
-			if b := data[pos]; b < 0x80 {
-				u = uint64(b)
-				pos++
-			} else if u, pos = uvarintLongAt(data, pos); pos < 0 {
-				r.st = st
-				r.err = errTruncatedEvent
-				return i, false
-			}
-			st.prevAddr[kind] += zigzag32(u)
-			ev.Addr = st.prevAddr[kind]
-		case KindALU:
-			if b := data[pos]; b < 0x80 {
-				u = uint64(b)
-				pos++
-			} else if u, pos = uvarintLongAt(data, pos); pos < 0 {
-				r.st = st
-				r.err = errTruncatedEvent
-				return i, false
-			}
-			ev.Src1 = uint32(u)
-			if b := data[pos]; b < 0x80 {
-				u = uint64(b)
-				pos++
-			} else if u, pos = uvarintLongAt(data, pos); pos < 0 {
-				r.st = st
-				r.err = errTruncatedEvent
-				return i, false
-			}
-			ev.Src2 = uint32(u)
-			ev.Lat = data[pos]
-			pos++
-		}
-	}
-	r.pos, r.st = pos, st
-	return len(dst), true
-}
-
-// Next implements Source.
-func (r *memReader) Next() (Event, bool) {
-	var buf [1]Event
-	if n, _ := r.NextBatch(buf[:]); n == 0 {
-		return Event{}, false
-	}
-	return buf[0], true
-}
-
-// Err implements Source.
-func (r *memReader) Err() error { return r.err }
-
 // le64 assembles the eight little-endian bytes at data[pos:] into one
-// word. The replay padding keeps the read in bounds for every position
-// inside the stream (pos < end implies pos+8 ≤ end+7 < len for
-// replayPad ≥ 8).
+// word. The padding keeps the read in bounds for every position inside
+// the stream (pos < end implies pos+8 ≤ end+7 < len for replayPad ≥ 8).
 func le64(data []byte, pos int) uint64 {
 	b := data[pos : pos+8 : pos+8]
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-// NextBlock implements BlockSource via the shared columnar decode core.
-func (r *memReader) NextBlock(b *Block, max int) (int, bool) {
-	if r.err != nil || max <= 0 {
-		b.Resize(0)
-		return 0, false
-	}
-	n, pos, err := decodeColumns(b, max, r.data, r.pos, r.end, &r.st)
-	r.pos = pos
-	if err != nil {
-		r.err = err
-		return n, false
-	}
-	if n < max {
-		if pos > r.end {
-			// The last event's fields ran into the padding: the stream is
-			// truncated mid-event, exactly as NextBatch reports it.
-			r.err = errTruncatedEvent
-		}
-		return n, false
-	}
-	return n, true
-}
-
 // decodeColumns is the columnar word-at-a-time decode core shared by
-// the in-memory cursor (memReader), the buffered file Reader and the
-// streaming decoder: each event's leading bytes are read as one 64-bit
-// word, and when every varint of the event fits in one byte — the
-// overwhelmingly common case under delta encoding — the whole event is
-// extracted from the word with shifts and written column by column,
-// with no per-field byte loop and no Event materialisation. Events with
-// a multi-byte varint (or the rare store) take the generic per-field
-// path.
+// the buffered file Reader and the streaming decoder: each event's
+// leading bytes are read as one 64-bit word, and when every varint of
+// the event fits in one byte — the overwhelmingly common case under
+// delta encoding — the whole event is extracted from the word with
+// shifts and written column by column, with no per-field byte loop and
+// no Event materialisation. Events with a multi-byte varint (or the
+// rare store) take the generic per-field path.
 //
 // It decodes up to max events from data[pos:end] into b (resized to the
 // count decoded) and returns the count and the new position. The caller
@@ -428,7 +201,7 @@ func decodeEventColumns(data []byte, b *Block, i, pos int, st *deltaState) (int,
 			u = uint64(c)
 			pos++
 		} else if c2 := data[pos+1]; c2 < 0x80 {
-			// Two bytes are always in range: the replay padding extends
+			// Two bytes are always in range: the zero padding extends
 			// past the logical end of the stream.
 			u = uint64(c&0x7f) | uint64(c2)<<7
 			pos += 2

@@ -185,9 +185,9 @@ func (c *ReplayCache) reject() *Block {
 }
 
 // colReader is a replay cursor over a resident column store. NextBlock
-// hands out zero-copy views (marked shared, see Block); Next and
-// NextBatch gather events through the kind-gated scatter/gather so
-// per-event consumers see the same canonical events.
+// hands out zero-copy views (marked shared, see Block); Next gathers
+// events through the kind-gated accessor so per-event consumers see the
+// same canonical events.
 type colReader struct {
 	cols *Block
 	pos  int
@@ -207,20 +207,6 @@ func (r *colReader) Next() (Event, bool) {
 
 // Err implements Source: a resident store never fails.
 func (r *colReader) Err() error { return nil }
-
-// NextBatch implements BatchSource by gathering into the caller's
-// buffer.
-func (r *colReader) NextBatch(dst []Event) (int, bool) {
-	n := r.cols.Len() - r.pos
-	if n > len(dst) {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = r.cols.Event(r.pos + i)
-	}
-	r.pos += n
-	return n, r.pos < r.cols.Len()
-}
 
 // NextBlock implements BlockSource with a zero-copy view: b's columns
 // are repointed at the resident store for the next n events. The view

@@ -1,20 +1,18 @@
 package trace
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // StreamDecoder decodes the binary trace format incrementally from
 // arbitrarily-segmented chunks of one logical stream — the shape of a
 // network ingest path, where a session's events arrive across many
 // request bodies split at whatever byte boundaries the transport chose.
-// The delta-compression state persists across Feed calls, so the
-// concatenation of all chunks decodes to exactly the events a Reader or
-// a replay cursor would produce over the whole stream at once.
+// FeedBlocks is its one ingest entry point. The delta-compression state
+// persists across FeedBlocks calls, so the concatenation of all chunks
+// decodes to exactly the events a Reader would produce over the whole
+// stream at once.
 //
 // Bytes that form an incomplete trailing event are buffered until the
-// next Feed supplies the rest; the buffer is bounded by the largest
+// next chunk supplies the rest; the buffer is bounded by the largest
 // possible encoded event (a few tens of bytes), since every varint is
 // capped at ten bytes before it is rejected as overlong. Only Close can
 // tell truncation apart from "more chunks coming", so the decoder
@@ -42,68 +40,19 @@ func (d *StreamDecoder) Buffered() int { return len(d.tail) }
 // Err returns the first error encountered, or nil.
 func (d *StreamDecoder) Err() error { return d.err }
 
-// Feed appends chunk to the stream and decodes every complete event in
-// it, appending them to dst and returning the extended slice. chunk is
-// not retained. Once the decoder has failed, Feed keeps returning the
-// same error.
-func (d *StreamDecoder) Feed(dst []Event, chunk []byte) ([]Event, error) {
-	if d.err != nil {
-		return dst, d.err
-	}
-	data := chunk
-	if len(d.tail) > 0 {
-		d.tail = append(d.tail, chunk...)
-		data = d.tail
-	}
-	pos := 0
-	if !d.started {
-		if len(data) < 5 {
-			d.keepTail(data, 0)
-			return dst, nil
-		}
-		if [4]byte(data[:4]) != magic {
-			d.err = ErrBadMagic
-			return dst, d.err
-		}
-		if data[4] != formatVersion {
-			d.err = fmt.Errorf("%w: %d", ErrBadVersion, data[4])
-			return dst, d.err
-		}
-		d.started = true
-		pos = 5
-	}
-	for pos < len(data) {
-		ev, next, err := decodeStreamEvent(data, pos, &d.st)
-		if err == errShortEvent {
-			break
-		}
-		if err != nil {
-			d.err = err
-			d.tail = nil
-			return dst, d.err
-		}
-		dst = append(dst, ev)
-		d.events++
-		pos = next
-	}
-	d.keepTail(data, pos)
-	return dst, nil
-}
-
-// FeedBlocks is Feed for the block pipeline: it decodes every complete
-// event in chunk straight into SoA blocks and invokes fn on each
-// non-empty block, never materialising an Event per event on the bulk
-// path. The bulk of the chunk goes through the columnar word-at-a-time
-// core (safe wherever an event's farthest possible speculative read
-// stays inside the chunk); the final decodeMargin bytes go through the
-// fully bounds-checked per-event path, so the per-call event count is
-// identical to Feed's — everything complete decodes now, only a
-// genuinely incomplete trailing event waits for the next chunk.
+// FeedBlocks appends chunk to the stream, decodes every complete event
+// in it straight into SoA blocks and invokes fn (which may be nil) on
+// each non-empty block, never materialising an Event per event on the
+// bulk path. chunk is not retained. The bulk of the chunk goes through
+// the columnar word-at-a-time core (safe wherever an event's farthest
+// possible speculative read stays inside the chunk); the final
+// decodeMargin bytes go through the fully bounds-checked per-event
+// path, so everything complete decodes now and only a genuinely
+// incomplete trailing event waits for the next chunk.
 //
 // The block passed to fn is reused across calls and valid only for the
-// duration of the call. Delta state, tail buffering, error latching and
-// the Events counter behave exactly as for Feed; the two entry points
-// may even be mixed on one decoder.
+// duration of the call. Once the decoder has failed, FeedBlocks keeps
+// returning the same error.
 func (d *StreamDecoder) FeedBlocks(chunk []byte, fn func(*Block)) error {
 	if d.err != nil {
 		return d.err
@@ -152,17 +101,19 @@ func (d *StreamDecoder) FeedBlocks(chunk []byte, fn func(*Block)) error {
 	// Margin sweep: per-event and bounds-checked, stopping only at a
 	// genuinely incomplete trailing event. At most decodeMargin bytes —
 	// a handful of events — so the gather/scatter cost is immaterial.
+	// As in the bulk, events before a corrupt one are delivered before
+	// the error latches, so what fn sees never depends on where the
+	// transport split the stream.
 	b.Resize(BlockLen)
 	i := 0
+	var err error
 	for pos < len(data) {
-		ev, next, err := decodeStreamEvent(data, pos, &d.st)
-		if err == errShortEvent {
+		ev, next, e := decodeStreamEvent(data, pos, &d.st)
+		if e != nil {
+			if e != errShortEvent {
+				err = e
+			}
 			break
-		}
-		if err != nil {
-			d.err = err
-			d.tail = nil
-			return d.err
 		}
 		b.SetEvent(i, ev)
 		i++
@@ -174,6 +125,11 @@ func (d *StreamDecoder) FeedBlocks(chunk []byte, fn func(*Block)) error {
 		if fn != nil {
 			fn(b)
 		}
+	}
+	if err != nil {
+		d.err = err
+		d.tail = nil
+		return err
 	}
 	d.keepTail(data, pos)
 	return nil
@@ -212,46 +168,6 @@ func (d *StreamDecoder) Close() error {
 		return d.err
 	}
 	return nil
-}
-
-// streamChunk is the read granularity of DecodeStream: large enough to
-// amortise the read syscall, small enough to bound per-call latency.
-const streamChunk = 32 << 10
-
-// DecodeStream reads r to EOF, decoding complete events and invoking fn
-// on each decoded batch; it is the reader-based batch-decode entry point
-// the serving path drains request bodies through. Decoder state persists
-// across calls, so one session may span many readers. fn must not retain
-// the batch slice. A non-nil fn error aborts the read and is returned
-// verbatim; decode errors are also latched in the decoder.
-func (d *StreamDecoder) DecodeStream(r io.Reader, fn func([]Event) error) error {
-	if d.err != nil {
-		return d.err
-	}
-	var buf [streamChunk]byte
-	var evs []Event
-	for {
-		n, rerr := r.Read(buf[:])
-		if n > 0 {
-			var err error
-			evs, err = d.Feed(evs[:0], buf[:n])
-			if err != nil {
-				return err
-			}
-			if len(evs) > 0 && fn != nil {
-				if err := fn(evs); err != nil {
-					return err
-				}
-			}
-		}
-		if rerr == io.EOF {
-			return nil
-		}
-		if rerr != nil {
-			d.err = rerr
-			return rerr
-		}
-	}
 }
 
 // decodeStreamEvent decodes one event at data[pos:], advancing the delta

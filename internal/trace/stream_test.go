@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"testing"
 )
@@ -44,21 +43,27 @@ func randomEvents(seed int64, n int) []Event {
 	return evs
 }
 
-// feedAll drives a StreamDecoder over data in fixed-size chunks.
+// feedChunks drives d over data in fixed-size chunks through FeedBlocks,
+// gathering the decoded events; it stops at the first error.
+func feedChunks(d *StreamDecoder, data []byte, chunk int) ([]Event, error) {
+	var out []Event
+	collect := func(b *Block) { out = gatherBlock(out, b) }
+	for pos := 0; pos < len(data); pos += chunk {
+		if err := d.FeedBlocks(data[pos:min(pos+chunk, len(data))], collect); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+// feedAll decodes data as one whole stream in fixed-size chunks,
+// closing the decoder at the end.
 func feedAll(t *testing.T, data []byte, chunk int) ([]Event, error) {
 	t.Helper()
 	d := NewStreamDecoder()
-	var out []Event
-	for pos := 0; pos < len(data); pos += chunk {
-		end := pos + chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		var err error
-		out, err = d.Feed(out, data[pos:end])
-		if err != nil {
-			return out, err
-		}
+	out, err := feedChunks(d, data, chunk)
+	if err != nil {
+		return out, err
 	}
 	return out, d.Close()
 }
@@ -131,10 +136,10 @@ func TestStreamDecoderInvalidKind(t *testing.T) {
 
 func TestStreamDecoderErrorLatches(t *testing.T) {
 	d := NewStreamDecoder()
-	if _, err := d.Feed(nil, []byte("XXXXXXXX")); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("first Feed: %v", err)
+	if err := d.FeedBlocks([]byte("XXXXXXXX"), nil); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("first FeedBlocks: %v", err)
 	}
-	if _, err := d.Feed(nil, encodeEvents(t, randomEvents(1, 3))); !errors.Is(err, ErrBadMagic) {
+	if err := d.FeedBlocks(encodeEvents(t, randomEvents(1, 3)), nil); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("error did not latch: %v", err)
 	}
 	if err := d.Close(); !errors.Is(err, ErrBadMagic) {
@@ -142,105 +147,34 @@ func TestStreamDecoderErrorLatches(t *testing.T) {
 	}
 }
 
-// TestStreamDecoderDecodeStream drains an io.Reader in batches and must
-// agree with the in-memory decode of the same bytes.
-func TestStreamDecoderDecodeStream(t *testing.T) {
-	evs := randomEvents(23, 3000)
-	data := encodeEvents(t, evs)
-	d := NewStreamDecoder()
-	var got []Event
-	err := d.DecodeStream(iotest{r: bytes.NewReader(data), step: 13}, func(batch []Event) error {
-		got = append(got, batch...)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("DecodeStream: %v", err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if len(got) != len(evs) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(evs))
-	}
-	for i := range evs {
-		if got[i] != canonical(evs[i]) {
-			t.Fatalf("event %d mismatch", i)
-		}
-	}
-	if d.Events() != int64(len(evs)) {
-		t.Fatalf("Events() = %d, want %d", d.Events(), len(evs))
-	}
-}
-
 // TestStreamDecoderSpansReaders: one logical stream split across two
-// readers (two request bodies) decodes seamlessly.
+// request bodies, each fed in its own read-sized chunks, decodes
+// seamlessly.
 func TestStreamDecoderSpansReaders(t *testing.T) {
 	evs := randomEvents(29, 200)
 	data := encodeEvents(t, evs)
 	cut := len(data) / 2
 	d := NewStreamDecoder()
-	var got []Event
-	collect := func(batch []Event) error { got = append(got, batch...); return nil }
-	if err := d.DecodeStream(bytes.NewReader(data[:cut]), collect); err != nil {
+	first, err := feedChunks(d, data[:cut], 13)
+	if err != nil {
 		t.Fatalf("first body: %v", err)
 	}
-	if err := d.DecodeStream(bytes.NewReader(data[cut:]), collect); err != nil {
+	second, err := feedChunks(d, data[cut:], 13)
+	if err != nil {
 		t.Fatalf("second body: %v", err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if len(got) != len(evs) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(evs))
-	}
+	eventsEqual(t, append(first, second...), canonicalAll(evs))
 }
 
-func TestStreamDecoderFnError(t *testing.T) {
-	data := encodeEvents(t, randomEvents(31, 100))
-	d := NewStreamDecoder()
-	sentinel := errors.New("stop")
-	err := d.DecodeStream(bytes.NewReader(data), func([]Event) error { return sentinel })
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("fn error not propagated: %v", err)
-	}
-}
-
-// iotest delivers at most step bytes per Read, forcing chunk reassembly.
-type iotest struct {
-	r    io.Reader
-	step int
-}
-
-func (s iotest) Read(p []byte) (int, error) {
-	if len(p) > s.step {
-		p = p[:s.step]
-	}
-	return s.r.Read(p)
-}
-
-// memDecodeAll decodes data (header + events, no padding) through the
-// replay cache's in-memory cursor, the package's reference decoder.
-func memDecodeAll(data []byte) ([]Event, error) {
-	padded := append(append([]byte{}, data...), make([]byte, replayPad)...)
-	r := newMemReader(padded)
-	var out []Event
-	var buf [256]Event
-	for {
-		n, ok := r.NextBatch(buf[:])
-		out = append(out, buf[:n]...)
-		if !ok {
-			break
-		}
-	}
-	return out, r.Err()
-}
-
-// FuzzStreamDecoder cross-checks the chunked stream decoder against the
-// in-memory reference cursor over identical bytes: same events, and
-// errors on the same inputs — including truncated and corrupt tails. The
-// one tolerated divergence: on a truncated tail the padded in-memory
-// cursor may emit a final garbage event decoded out of its padding
-// before flagging the error; the stream decoder never emits it.
+// FuzzStreamDecoder cross-checks the chunked stream decoder (FeedBlocks)
+// against the frozen per-event reference decoder over identical bytes:
+// same events, and errors on the same inputs — including truncated and
+// corrupt tails. The one tolerated divergence: on a truncated tail the
+// padded reference may emit a final garbage event decoded out of its
+// padding before flagging the error; the stream decoder never emits it.
 func FuzzStreamDecoder(f *testing.F) {
 	valid := func(n int) []byte {
 		var buf bytes.Buffer
@@ -262,27 +196,15 @@ func FuzzStreamDecoder(f *testing.F) {
 	f.Add([]byte("CAPT\x03"), uint8(1))
 	f.Add([]byte("CAPT\x02"), uint8(2))
 	f.Add([]byte{}, uint8(1))
+	f.Add(append(valid(8), 0x42), uint8(63)) // corrupt kind after several events in one chunk
 
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		step := int(chunk)%64 + 1
-		want, wantErr := memDecodeAll(data)
-
-		d := NewStreamDecoder()
-		var got []Event
-		var gotErr error
-		for pos := 0; pos < len(data) && gotErr == nil; pos += step {
-			end := pos + step
-			if end > len(data) {
-				end = len(data)
-			}
-			got, gotErr = d.Feed(got, data[pos:end])
-		}
-		if gotErr == nil {
-			gotErr = d.Close()
-		}
+		want, wantErr := refDecodeAll(data)
+		got, gotErr := feedAll(t, data, step)
 
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("error divergence: mem=%v stream=%v", wantErr, gotErr)
+			t.Fatalf("error divergence: reference=%v stream=%v", wantErr, gotErr)
 		}
 		if wantErr == nil {
 			if len(got) != len(want) {

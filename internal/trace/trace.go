@@ -137,7 +137,6 @@ func (s *SliceSink) Emit(ev Event) error {
 // Limit wraps a source and truncates it after n events.
 type Limit struct {
 	src  Source
-	bs   BatchSource // lazily initialised batch view of src
 	blks BlockSource // lazily initialised block view of src
 	n    int64
 }

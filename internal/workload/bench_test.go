@@ -11,7 +11,7 @@ import (
 // trace's events: re-running the workload generator (what every open
 // cost before the replay cache), decoding the cached encoding through
 // the io.Reader-based file decoder, and a replay cursor over the
-// in-memory encoding. The cursor must beat the generator for the cache
+// resident columns. The cursor must beat the generator for the cache
 // to pay off — a cache that replays slower than regeneration is pure
 // memory overhead.
 
@@ -22,11 +22,11 @@ func openGen() trace.Source {
 	return trace.NewLimit(spec.Open(), benchEvents)
 }
 
-func drain(b *testing.B, src trace.Source, buf []trace.Event) {
+func drain(b *testing.B, src trace.Source, blk *trace.Block) {
 	b.Helper()
-	bs := trace.AsBatch(src)
+	bs := trace.AsBlocks(src)
 	for {
-		_, ok := bs.NextBatch(buf)
+		_, ok := bs.NextBlock(blk, trace.BlockLen)
 		if !ok {
 			break
 		}
@@ -38,36 +38,27 @@ func drain(b *testing.B, src trace.Source, buf []trace.Event) {
 
 func BenchmarkDrainGenerator(b *testing.B) {
 	b.ReportAllocs()
-	buf := make([]trace.Event, 1024)
+	blk := trace.NewBlock(trace.BlockLen)
 	for i := 0; i < b.N; i++ {
-		drain(b, openGen(), buf)
+		drain(b, openGen(), blk)
 	}
 }
 
 func BenchmarkDrainCachedReader(b *testing.B) {
 	var enc bytes.Buffer
 	w := trace.NewWriter(&enc)
-	src := trace.AsBatch(openGen())
-	buf := make([]trace.Event, 1024)
-	for {
-		n, ok := src.NextBatch(buf)
-		for _, ev := range buf[:n] {
-			if err := w.Emit(ev); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if !ok {
-			break
-		}
+	if _, err := trace.Copy(w, openGen()); err != nil {
+		b.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
 	data := enc.Bytes()
+	blk := trace.NewBlock(trace.BlockLen)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(b, trace.NewReader(bytes.NewReader(data)), buf)
+		drain(b, trace.NewReader(bytes.NewReader(data)), blk)
 	}
 }
 
@@ -75,10 +66,10 @@ func BenchmarkDrainReplayCursor(b *testing.B) {
 	c := trace.NewReplayCache(0)
 	open := func() trace.Source { return openGen() }
 	c.Open("k", open) // materialise once, outside the timed region
-	buf := make([]trace.Event, 1024)
+	blk := trace.NewBlock(trace.BlockLen)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drain(b, c.Open("k", open), buf)
+		drain(b, c.Open("k", open), blk)
 	}
 }

@@ -109,31 +109,34 @@ func (g *Generator) Next() (trace.Event, bool) {
 	return ev, true
 }
 
-// NextBatch implements trace.BatchSource: it copies whole behaviour
-// bursts out of the refill buffer per call, so the hot replay loops pay
-// one call per burst instead of one interface dispatch per event.
-func (g *Generator) NextBatch(dst []trace.Event) (int, bool) {
+// NextBlock implements trace.BlockSource: it scatters behaviour bursts
+// straight out of the refill buffer into b, refilling across burst
+// boundaries until the block holds max events, so the hot drain loops
+// pay one call per block instead of one interface dispatch per event.
+func (g *Generator) NextBlock(b *trace.Block, max int) (int, bool) {
 	if g.total == 0 {
+		b.Resize(0)
 		return 0, false
 	}
-	var n int
-	for n < len(dst) {
+	b.Resize(max)
+	for n := 0; n < max; {
 		if g.pos >= len(g.buf) {
-			if n > 0 {
-				// Batch boundary at a burst boundary: return what we have
-				// rather than paying a refill mid-call.
-				return n, true
-			}
 			g.buf = g.buf[:0]
 			g.pos = 0
 			g.pick().step(g)
 			continue
 		}
-		c := copy(dst[n:], g.buf[g.pos:])
-		g.pos += c
-		n += c
+		burst := g.buf[g.pos:]
+		if len(burst) > max-n {
+			burst = burst[:max-n]
+		}
+		for _, ev := range burst {
+			b.SetEvent(n, ev)
+			n++
+		}
+		g.pos += len(burst)
 	}
-	return n, true
+	return max, true
 }
 
 // Err implements trace.Source; generation never fails.

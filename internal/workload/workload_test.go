@@ -40,6 +40,45 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 }
 
+// TestGeneratorBlocksMatchNext pins Generator.NextBlock to the per-event
+// stream: for every trace in the roster and block sizes that sit inside
+// one burst (1), straddle burst boundaries at odd offsets (17) and span
+// many bursts (1024), block delivery equals the canonical Next stream —
+// the kind-gated form a block scatter keeps.
+func TestGeneratorBlocksMatchNext(t *testing.T) {
+	const events = 20_000
+	one := trace.NewBlock(1)
+	one.Resize(1)
+	canonical := func(ev trace.Event) trace.Event {
+		one.SetEvent(0, ev)
+		return one.Event(0)
+	}
+	for _, spec := range Traces() {
+		want := collectN(t, spec.Open(), events)
+		for _, max := range []int{1, 17, 1024} {
+			g := spec.Open().(*Generator)
+			b := trace.NewBlock(max)
+			got := 0
+			for got < events {
+				k := max
+				if rem := events - got; k > rem {
+					k = rem
+				}
+				n, ok := g.NextBlock(b, k)
+				if n != k || b.Len() != k || !ok {
+					t.Fatalf("%s max %d: NextBlock(%d) = (%d, %v), block len %d", spec.Name, max, k, n, ok, b.Len())
+				}
+				for i := 0; i < n; i++ {
+					if ev, w := b.Event(i), canonical(want[got+i]); ev != w {
+						t.Fatalf("%s max %d: event %d = %+v, want %+v", spec.Name, max, got+i, ev, w)
+					}
+				}
+				got += n
+			}
+		}
+	}
+}
+
 func TestTracesCompleteRoster(t *testing.T) {
 	all := Traces()
 	if len(all) != 45 {
@@ -234,6 +273,9 @@ func TestEmptyGeneratorEndsImmediately(t *testing.T) {
 	g := NewGenerator(5)
 	if _, ok := g.Next(); ok {
 		t.Error("empty generator should produce no events")
+	}
+	if n, ok := g.NextBlock(trace.NewBlock(4), 4); n != 0 || ok {
+		t.Errorf("empty generator NextBlock = (%d, %v), want (0, false)", n, ok)
 	}
 	if g.Err() != nil {
 		t.Error("empty generator should not error")
