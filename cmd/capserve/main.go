@@ -27,13 +27,6 @@
 // rejected with 429 + Retry-After, in-flight batches and running jobs
 // get -drain to complete, then the process exits.
 //
-// With -worker -coordinator URL capserve instead joins a capsim
-// -coordinator fleet: it pulls (trace × configuration) shards under
-// expiring leases, heartbeats to keep them, fetches traces once by
-// content hash, and posts leaf logs back (DESIGN.md §13). It exits 0
-// when the coordinator drains it, and abandons (never posts) any shard
-// whose lease was revoked or whose run was interrupted.
-//
 // Exit codes: 0 clean drain; 1 serve or shutdown error; 2 usage error.
 package main
 
@@ -50,36 +43,8 @@ import (
 	"time"
 
 	"capred/internal/buildinfo"
-	"capred/internal/dist"
 	"capred/internal/server"
 )
-
-// runWorker joins a coordinator fleet and blocks until drained or
-// interrupted.
-func runWorker(ctx context.Context, coordinator, name string, verbose bool, stdout, stderr io.Writer) int {
-	if name == "" {
-		host, err := os.Hostname()
-		if err != nil {
-			host = "worker"
-		}
-		name = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	wcfg := dist.WorkerConfig{Coordinator: coordinator, Name: name}
-	if verbose {
-		wcfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(stderr, "capserve: "+format+"\n", args...)
-		}
-	}
-	w := dist.NewWorker(wcfg)
-	fmt.Fprintf(stdout, "capserve: worker %s pulling from %s\n", name, coordinator)
-	err := w.Run(ctx)
-	fmt.Fprintf(stderr, "capserve: %s\n", w.Stats())
-	if err != nil && ctx.Err() == nil {
-		fmt.Fprintf(stderr, "capserve: worker: %v\n", err)
-		return 1
-	}
-	return 0
-}
 
 // run is the testable entry point; it blocks until ctx is cancelled or
 // the listener fails, and returns the process exit code.
@@ -104,11 +69,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		pprofOn       = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		drain         = fs.Duration("drain", 30*time.Second, "graceful shutdown window for in-flight work")
 		version       = fs.Bool("version", false, "print version and exit")
-
-		worker     = fs.Bool("worker", false, "run as a fleet worker pulling shards from -coordinator instead of serving")
-		coord      = fs.String("coordinator", "", "coordinator base URL for -worker mode, e.g. http://host:port")
-		workerName = fs.String("worker-name", "", "worker identity in leases and logs (default host-pid)")
-		workerLog  = fs.Bool("worker-log", false, "log per-shard worker events to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -117,14 +77,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, buildinfo.String("capserve"))
 		return 0
 	}
-	if *worker {
-		if *coord == "" {
-			fmt.Fprintln(stderr, "capserve: -worker requires -coordinator URL")
-			return 2
-		}
-		return runWorker(ctx, *coord, *workerName, *workerLog, stdout, stderr)
-	}
-
 	cfg := def
 	cfg.MaxSessions = *maxSessions
 	cfg.SessionTTL = *sessionTTL

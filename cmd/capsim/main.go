@@ -16,21 +16,13 @@
 //
 // Experiments: fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 update-policy
 // lt-size baselines control ablations profile-assist addr-vs-value
-// prefetch classes wrong-path.
+// prefetch classes wrong-path tournament.
 //
 // Trace failures (decode errors, predictor panics, cancellation) do not
 // abort a sweep: the affected trace is dropped from the aggregates, the
 // table is printed from the survivors with a failure footer, and capsim
 // exits non-zero. SIGINT/SIGTERM cancel the in-flight traces; whatever
 // completed is still printed.
-//
-// With -coordinator HOST:PORT capsim additionally serves the distributed
-// fleet API on that address and dispatches each experiment's (trace ×
-// configuration) shards to capserve -worker processes under expiring
-// leases (see DESIGN.md §13). The printed tables are byte-identical to a
-// local run at any fleet size, including zero: with no registered worker
-// the coordinator degrades to in-process execution. The bound address is
-// announced on stderr so stdout stays comparable to local output.
 //
 // Exit codes: 0 all experiments clean; 1 at least one trace run or
 // experiment failed (including cancellation); 2 usage error.
@@ -42,19 +34,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
 	"sort"
 	"strings"
 	"syscall"
-	"time"
 
 	"capred"
 	"capred/internal/buildinfo"
-	"capred/internal/dist"
 )
 
 // names lists the registered experiment names, sorted.
@@ -146,14 +134,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cacheLog = fs.Bool("cache-stats", false, "print replay cache statistics to stderr on exit")
 		list     = fs.Bool("list", false, "list available experiments")
 		version  = fs.Bool("version", false, "print version and exit")
-
-		coordAddr = fs.String("coordinator", "", "serve the fleet API on this host:port and dispatch shards to capserve -worker processes")
-		lease     = fs.Duration("lease", 10*time.Second, "shard lease: a worker silent this long forfeits the shard for re-claim")
-		attempts  = fs.Int("max-attempts", 3, "lease grants per shard before it fails with an attributed error")
-		localWk   = fs.Int("local-workers", runtime.GOMAXPROCS(0), "in-process runners when no remote worker is available (-1 disables degraded mode)")
-		localWait = fs.Duration("local-delay", 3*time.Second, "grace period for the first worker to register before degrading to local execution")
-		drainWait = fs.Duration("drain", 10*time.Second, "wait for workers to acknowledge drain on exit")
-		fleetLog  = fs.Bool("fleet-log", false, "log fleet events (registrations, reclaims, duplicates) to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -168,6 +148,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-14s %s\n", e.Name, e.Desc)
 		}
 		return 0
+	}
+	if *events <= 0 {
+		fmt.Fprintf(stderr, "capsim: -events must be positive, got %d\n", *events)
+		return 2
 	}
 
 	cfg := capred.ExperimentConfig{
@@ -209,45 +193,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// With -coordinator, experiments run through the fleet layer; the
-	// address line goes to stderr so stdout stays byte-comparable to a
-	// local run.
-	var coord *dist.Coordinator
-	if *coordAddr != "" {
-		ln, err := net.Listen("tcp", *coordAddr)
-		if err != nil {
-			fmt.Fprintf(stderr, "capsim: coordinator listen: %v\n", err)
-			return 2
-		}
-		ccfg := dist.CoordConfig{
-			Lease:        *lease,
-			MaxAttempts:  *attempts,
-			LocalWorkers: *localWk,
-			LocalDelay:   *localWait,
-		}
-		if *fleetLog {
-			ccfg.Logf = func(format string, args ...any) {
-				fmt.Fprintf(stderr, "capsim: "+format+"\n", args...)
-			}
-		}
-		coord = dist.NewCoordinator(ccfg)
-		hs := &http.Server{Handler: coord.Handler()}
-		go func() { hs.Serve(ln) }()
-		defer hs.Close()
-		fmt.Fprintf(stderr, "capsim: coordinator listening on %s\n", ln.Addr())
-	}
-
 	// Run every selected experiment even when earlier ones fail; report
 	// all failures at the end and exit non-zero if any occurred.
 	failed := map[string]int{}
 	for _, n := range selected {
 		e, _ := capred.ExperimentByName(n)
-		var r capred.ExperimentResult
-		if coord != nil {
-			r = coord.RunExperiment(e, cfg)
-		} else {
-			r = e.Run(cfg)
-		}
+		r := e.Run(cfg)
 		fmt.Fprintln(stdout, r.Table())
 		fails := r.Failed()
 		if len(fails) > 0 {
@@ -260,15 +211,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "capsim: interrupted (%v); printed partial results\n", err)
 			break
 		}
-	}
-	if coord != nil {
-		// Wind the fleet down: workers see drain=true on their next claim
-		// and exit cleanly; stragglers are abandoned after the window.
-		coord.BeginDrain()
-		if !coord.WaitDrained(ctx, *drainWait) {
-			fmt.Fprintln(stderr, "capsim: drain window elapsed with workers still registered")
-		}
-		fmt.Fprintf(stderr, "capsim: %s\n", coord.Stats())
 	}
 	if *cacheLog && cfg.ReplayCache != nil {
 		fmt.Fprintf(stderr, "capsim: %s\n", cfg.ReplayCache.Stats())

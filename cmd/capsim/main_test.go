@@ -55,3 +55,22 @@ func TestVersionFlag(t *testing.T) {
 		t.Fatalf("-version output %q", stdout.String())
 	}
 }
+
+// TestNonPositiveEventsIsUsageError pins that a zero or negative trace
+// budget is rejected up front: such a run would simulate nothing and
+// print an all-"n/a" table while exiting 0.
+func TestNonPositiveEventsIsUsageError(t *testing.T) {
+	for _, n := range []string{"0", "-1"} {
+		var out, errOut bytes.Buffer
+		code := run(context.Background(), []string{"-experiment", "fig5,baselines", "-events", n}, &out, &errOut)
+		if code != 2 {
+			t.Errorf("-events %s: exit %d, want usage error 2", n, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-events %s printed a table:\n%s", n, out.String())
+		}
+		if !strings.Contains(errOut.String(), "-events must be positive") {
+			t.Errorf("-events %s: stderr %q lacks the reason", n, errOut.String())
+		}
+	}
+}

@@ -1,13 +1,12 @@
 package analysis
 
-// CtxFlow enforces request-context discipline in the serving and fleet
-// layers (internal/server, internal/dist, internal/load):
+// CtxFlow enforces request-context discipline in the serving and load
+// layers (internal/server, internal/load):
 //
 //  1. a function that already carries a context.Context (or an
 //     *http.Request, whose Context() is the request context) must not
 //     mint a fresh context.Background() / context.TODO() — that
-//     detaches the work from the caller's deadline and cancellation,
-//     exactly the bug the dist lease machinery exists to prevent;
+//     detaches the work from the caller's deadline and cancellation;
 //  2. every *http.Response obtained in those packages must have its
 //     Body closed on every CFG path — including early error returns —
 //     or escape to a caller that takes over the obligation. The
@@ -28,7 +27,7 @@ import (
 var CtxFlow = &Analyzer{
 	Name:  "ctxflow",
 	Doc:   "request paths thread their incoming context and close every http.Response body on all paths",
-	Scope: underAny("internal/server", "internal/dist", "internal/load"),
+	Scope: underAny("internal/server", "internal/load"),
 	Run:   runCtxFlow,
 }
 

@@ -25,7 +25,7 @@ import (
 var Determinism = &Analyzer{
 	Name:  "determinism",
 	Doc:   "no wall clock, global rand, or map-iteration order in result aggregation",
-	Scope: underAny("internal/sim", "internal/predictor", "internal/metrics", "internal/report", "internal/dist", "internal/load"),
+	Scope: underAny("internal/sim", "internal/predictor", "internal/metrics", "internal/report", "internal/load"),
 	Run:   runDeterminism,
 }
 

@@ -7,8 +7,8 @@ import (
 
 // GoIsolate guards the panic-isolation contract from PR 1: a panic in
 // a worker goroutine must become a *PanicError for its shard, never a
-// process crash. In the scheduler, server and fleet packages it flags
-// `go func` literals that neither
+// process crash. In the scheduler, server, load and predictor
+// packages it flags `go func` literals that neither
 //
 //   - take a context.Context parameter (cancellation-aware worker,
 //     managed by its spawner), nor
@@ -18,8 +18,8 @@ import (
 //     scheduler's runOne pattern).
 var GoIsolate = &Analyzer{
 	Name:  "goisolate",
-	Doc:   "goroutines in sim/server/dist need panic isolation or a context",
-	Scope: underAny("internal/sim", "internal/server", "internal/dist", "internal/load", "internal/predictor"),
+	Doc:   "goroutines in sim/server/load/predictor need panic isolation or a context",
+	Scope: underAny("internal/sim", "internal/server", "internal/load", "internal/predictor"),
 	Run:   runGoIsolate,
 }
 

@@ -93,8 +93,8 @@ func collectWants(t *testing.T, fset *token.FileSet, pkg *Package) map[string][]
 
 // runGolden checks analyzers against their testdata package: every
 // want matched by exactly one diagnostic, zero diagnostics unmatched.
-// Most testdata exercises one analyzer; packages whose scope several
-// analyzers share (internal/dist) pass them all together.
+// Testdata may exercise several analyzers at once when their scopes
+// all cover scopeAs.
 func runGolden(t *testing.T, name, scopeAs string, as ...*Analyzer) {
 	t.Helper()
 	l := sharedLoader(t)
@@ -166,13 +166,14 @@ func TestCtxFlowGolden(t *testing.T) {
 	runGolden(t, "ctxflow", "internal/load", CtxFlow)
 }
 
-// TestDistFleetGolden pins the fleet package's analyzer coverage:
-// internal/dist sits in both the determinism and goisolate scopes, and
-// the dist testdata encodes the package's specific failure modes —
-// wall-clock lease arithmetic and unmanaged heartbeat goroutines —
-// next to their sanctioned counterparts.
+// TestDistFleetGolden pins the joint coverage of the determinism and
+// goisolate analyzers on one package: the dist testdata encodes the
+// failure modes of distributing shards to workers — wall-clock lease
+// arithmetic and unmanaged heartbeat goroutines — next to their
+// sanctioned counterparts, scoped as internal/load, which both
+// analyzers cover.
 func TestDistFleetGolden(t *testing.T) {
-	runGolden(t, "dist", "internal/dist", Determinism, GoIsolate)
+	runGolden(t, "dist", "internal/load", Determinism, GoIsolate)
 }
 
 // TestScopeExcluded proves scoped analyzers stay silent outside their

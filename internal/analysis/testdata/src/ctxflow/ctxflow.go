@@ -104,7 +104,7 @@ func decode(r io.Reader) error {
 	return err
 }
 
-// The dist worker idiom: close wrapped in a deferred closure.
+// Close wrapped in a deferred closure.
 func deferredClosure(c *http.Client, url string) error {
 	resp, err := c.Get(url) // clean: deferred closure closes
 	if err != nil {

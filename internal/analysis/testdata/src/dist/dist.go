@@ -1,9 +1,9 @@
-// Golden testdata pinning the fleet package's coverage: internal/dist
-// is inside both the determinism scope (lease arithmetic must run on
-// the injected clock — a wall-clock read makes lease expiry, and with
-// it which worker computes a shard, irreproducible) and the goisolate
-// scope (a panic in a heartbeat or local-fallback goroutine must never
-// crash the coordinator). Loaded scoped as internal/dist.
+// Golden testdata pinning the joint determinism + goisolate coverage of
+// a package that distributes work: lease/deadline arithmetic must run
+// on an injected clock (a wall-clock read makes which worker computes a
+// shard irreproducible) and a panic in a heartbeat or local-fallback
+// goroutine must never crash the process. Loaded scoped as
+// internal/load, which sits inside both analyzers' scopes.
 package dist
 
 import (

@@ -84,8 +84,7 @@ type chooserEntry struct {
 
 // ComponentStat is one component's selection ledger: how often its
 // address was the one launched speculatively, and how often that
-// address was right. The fields are exported (and JSON-tagged) so the
-// distributed-leaf seam can carry them.
+// address was right.
 type ComponentStat struct {
 	Name     string `json:"name"`
 	Selected int64  `json:"selected"`

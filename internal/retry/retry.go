@@ -1,78 +1,30 @@
 // Package retry is the repo's single bounded-retry policy: a fixed
-// attempt budget, optional jittered exponential backoff between
-// attempts, and an optional total-sleep budget. The experiment
-// harness uses it with a zero delay (transient trace-source retries
-// are pure re-runs), the distributed fleet uses it with backoff and a
-// budget for worker→coordinator RPCs.
-//
-// Determinism: a Policy never reads the wall clock or the global
-// random source. Jitter is drawn from an explicitly provided
-// *rand.Rand, so a seeded policy produces the same delay sequence on
-// every run, and a policy without one backs off on the exact
-// unjittered schedule. Sleeping is injectable for tests.
+// attempt budget with no delay between attempts. The experiment
+// harness uses it to re-run a trace whose source failed with a
+// transient error; a re-run is a pure recomputation, so there is
+// nothing to back off from.
 package retry
 
-import (
-	"context"
-	"math/rand"
-	"time"
-)
+import "context"
 
 // Policy bounds a retry loop. The zero value runs the attempt exactly
-// once with no delays — retrying is always an explicit decision.
+// once — retrying is always an explicit decision.
 type Policy struct {
 	// Attempts is the total number of tries (first attempt included).
 	// Values below 1 mean 1: the attempt always runs at least once.
 	Attempts int
-	// BaseDelay is the sleep before the first retry; 0 retries
-	// immediately (the experiment harness's transient-source mode).
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth; 0 means uncapped.
-	MaxDelay time.Duration
-	// Multiplier scales the delay between retries; values <= 1 default
-	// to 2 (classic doubling).
-	Multiplier float64
-	// Jitter spreads each delay uniformly over ±Jitter×delay (clamped
-	// to [0,1]). It needs Rand to be non-nil to take effect.
-	Jitter float64
-	// Budget caps the total planned sleep across all retries; once the
-	// next delay would exceed it the loop stops and returns the last
-	// attempt error. 0 means unlimited.
-	Budget time.Duration
-	// Rand is the jitter source. nil disables jitter, keeping the
-	// schedule exactly deterministic.
-	Rand *rand.Rand
-	// Sleep overrides how delays are waited out (tests). nil sleeps on
-	// a timer, honouring ctx.
-	Sleep func(ctx context.Context, d time.Duration) error
 }
-
-// NewRand returns a seeded jitter source for Policy.Rand. It exists so
-// packages under the determinism analyzer's scope can construct one
-// without calling math/rand directly.
-func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // Do runs attempt until it succeeds or the policy is exhausted: at
 // most Attempts tries, stopping early when retryable reports an error
-// permanent (nil retries every error), when the sleep budget is
-// spent, or when ctx is cancelled mid-backoff. It returns the last
-// attempt's error (nil on success); attempt receives the zero-based
-// try number.
+// permanent (nil retries every error) or when ctx is done. It returns
+// the last attempt's error (nil on success); attempt receives the
+// zero-based try number.
 func (p Policy) Do(ctx context.Context, retryable func(error) bool, attempt func(try int) error) error {
 	attempts := p.Attempts
 	if attempts < 1 {
 		attempts = 1
 	}
-	sleep := p.Sleep
-	if sleep == nil {
-		sleep = sleepTimer
-	}
-	mult := p.Multiplier
-	if mult <= 1 {
-		mult = 2
-	}
-	delay := p.BaseDelay
-	var planned time.Duration
 	for try := 0; ; try++ {
 		err := attempt(try)
 		if err == nil || try+1 >= attempts {
@@ -81,55 +33,9 @@ func (p Policy) Do(ctx context.Context, retryable func(error) bool, attempt func
 		if retryable != nil && !retryable(err) {
 			return err
 		}
-		if d := p.jittered(delay); d > 0 {
-			if p.Budget > 0 && planned+d > p.Budget {
-				return err
-			}
-			planned += d
-			if sleepErr := sleep(ctx, d); sleepErr != nil {
-				// Cancelled mid-backoff: the attempt error is the useful
-				// one — the sleep error is just "the caller gave up".
-				return err
-			}
+		if ctx.Err() != nil {
+			// The caller gave up: the attempt error is the useful one.
+			return err
 		}
-		delay = time.Duration(float64(delay) * mult)
-		if p.MaxDelay > 0 && delay > p.MaxDelay {
-			delay = p.MaxDelay
-		}
-	}
-}
-
-// jittered spreads d uniformly over [d−j·d, d+j·d] when a Rand is
-// configured, and returns it unchanged otherwise.
-func (p Policy) jittered(d time.Duration) time.Duration {
-	if d <= 0 || p.Jitter <= 0 || p.Rand == nil {
-		return d
-	}
-	j := p.Jitter
-	if j > 1 {
-		j = 1
-	}
-	span := time.Duration(float64(d) * j)
-	if span <= 0 {
-		return d
-	}
-	return d - span + time.Duration(p.Rand.Int63n(int64(2*span)+1))
-}
-
-// Sleep waits out d honouring ctx, returning ctx's error if cancelled
-// first. It is the same timer the default Policy sleeps on, exported
-// for callers that need a single context-aware pause (poll pacing)
-// without a full retry loop.
-func Sleep(ctx context.Context, d time.Duration) error { return sleepTimer(ctx, d) }
-
-// sleepTimer is the default Sleep: a timer select against ctx.
-func sleepTimer(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
 	}
 }

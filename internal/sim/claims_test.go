@@ -1,0 +1,177 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+
+	"capred/internal/metrics"
+	"capred/internal/predictor"
+)
+
+// The paper's qualitative claims, asserted on the typed driver results
+// at the golden budget. The golden files pin every digit; these tests
+// say which orderings the reproduction must keep, so a change that
+// rewrites the goldens still has to preserve the paper's findings.
+
+// cleanRun fails the test when a driver reported trace failures: a
+// claim about partial aggregates proves nothing.
+func cleanRun(t *testing.T, name string, fails []TraceFailure) {
+	t.Helper()
+	if len(fails) != 0 {
+		t.Fatalf("%s: unexpected failures: %v", name, fails)
+	}
+}
+
+// measured fails the test when a row folded in no loads, so that an
+// ordering between two empty rows cannot pass as a claim.
+func measured(t *testing.T, row string, r metrics.Rates) {
+	t.Helper()
+	if r.Empty() {
+		t.Fatalf("%s: no loads measured", row)
+	}
+}
+
+// rowIndex returns the position of name in names, failing the test if
+// the driver no longer has that row.
+func rowIndex(t *testing.T, names []string, name string) int {
+	t.Helper()
+	for i, n := range names {
+		if n == name {
+			return i
+		}
+	}
+	t.Fatalf("no row %q in %v", name, names)
+	return -1
+}
+
+// TestClaimBaselineLadder: §1's ladder. Last-address prediction is the
+// weakest family, stride and CAP each beat it, and the hybrid beats
+// both, measured as correct speculations over all loads. Stride vs CAP
+// is not asserted: their order depends on the trace budget.
+func TestClaimBaselineLadder(t *testing.T) {
+	r := Baselines(goldenConfig(*goldenWorkers))
+	cleanRun(t, "baselines", r.Failed())
+	correct := func(name string) float64 {
+		c := r.Counters[rowIndex(t, r.Names, name)]
+		measured(t, name, c)
+		return c.CorrectSpecRate()
+	}
+	last, hybrid := correct("last"), correct("hybrid")
+	for _, mid := range []struct {
+		name string
+		v    float64
+	}{{"stride", correct("stride")}, {"cap", correct("cap")}} {
+		if !(last < mid.v && mid.v < hybrid) {
+			t.Errorf("correct of loads: want last %.4f < %s %.4f < hybrid %.4f", last, mid.name, mid.v, hybrid)
+		}
+	}
+}
+
+// TestClaimFig5HybridDominates: Fig. 5. The hybrid predicts at least as
+// many loads as the better of its two components in every suite and in
+// the Average row.
+func TestClaimFig5HybridDominates(t *testing.T) {
+	r := Fig5(goldenConfig(*goldenWorkers))
+	cleanRun(t, "fig5", r.Failed())
+	for _, s := range suiteOrder() {
+		rate := func(suites map[string]metrics.Counters, avg metrics.Mean) float64 {
+			row := rowFor(suites, avg, s)
+			measured(t, s, row)
+			return row.PredRate()
+		}
+		st, cp, hy := rate(r.Stride, r.AvgS), rate(r.CAP, r.AvgC), rate(r.Hybrid, r.AvgH)
+		if hy < st || hy < cp {
+			t.Errorf("%s: hybrid rate %.4f below max(stride %.4f, cap %.4f)", s, hy, st, cp)
+		}
+	}
+}
+
+// TestClaimFig10TagsCutMispredictions: Fig. 10. Every tagged LT variant
+// mispredicts less often than the untagged one.
+func TestClaimFig10TagsCutMispredictions(t *testing.T) {
+	r := Fig10(goldenConfig(*goldenWorkers))
+	cleanRun(t, "fig10", r.Failed())
+	var base metrics.Mean
+	found := false
+	for i, v := range r.Variants {
+		if v.TagBits == 0 && !v.Path {
+			base, found = r.Counters[i], true
+		}
+	}
+	if !found {
+		t.Fatal("fig10 has no untagged variant")
+	}
+	for i, v := range r.Variants {
+		measured(t, v.Name, r.Counters[i])
+		if v.TagBits == 0 {
+			continue
+		}
+		if got := r.Counters[i].MispredRate(); got >= base.MispredRate() {
+			t.Errorf("%s: misprediction rate %.4f not below no tag %.4f", v.Name, got, base.MispredRate())
+		}
+	}
+}
+
+// TestClaimFig11GapNeverHelps: Fig. 11. Deferring resolutions can only
+// cost predictions: stride and hybrid rates do not rise with the gap.
+func TestClaimFig11GapNeverHelps(t *testing.T) {
+	r := Fig11(goldenConfig(*goldenWorkers))
+	cleanRun(t, "fig11", r.Failed())
+	for i, gap := range r.Gaps {
+		measured(t, fmt.Sprintf("stride at gap %d", gap), r.Stride[i])
+		measured(t, fmt.Sprintf("hybrid at gap %d", gap), r.Hybrid[i])
+	}
+	for i := 1; i < len(r.Gaps); i++ {
+		for _, fam := range []struct {
+			name string
+			m    []metrics.Mean
+		}{{"stride", r.Stride}, {"hybrid", r.Hybrid}} {
+			prev, cur := fam.m[i-1].PredRate(), fam.m[i].PredRate()
+			if cur > prev {
+				t.Errorf("%s: rate rose from %.4f at gap %d to %.4f at gap %d",
+					fam.name, prev, r.Gaps[i-1], cur, r.Gaps[i])
+			}
+		}
+	}
+}
+
+// TestClaimUpdateAlwaysBest: §4.3. Updating the LT on every load
+// predicts at least as many loads as either filtered policy.
+func TestClaimUpdateAlwaysBest(t *testing.T) {
+	r := UpdatePolicy(goldenConfig(*goldenWorkers))
+	cleanRun(t, "update-policy", r.Failed())
+	always := -1
+	for i, p := range r.Policies {
+		if p == predictor.UpdateAlways {
+			always = i
+		}
+	}
+	if always < 0 {
+		t.Fatal("update-policy has no always row")
+	}
+	for i, p := range r.Policies {
+		measured(t, p.String(), r.Counters[i])
+		if got, best := r.Counters[i].PredRate(), r.Counters[always].PredRate(); got > best {
+			t.Errorf("%s: rate %.4f above always %.4f", p, got, best)
+		}
+	}
+}
+
+// TestClaimTournamentReproducesHybrid: the 2-way CAP+stride tournament
+// is the paper's hybrid, and adding components never costs correct
+// speculations.
+func TestClaimTournamentReproducesHybrid(t *testing.T) {
+	r := Tournament(goldenConfig(*goldenWorkers))
+	cleanRun(t, "tournament", r.Failed())
+	hybrid := r.Avg[rowIndex(t, r.Rows, "hybrid (§3.7)")]
+	pair := r.Avg[rowIndex(t, r.Rows, "tournament stride+cap")]
+	full := r.Avg[rowIndex(t, r.Rows, "tournament 5-way")]
+	measured(t, "hybrid", hybrid)
+	measured(t, "5-way", full)
+	if pair != hybrid {
+		t.Errorf("2-way row differs from hybrid row:\n pair   %v\n hybrid %v", pair, hybrid)
+	}
+	if full.CorrectSpecRate() < hybrid.CorrectSpecRate() {
+		t.Errorf("5-way correct speculation %.4f below hybrid %.4f", full.CorrectSpecRate(), hybrid.CorrectSpecRate())
+	}
+}

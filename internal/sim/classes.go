@@ -44,9 +44,8 @@ func ClassCoverage(cfg Config) ClassCoverageResult {
 	}
 	names := []string{"last", "stride+", "cap", "hybrid"}
 
-	// classTally is the leaf's serialisable per-trace result: dynamic
-	// loads per profiled class and, per predictor, correct speculations
-	// per class (exported fields so it survives the dist wire).
+	// classTally is one trace's result: dynamic loads per profiled class
+	// and, per predictor, correct speculations per class.
 	type classTally struct {
 		Loads   map[predictor.LoadClass]int64
 		Correct []map[predictor.LoadClass]int64
@@ -61,10 +60,11 @@ func ClassCoverage(cfg Config) ClassCoverageResult {
 	g := newGrid(cfg)
 	g.addPass("class-coverage", specs, func(i int) error {
 		spec := specs[i]
-		// Both passes run inside one leaf scope so the deadline spans the
-		// whole two-pass job and a retry restarts it from scratch with
-		// fresh state.
-		t, err := distLeaf(cfg, spec, func(ctx context.Context, open func() trace.Source) (classTally, error) {
+		// Both passes run inside one perTrace scope so the deadline spans
+		// the whole two-pass job and a retry restarts it from scratch
+		// with fresh state.
+		var t classTally
+		err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) error {
 			// Classification pass.
 			prof := predictor.NewProfiler()
 			err := forEachBlock(ctx, open(), func(b *trace.Block) {
@@ -75,11 +75,11 @@ func ClassCoverage(cfg Config) ClassCoverageResult {
 				}
 			})
 			if err != nil {
-				return classTally{}, fmt.Errorf("classification pass: %w", err)
+				return fmt.Errorf("classification pass: %w", err)
 			}
 			profile := prof.Profile()
 
-			t := classTally{
+			t = classTally{
 				Loads:   make(map[predictor.LoadClass]int64),
 				Correct: make([]map[predictor.LoadClass]int64, len(factories)),
 			}
@@ -117,9 +117,9 @@ func ClassCoverage(cfg Config) ClassCoverageResult {
 				}
 			})
 			if err != nil {
-				return classTally{}, fmt.Errorf("measurement pass: %w", err)
+				return fmt.Errorf("measurement pass: %w", err)
 			}
-			return t, nil
+			return nil
 		})
 		if err != nil {
 			return err

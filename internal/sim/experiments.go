@@ -71,21 +71,17 @@ func safeDiv(num, den float64) float64 {
 // config's budget, context, per-trace deadline, transient retry and
 // fault wrappers applied. f may be nil (the no-prediction baseline).
 func runTimed(cfg Config, spec workload.TraceSpec, mcfg cpu.Config, f Factory, gapDepth int) (cpu.Result, error) {
-	out, err := distLeaf(cfg, spec, func(ctx context.Context, open func() trace.Source) (cpu.Result, error) {
+	var out cpu.Result
+	err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) error {
 		m := mcfg
 		m.Ctx = ctx
 		var p predictor.Predictor
 		if f != nil {
 			p = cfg.factoryFor(spec, f)()
 		}
-		res := cpu.Run(open(), p, gapDepth, m)
-		// The error travels separately so the partial Result stays
-		// JSON-encodable; it is reattached below on both code paths.
-		err := res.Err
-		res.Err = nil
-		return res, err
+		out = cpu.Run(open(), p, gapDepth, m)
+		return out.Err
 	})
-	out.Err = err
 	return out, err
 }
 

@@ -31,8 +31,7 @@ type ProfileAssistResult struct {
 func ProfileAssist(cfg Config) ProfileAssistResult {
 	specs := workload.Traces()
 
-	// profileCell is the leaf's serialisable per-trace result (exported
-	// fields so it survives the dist wire).
+	// profileCell is one trace's result.
 	type profileCell struct {
 		C          [4]metrics.Counters
 		Classified int
@@ -47,11 +46,12 @@ func ProfileAssist(cfg Config) ProfileAssistResult {
 	g := newGrid(cfg)
 	g.addPass("profile-assist", specs, func(i int) error {
 		spec := specs[i]
-		// The training pass and all four variants share one leaf scope:
-		// the deadline covers the whole job, and a retry restarts it with
-		// a fresh cell so no partial tallies survive.
-		res, err := distLeaf(cfg, spec, func(ctx context.Context, open func() trace.Source) (profileCell, error) {
-			var res profileCell
+		// The training pass and all four variants share one perTrace
+		// scope: the deadline covers the whole job, and a retry restarts
+		// it with a fresh cell so no partial tallies survive.
+		var res profileCell
+		err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) error {
+			res = profileCell{}
 
 			// Training pass: profile the first half of the budget.
 			prof := predictor.NewProfiler()
@@ -64,7 +64,7 @@ func ProfileAssist(cfg Config) ProfileAssistResult {
 				}
 			})
 			if err != nil {
-				return res, fmt.Errorf("profiling pass: %w", err)
+				return fmt.Errorf("profiling pass: %w", err)
 			}
 			profile := prof.Profile()
 			res.Classified = profile.Len()
@@ -89,11 +89,11 @@ func ProfileAssist(cfg Config) ProfileAssistResult {
 			for v, f := range variants {
 				c, err := RunTraceContext(ctx, open(), cfg.factoryFor(spec, f)(), 0)
 				if err != nil {
-					return res, fmt.Errorf("variant %d: %w", v, err)
+					return fmt.Errorf("variant %d: %w", v, err)
 				}
 				res.C[v] = c
 			}
-			return res, nil
+			return nil
 		})
 		if err != nil {
 			return err

@@ -70,13 +70,6 @@ type Config struct {
 	// WrapFactory, like WrapSource, substitutes the predictor factory
 	// for specific traces (e.g. one that panics, to test isolation).
 	WrapFactory func(traceName string, f Factory) Factory
-
-	// dist and broker are the distribution seam (see dist.go), installed
-	// by WithDist on a coordinator and RunDistShard on a worker. The
-	// broker pointer is shared by every copy of the Config the drivers
-	// capture, threading one record/replay state through a whole run.
-	dist   DistRunner
-	broker *broker
 }
 
 // DefaultConfig returns the standard experiment scale.
@@ -184,9 +177,6 @@ type traceRun struct {
 // any per-trace state it accumulates at the top of each attempt, only
 // publishing results once it returns nil.
 func (c Config) perTrace(spec workload.TraceSpec, body func(ctx context.Context, open func() trace.Source) error) error {
-	// Zero BaseDelay: a transient source failure is a pure re-run, not a
-	// remote call worth backing off from. The dist layer configures the
-	// same Policy with backoff for its RPCs.
 	pol := retry.Policy{Attempts: c.SourceRetries + 1}
 	return pol.Do(c.context(), trace.IsTransient, func(int) error {
 		ctx := c.context()
@@ -213,8 +203,10 @@ func runAll(cfg Config, specs []workload.TraceSpec, stage string, f Factory, gap
 		// Record the spec up front so even a panic mid-run leaves the slot
 		// attributed to its trace.
 		out[i] = traceRun{Spec: spec}
-		c, err := distLeaf(cfg, spec, func(ctx context.Context, open func() trace.Source) (metrics.Counters, error) {
-			return RunTraceContext(ctx, open(), cfg.factoryFor(spec, f)(), gapDepth)
+		var c metrics.Counters
+		err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) (err error) {
+			c, err = RunTraceContext(ctx, open(), cfg.factoryFor(spec, f)(), gapDepth)
+			return err
 		})
 		if err != nil {
 			return err

@@ -87,8 +87,10 @@ func (g *grid) addSuitePass(stage string, f Factory, gapDepth int) *suitePass {
 		// Record the spec up front so even a panic mid-run leaves the
 		// slot attributed to its trace.
 		sp.runs[i] = traceRun{Spec: spec}
-		c, err := distLeaf(cfg, spec, func(ctx context.Context, open func() trace.Source) (metrics.Counters, error) {
-			return RunTraceContext(ctx, open(), cfg.factoryFor(spec, f)(), gapDepth)
+		var c metrics.Counters
+		err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) (err error) {
+			c, err = RunTraceContext(ctx, open(), cfg.factoryFor(spec, f)(), gapDepth)
+			return err
 		})
 		if err != nil {
 			return err
@@ -136,16 +138,6 @@ func (g *grid) run() []TraceFailure {
 // that shard's *PanicError, and once the config's context is done,
 // not-yet-started shards fail with its error instead of running.
 func runShards(cfg Config, shards []shard) []error {
-	if b := cfg.broker; b != nil {
-		switch b.mode {
-		case brokerRecord:
-			return recordShards(cfg, shards)
-		case brokerReplay:
-			if cfg.dist != nil {
-				return distShards(cfg, shards)
-			}
-		}
-	}
 	errs := make([]error, len(shards))
 	ctx := cfg.context()
 	var done atomic.Int64

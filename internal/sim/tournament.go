@@ -51,9 +51,8 @@ func tournamentPredictor(row tournamentRow, speculative bool) (predictor.Predict
 	return tournament.NewNamed(tournament.DefaultConfig(), speculative, row.comps...)
 }
 
-// tournamentTally is the per-trace leaf result: the standard counters
-// plus the tournament's per-component selection statistics (exported
-// fields so it survives the dist wire).
+// tournamentTally is one trace's result: the standard counters plus the
+// tournament's per-component selection statistics.
 type tournamentTally struct {
 	C   metrics.Counters
 	Sel []tournament.ComponentStat
@@ -94,7 +93,8 @@ func Tournament(cfg Config) TournamentResult {
 		cells[ri] = make([]cell, len(specs))
 		g.addPass(row.name, specs, func(i int) error {
 			spec := specs[i]
-			t, err := distLeaf(cfg, spec, func(ctx context.Context, open func() trace.Source) (tournamentTally, error) {
+			var t tournamentTally
+			err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) error {
 				f := cfg.factoryFor(spec, func() predictor.Predictor {
 					p, err := tournamentPredictor(row, false)
 					if err != nil {
@@ -105,11 +105,11 @@ func Tournament(cfg Config) TournamentResult {
 				st := NewStepper(f(), 0)
 				err := forEachBlock(ctx, open(), st.StepBlock)
 				st.Finish()
-				out := tournamentTally{C: st.C}
+				t = tournamentTally{C: st.C}
 				if tp, ok := st.Predictor().(*tournament.Tournament); ok {
-					out.Sel = tp.ComponentStats()
+					t.Sel = tp.ComponentStats()
 				}
-				return out, err
+				return err
 			})
 			if err != nil {
 				return err

@@ -56,8 +56,7 @@ type AddressVsValueResult struct {
 func AddressVsValue(cfg Config) AddressVsValueResult {
 	specs := workload.Traces()
 
-	// valueRow is the leaf's serialisable per-trace result (exported
-	// fields so it survives the dist wire).
+	// valueRow is one trace's result.
 	type valueRow struct {
 		Addr addrTally
 		Vals [4]valueCounters
@@ -71,10 +70,11 @@ func AddressVsValue(cfg Config) AddressVsValueResult {
 	g := newGrid(cfg)
 	g.addPass("addr-vs-value", specs, func(i int) error {
 		spec := specs[i]
-		// The whole per-trace measurement runs in one leaf scope and
+		// The whole per-trace measurement runs in one perTrace scope and
 		// accumulates into a local row, so a retry restarts from fresh
 		// tallies and rows[i] only ever holds a complete attempt.
-		vr, err := distLeaf(cfg, spec, func(ctx context.Context, open func() trace.Source) (valueRow, error) {
+		var vr valueRow
+		err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) error {
 			var r valueRow
 			vcfg := valuepred.DefaultConfig()
 			vpreds := [4]valuepred.Predictor{
@@ -124,7 +124,8 @@ func AddressVsValue(cfg Config) AddressVsValueResult {
 					}
 				}
 			})
-			return r, err
+			vr = r
+			return err
 		})
 		if err != nil {
 			return err
@@ -190,8 +191,7 @@ func (m rateMean) mean() float64 {
 	return m.sum / float64(m.n)
 }
 
-// addrTally is a minimal address-side tally for this experiment
-// (exported fields so it survives the dist wire).
+// addrTally is a minimal address-side tally for this experiment.
 type addrTally struct {
 	Loads, Spec, Correct int64
 }

@@ -167,11 +167,13 @@ func WrongPath(cfg Config) WrongPathResult {
 			hc.Speculative = true
 			return predictor.NewHybrid(hc)
 		}
-		// Each mode gets its own leaf scope: the deadline bounds one
+		// Each mode gets its own perTrace scope: the deadline bounds one
 		// mode's run, and a transient source error retries just that mode.
 		for m, mode := range modes {
-			c, err := distLeaf(cfg, specs[i], func(ctx context.Context, open func() trace.Source) (metrics.Counters, error) {
-				return runTraceWrongPath(ctx, open(), cfg.factoryFor(specs[i], f)(), 8, 4, mode)
+			var c metrics.Counters
+			err := cfg.perTrace(specs[i], func(ctx context.Context, open func() trace.Source) (err error) {
+				c, err = runTraceWrongPath(ctx, open(), cfg.factoryFor(specs[i], f)(), 8, 4, mode)
+				return err
 			})
 			if err != nil {
 				return fmt.Errorf("%s: %w", mode, err)
