@@ -145,8 +145,9 @@ type (
 	Tournament = tournament.Tournament
 	// TournamentConfig sizes the tournament's chooser.
 	TournamentConfig = tournament.Config
-	// TournamentComponent is one tournament entrant (Predict / Resolve /
-	// Squash with per-component opinions).
+	// TournamentComponent is one tournament entrant: per-load state in a
+	// slot-indexed array (Slots / Reset) that the tournament's one load
+	// buffer indexes, and Predict / Resolve / Squash taking the slot.
 	TournamentComponent = tournament.Component
 	// ComponentStat is one component's selection statistics.
 	ComponentStat = tournament.ComponentStat

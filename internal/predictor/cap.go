@@ -78,8 +78,7 @@ type pfEntry struct {
 	valid bool
 }
 
-// capState is the per-static-load CAP state kept in a load-buffer entry;
-// the hybrid predictor embeds it alongside strideState.
+// capState is the per-static-load CAP state, one per load-buffer slot.
 type capState struct {
 	hist uint32 // architectural history (shift-xor compressed)
 	conf uint8
@@ -92,10 +91,14 @@ type capState struct {
 	poisoned  bool // misprediction in flight; suppress speculation (§5.2)
 }
 
-// capCore implements the CAP mechanism over external capState, so the
-// stand-alone CAP predictor and the hybrid share one implementation. The
-// link table lives here (it is global, not per-load).
-type capCore struct {
+// CAPComponent is the CAP predictor at component granularity: the
+// global link table plus per-load state in a slot-indexed array that
+// its owner's load buffer indexes (see StrideComponent). Its Resolve
+// always updates the link table (§4.3 UpdateAlways, the paper's best
+// policy); the cross-component update policies remain a Hybrid-only
+// refinement because they need the other component's outcome.
+type CAPComponent struct {
+	slots[capState]
 	cfg     CAPConfig
 	lt      []ltEntry
 	pfTab   []pfEntry
@@ -108,7 +111,9 @@ type capCore struct {
 	pfMsk   uint32
 }
 
-func newCAPCore(cfg CAPConfig) *capCore {
+// NewCAPComponent builds the CAP component and its link table. Its
+// owner sizes the per-load state with Slots before use.
+func NewCAPComponent(cfg CAPConfig) *CAPComponent {
 	checkPow2("LT entries", cfg.LTEntries)
 	checkPow2("LT ways", cfg.LTWays)
 	if cfg.LTWays > 1 && cfg.TagBits == 0 {
@@ -132,7 +137,7 @@ func newCAPCore(cfg CAPConfig) *capCore {
 	if shift == 0 {
 		shift = 1
 	}
-	c := &capCore{
+	c := &CAPComponent{
 		cfg:     cfg,
 		lt:      make([]ltEntry, cfg.LTEntries),
 		ltSets:  ltSets,
@@ -158,29 +163,29 @@ func newCAPCore(cfg CAPConfig) *capCore {
 // offLow extracts the offset LSBs recorded in the LB. With global
 // correlation disabled the mask is zero, so base == effective address and
 // the predictor degenerates to per-load full-address links.
-func (c *capCore) offLow(offset int32) uint32 {
+func (c *CAPComponent) offLow(offset int32) uint32 {
 	return uint32(offset) & c.offMsk
 }
 
 // base converts an effective address to the base address recorded in
 // histories and links.
-func (c *capCore) base(addr uint32, offset int32) uint32 {
+func (c *CAPComponent) base(addr uint32, offset int32) uint32 {
 	return addr - c.offLow(offset)
 }
 
 // advance folds a base address into the history: shift left by m, xor with
 // the address LSBs minus the two alignment bits, truncate (§3.2).
-func (c *capCore) advance(hist, base uint32) uint32 {
+func (c *CAPComponent) advance(hist, base uint32) uint32 {
 	return (hist<<c.shift ^ base>>2) & c.histMsk
 }
 
-func (c *capCore) split(hist uint32) (idx int, tag uint16) {
+func (c *CAPComponent) split(hist uint32) (idx int, tag uint16) {
 	return int(hist & (uint32(c.ltSets) - 1)), uint16(hist >> c.idxBits & c.tagMsk)
 }
 
 // ltLookup finds the link for a history value. ok distinguishes "no link
 // recorded" from a valid link; tagOK is the §3.4 tag confidence signal.
-func (c *capCore) ltLookup(hist uint32) (link uint32, ok, tagOK bool) {
+func (c *CAPComponent) ltLookup(hist uint32) (link uint32, ok, tagOK bool) {
 	idx, tag := c.split(hist)
 	base := idx * c.cfg.LTWays
 	if c.cfg.LTWays == 1 {
@@ -202,7 +207,7 @@ func (c *capCore) ltLookup(hist uint32) (link uint32, ok, tagOK bool) {
 // ltUpdate records hist → base, gated by the pollution-free mechanism:
 // the link is written only when the same base attempted the same entry on
 // the immediately preceding update (§3.5).
-func (c *capCore) ltUpdate(hist, base uint32) {
+func (c *CAPComponent) ltUpdate(hist, base uint32) {
 	idx, tag := c.split(hist)
 	pfNew := uint8(base >> 2 & c.pfMsk)
 
@@ -250,9 +255,16 @@ func (c *capCore) ltUpdate(hist, base uint32) {
 	e.link, e.tag, e.linkValid, e.age = base, tag, true, 0
 }
 
-// predict computes the CAP opinion for the load and, in speculative mode,
-// advances the speculative history.
-func (c *capCore) predict(cs *capState, ref LoadRef) ComponentPrediction {
+// ID identifies the component in Prediction.Selected.
+func (c *CAPComponent) ID() Component { return CompCAP }
+
+// Name returns the component's display name.
+func (c *CAPComponent) Name() string { return "cap" }
+
+// Predict computes the CAP opinion for the load in slot and, in
+// speculative mode, advances the speculative history.
+func (c *CAPComponent) Predict(slot int, ref LoadRef) ComponentPrediction {
+	cs := &c.st[slot]
 	if !c.cfg.Speculative {
 		return c.predictFrom(cs, cs.hist, true, ref)
 	}
@@ -274,7 +286,7 @@ func (c *capCore) predict(cs *capState, ref LoadRef) ComponentPrediction {
 	return cp
 }
 
-func (c *capCore) predictFrom(cs *capState, hist uint32, histValid bool, ref LoadRef) ComponentPrediction {
+func (c *CAPComponent) predictFrom(cs *capState, hist uint32, histValid bool, ref LoadRef) ComponentPrediction {
 	if !histValid {
 		return ComponentPrediction{}
 	}
@@ -289,9 +301,16 @@ func (c *capCore) predictFrom(cs *capState, hist uint32, histValid bool, ref Loa
 	return ComponentPrediction{Addr: addr, Predicted: true, Confident: confident}
 }
 
-// resolve verifies the CAP part of a prediction and updates history,
-// confidence and (when updateLT allows) the link table.
-func (c *capCore) resolve(cs *capState, cp ComponentPrediction, speculated bool, ref LoadRef, actual uint32, updateLT bool) {
+// Resolve verifies the component's opinion and updates history,
+// confidence and the link table.
+func (c *CAPComponent) Resolve(slot int, ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
+	c.resolve(slot, ref, cp, speculated, actual, true)
+}
+
+// resolve is Resolve with the link-table update gated by updateLT, for
+// the hybrid's §4.3 update policies.
+func (c *CAPComponent) resolve(slot int, ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32, updateLT bool) {
+	cs := &c.st[slot]
 	if c.cfg.Speculative && cs.pending > 0 {
 		cs.pending--
 	}
@@ -324,15 +343,16 @@ func (c *capCore) resolve(cs *capState, cp ComponentPrediction, speculated bool,
 	}
 }
 
-// squash undoes Predict's in-flight bookkeeping for a flushed prediction.
-// The speculative history cannot be rewound (shift-xor is lossy), so it
-// is invalidated until the pending window drains — the architectural
-// history is untouched, which is exactly the history-buffer recovery
-// property §5.4 asks for.
-func (c *capCore) squash(cs *capState) {
+// Squash undoes Predict's in-flight bookkeeping for a flushed prediction
+// (§5.4 wrong-path recovery). The speculative history cannot be rewound
+// (shift-xor is lossy), so it is invalidated until the pending window
+// drains — the architectural history is untouched, which is exactly the
+// history-buffer recovery property §5.4 asks for.
+func (c *CAPComponent) Squash(slot int) {
 	if !c.cfg.Speculative {
 		return
 	}
+	cs := &c.st[slot]
 	if cs.pending > 0 {
 		cs.pending--
 	}
@@ -343,65 +363,18 @@ func (c *capCore) squash(cs *capState) {
 	}
 }
 
-// CAPComponent is the CAP predictor packaged at component granularity
-// — per-load state in its own load buffer over the shared core and
-// global link table — for composition by the tournament meta-predictor.
-// Its Resolve always updates the link table (§4.3 UpdateAlways, the
-// paper's best policy); the cross-component update policies remain a
-// Hybrid-only refinement because they need the other component's
-// outcome.
-type CAPComponent struct {
-	core *capCore
-	lb   *LBTable[capState]
-}
-
-// NewCAPComponent builds the CAP component.
-func NewCAPComponent(cfg CAPConfig) *CAPComponent {
-	return &CAPComponent{
-		core: newCAPCore(cfg),
-		lb:   NewLBTable[capState](cfg.LBEntries, cfg.LBWays),
-	}
-}
-
-// ID identifies the component in Prediction.Selected.
-func (c *CAPComponent) ID() Component { return CompCAP }
-
-// Name returns the component's display name.
-func (c *CAPComponent) Name() string { return "cap" }
-
-// Predict computes the component's opinion for the load, advancing
-// speculative state in speculative mode. The LB entry is allocated at
-// prediction time so in-flight instance counts are exact in pipelined
-// mode.
-func (c *CAPComponent) Predict(ref LoadRef) ComponentPrediction {
-	cs, _ := c.lb.Insert(ref.IP)
-	return c.core.predict(cs, ref)
-}
-
-// Resolve verifies the component's opinion and updates history,
-// confidence and the link table.
-func (c *CAPComponent) Resolve(ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
-	cs, _ := c.lb.Insert(ref.IP)
-	c.core.resolve(cs, cp, speculated, ref, actual, true)
-}
-
-// Squash undoes Predict's in-flight bookkeeping for a flushed
-// prediction (§5.4 wrong-path recovery).
-func (c *CAPComponent) Squash(ref LoadRef, cp ComponentPrediction) {
-	if cs := c.lb.Lookup(ref.IP); cs != nil {
-		c.core.squash(cs)
-	}
-}
-
 // CAP is the stand-alone correlated context-based address predictor:
-// the component wrapped as a full Predictor.
+// the component under its own load buffer.
 type CAP struct {
 	comp *CAPComponent
+	lb   *LBTable[struct{}]
 }
 
 // NewCAP builds a CAP predictor.
 func NewCAP(cfg CAPConfig) *CAP {
-	return &CAP{comp: NewCAPComponent(cfg)}
+	c := &CAP{comp: NewCAPComponent(cfg), lb: NewLBTable[struct{}](cfg.LBEntries, cfg.LBWays)}
+	c.comp.Slots(c.lb.Entries())
+	return c
 }
 
 // Name implements Predictor.
@@ -409,7 +382,7 @@ func (c *CAP) Name() string { return "cap" }
 
 // Predict implements Predictor.
 func (c *CAP) Predict(ref LoadRef) Prediction {
-	cp := c.comp.Predict(ref)
+	cp := c.comp.Predict(slotFor(c.lb, c.comp, ref.IP), ref)
 	return Prediction{
 		Addr:      cp.Addr,
 		Predicted: cp.Predicted,
@@ -421,13 +394,15 @@ func (c *CAP) Predict(ref LoadRef) Prediction {
 
 // Resolve implements Predictor.
 func (c *CAP) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	c.comp.Resolve(ref, p.CAP, p.Speculate, actual)
+	c.comp.Resolve(slotFor(c.lb, c.comp, ref.IP), ref, p.CAP, p.Speculate, actual)
 }
 
 // Squash implements Squasher: the prediction was made on a wrong path and
 // will never resolve.
 func (c *CAP) Squash(ref LoadRef, p Prediction) {
-	c.comp.Squash(ref, p.CAP)
+	if slot, ok := c.lb.Lookup(ref.IP); ok {
+		c.comp.Squash(slot)
+	}
 }
 
 // PredictAhead follows the link-table chain n steps from the load's
@@ -439,23 +414,24 @@ func (c *CAP) Squash(ref LoadRef, p Prediction) {
 // first missing or tag-mismatching link. PredictAhead never mutates
 // predictor state.
 func (c *CAP) PredictAhead(ref LoadRef, n int) []uint32 {
-	core := c.comp.core
-	cs := c.comp.lb.Lookup(ref.IP)
-	if cs == nil {
+	comp := c.comp
+	slot, ok := c.lb.Lookup(ref.IP)
+	if !ok {
 		return nil
 	}
+	cs := &comp.st[slot]
 	hist := cs.hist
-	if core.cfg.Speculative && cs.specValid {
+	if comp.cfg.Speculative && cs.specValid {
 		hist = cs.specHist
 	}
 	out := make([]uint32, 0, n)
 	for i := 0; i < n; i++ {
-		link, ok, tagOK := core.ltLookup(hist)
+		link, ok, tagOK := comp.ltLookup(hist)
 		if !ok || !tagOK {
 			break
 		}
-		out = append(out, link+core.offLow(ref.Offset))
-		hist = core.advance(hist, link)
+		out = append(out, link+comp.offLow(ref.Offset))
+		hist = comp.advance(hist, link)
 	}
 	return out
 }

@@ -226,7 +226,7 @@ func TestCAPConfigValidation(t *testing.T) {
 func TestCAPAdvanceAges(t *testing.T) {
 	// The shift(m)-xor scheme must age addresses out after HistoryLen
 	// updates: two histories that differ only in an old address converge.
-	core := newCAPCore(DefaultCAPConfig())
+	core := NewCAPComponent(DefaultCAPConfig())
 	h1, h2 := uint32(0), uint32(0)
 	h1 = core.advance(h1, 0xAAAA0000)
 	h2 = core.advance(h2, 0x55550000)
@@ -245,7 +245,7 @@ func TestCAPAdvanceAges(t *testing.T) {
 }
 
 func TestCAPBaseAddressArithmetic(t *testing.T) {
-	core := newCAPCore(DefaultCAPConfig())
+	core := NewCAPComponent(DefaultCAPConfig())
 	// Positive offset within 8 bits.
 	if got := core.base(0x1008, 8); got != 0x1000 {
 		t.Errorf("base(0x1008, 8) = %#x, want 0x1000", got)
@@ -264,7 +264,7 @@ func TestCAPBaseAddressArithmetic(t *testing.T) {
 func TestCAPWithoutGlobalCorrelationUsesFullAddresses(t *testing.T) {
 	cfg := DefaultCAPConfig()
 	cfg.GlobalCorrelation = false
-	core := newCAPCore(cfg)
+	core := NewCAPComponent(cfg)
 	if got := core.base(0x1008, 8); got != 0x1008 {
 		t.Errorf("without global correlation, base = %#x, want full address 0x1008", got)
 	}

@@ -22,7 +22,7 @@ func fuzzCAPConfig() CAPConfig {
 
 // shadowLT is an independent reimplementation of the direct-mapped link
 // table with in-LT PF bits, used as the differential oracle: the real
-// capCore must agree with it on every lookup after every update.
+// CAPComponent must agree with it on every lookup after every update.
 type shadowLT struct {
 	link      [64]uint32
 	tag       [64]uint16
@@ -69,7 +69,7 @@ func FuzzCAPLookupUpdate(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		core := newCAPCore(fuzzCAPConfig())
+		core := NewCAPComponent(fuzzCAPConfig())
 		var shadow shadowLT
 		for len(data) >= 8 {
 			hist := binary.LittleEndian.Uint32(data) & core.histMsk
@@ -93,7 +93,7 @@ func FuzzCAPLookupUpdate(f *testing.F) {
 // recorded only on the second consecutive sighting of the same PF value,
 // and an intervening different PF value restarts the sequence.
 func TestPFBitHysteresis(t *testing.T) {
-	core := newCAPCore(fuzzCAPConfig())
+	core := NewCAPComponent(fuzzCAPConfig())
 	const hist = 0x2A
 	baseA := uint32(0x1000) // PF = bits 2..5 of the base
 	baseB := uint32(0x1004) // different PF value, same LT index
@@ -165,8 +165,8 @@ func FuzzHybridSelector(f *testing.F) {
 
 			ref := LoadRef{IP: ip, Offset: offset, GHR: ghr.Value(), Path: path.Value()}
 			selBefore := uint8(SelWeakCAP)
-			if e := h.lb.Lookup(ip); e != nil {
-				selBefore = e.sel
+			if slot, ok := h.lb.Lookup(ip); ok {
+				selBefore = *h.lb.At(slot)
 			}
 			p := h.Predict(ref)
 			if p.Speculate && !p.Predicted {
@@ -177,26 +177,27 @@ func FuzzHybridSelector(f *testing.F) {
 			}
 			h.Resolve(ref, p, addr)
 
-			e := h.lb.Lookup(ip)
-			if e == nil {
+			slot, ok := h.lb.Lookup(ip)
+			if !ok {
 				t.Fatal("LB entry vanished between Predict and Resolve")
 			}
-			if e.sel > SelStrongCAP {
-				t.Fatalf("selector left the 2-bit range: %d", e.sel)
+			sel := *h.lb.At(slot)
+			if sel > SelStrongCAP {
+				t.Fatalf("selector left the 2-bit range: %d", sel)
 			}
-			diff := int(e.sel) - int(selBefore)
+			diff := int(sel) - int(selBefore)
 			if diff < -1 || diff > 1 {
-				t.Fatalf("selector moved more than one state: %d -> %d", selBefore, e.sel)
+				t.Fatalf("selector moved more than one state: %d -> %d", selBefore, sel)
 			}
 			if diff != 0 && !(p.Stride.Predicted && p.CAP.Predicted) {
-				t.Fatalf("selector moved without both components predicting: %d -> %d", selBefore, e.sel)
+				t.Fatalf("selector moved without both components predicting: %d -> %d", selBefore, sel)
 			}
 			cfg := h.cfg
-			if e.stride.conf > cfg.Stride.ConfMax {
-				t.Fatalf("stride confidence %d exceeds max %d", e.stride.conf, cfg.Stride.ConfMax)
+			if c := h.stride.st[slot].conf; c > cfg.Stride.ConfMax {
+				t.Fatalf("stride confidence %d exceeds max %d", c, cfg.Stride.ConfMax)
 			}
-			if e.cap.conf > cfg.CAP.ConfMax {
-				t.Fatalf("cap confidence %d exceeds max %d", e.cap.conf, cfg.CAP.ConfMax)
+			if c := h.cap.st[slot].conf; c > cfg.CAP.ConfMax {
+				t.Fatalf("cap confidence %d exceeds max %d", c, cfg.CAP.ConfMax)
 			}
 		}
 	})

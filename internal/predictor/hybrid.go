@@ -66,8 +66,9 @@ func SelStateNameBetween(lo, hi Component, s uint8) string {
 }
 
 // HybridConfig configures the hybrid CAP/stride predictor of §3.7. The
-// load buffer is shared: each entry carries both components' fields plus
-// the selector counter.
+// load buffer is shared: its geometry is CAP.LBEntries/LBWays, each
+// entry holds the selector counter, and its slot indexes both
+// components' state.
 type HybridConfig struct {
 	Stride StrideConfig // Entries/Ways are taken from CAP.LBEntries/LBWays
 	CAP    CAPConfig
@@ -87,21 +88,16 @@ func DefaultHybridConfig() HybridConfig {
 	}
 }
 
-type hybridEntry struct {
-	stride strideState
-	cap    capState
-	sel    uint8
-}
-
 // Hybrid is the hybrid CAP/stride predictor: both components predict every
 // dynamic load out of a shared load buffer; a speculative access is
 // launched when at least one component is confident, with a per-entry
-// 2-bit counter selecting between them when both are.
+// 2-bit counter selecting between them when both are. The LB entry
+// holds the selector; the components keep their state under its slot.
 type Hybrid struct {
-	cfg        HybridConfig
-	strideCore strideCore
-	capCore    *capCore
-	lb         *LBTable[hybridEntry]
+	cfg    HybridConfig
+	stride *StrideComponent
+	cap    *CAPComponent
+	lb     *LBTable[uint8]
 }
 
 // NewHybrid builds a hybrid predictor. The Speculative flag is propagated
@@ -109,31 +105,45 @@ type Hybrid struct {
 func NewHybrid(cfg HybridConfig) *Hybrid {
 	cfg.Stride.Speculative = cfg.Speculative
 	cfg.CAP.Speculative = cfg.Speculative
-	return &Hybrid{
-		cfg:        cfg,
-		strideCore: strideCore{cfg: cfg.Stride},
-		capCore:    newCAPCore(cfg.CAP),
-		lb:         NewLBTable[hybridEntry](cfg.CAP.LBEntries, cfg.CAP.LBWays),
+	h := &Hybrid{
+		cfg:    cfg,
+		stride: NewStrideComponent(cfg.Stride),
+		cap:    NewCAPComponent(cfg.CAP),
+		lb:     NewLBTable[uint8](cfg.CAP.LBEntries, cfg.CAP.LBWays),
 	}
+	h.stride.Slots(h.lb.Entries())
+	h.cap.Slots(h.lb.Entries())
+	return h
 }
 
 // Name implements Predictor.
 func (h *Hybrid) Name() string { return "hybrid" }
 
+// slot probes the shared LB for ip. A newly allocated entry starts with
+// both components reset and the selector at its §4.2 initial bias
+// towards weak CAP.
+func (h *Hybrid) slot(ip uint32) (int, *uint8) {
+	slot, existed := h.lb.Insert(ip)
+	sel := h.lb.At(slot)
+	if !existed {
+		*sel = SelWeakCAP
+		h.stride.Reset(slot)
+		h.cap.Reset(slot)
+	}
+	return slot, sel
+}
+
 // Predict implements Predictor. The LB entry is allocated at prediction
 // time so that in-flight instance counts are exact in pipelined mode.
 func (h *Hybrid) Predict(ref LoadRef) Prediction {
-	e, existed := h.lb.Insert(ref.IP)
-	if !existed {
-		e.sel = SelWeakCAP // initial bias towards weak CAP (§4.2)
-	}
-	scp := h.strideCore.predict(&e.stride, ref)
-	ccp := h.capCore.predict(&e.cap, ref)
+	slot, sel := h.slot(ref.IP)
+	scp := h.stride.Predict(slot, ref)
+	ccp := h.cap.Predict(slot, ref)
 
-	p := Prediction{Stride: scp, CAP: ccp, SelState: e.sel}
+	p := Prediction{Stride: scp, CAP: ccp, SelState: *sel}
 	switch {
 	case scp.Confident && ccp.Confident:
-		if h.selectCAP(e.sel) {
+		if h.selectCAP(*sel) {
 			p.Addr, p.Selected = ccp.Addr, CompCAP
 		} else {
 			p.Addr, p.Selected = scp.Addr, CompStride
@@ -162,10 +172,7 @@ func (h *Hybrid) selectCAP(sel uint8) bool {
 
 // Resolve implements Predictor.
 func (h *Hybrid) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	e, existed := h.lb.Insert(ref.IP)
-	if !existed {
-		e.sel = SelWeakCAP // initial bias towards weak CAP (§4.2)
-	}
+	slot, sel := h.slot(ref.IP)
 
 	strideCorrect := p.Stride.Predicted && p.Stride.Addr == actual
 	capCorrect := p.CAP.Predicted && p.CAP.Addr == actual
@@ -175,9 +182,9 @@ func (h *Hybrid) Resolve(ref LoadRef, p Prediction, actual uint32) {
 	if p.Stride.Predicted && p.CAP.Predicted {
 		switch {
 		case capCorrect && !strideCorrect:
-			e.sel = satInc(e.sel, SelStrongCAP)
+			*sel = satInc(*sel, SelStrongCAP)
 		case strideCorrect && !capCorrect:
-			e.sel = satDec(e.sel)
+			*sel = satDec(*sel)
 		}
 	}
 
@@ -190,17 +197,15 @@ func (h *Hybrid) Resolve(ref LoadRef, p Prediction, actual uint32) {
 	}
 
 	spec := p.Speculate
-	h.strideCore.resolve(&e.stride, p.Stride, spec && p.Selected == CompStride, ref, actual)
-	h.capCore.resolve(&e.cap, p.CAP, spec && p.Selected == CompCAP, ref, actual, updateLT)
+	h.stride.Resolve(slot, ref, p.Stride, spec && p.Selected == CompStride, actual)
+	h.cap.resolve(slot, ref, p.CAP, spec && p.Selected == CompCAP, actual, updateLT)
 }
 
 // Squash implements Squasher: both components drop the flushed in-flight
 // prediction (§5.4 wrong-path recovery).
 func (h *Hybrid) Squash(ref LoadRef, p Prediction) {
-	e := h.lb.Lookup(ref.IP)
-	if e == nil {
-		return
+	if slot, ok := h.lb.Lookup(ref.IP); ok {
+		h.stride.Squash(slot)
+		h.cap.Squash(slot)
 	}
-	h.strideCore.squash(&e.stride)
-	h.capCore.squash(&e.cap)
 }

@@ -52,12 +52,12 @@ func TestHybridSelectorConverges(t *testing.T) {
 		pr := p.Predict(ref)
 		p.Resolve(ref, pr, uint32(0x200000+64*i))
 	}
-	e := p.lb.Lookup(ip)
-	if e == nil {
+	slot, ok := p.lb.Lookup(ip)
+	if !ok {
 		t.Fatal("LB entry missing")
 	}
-	if e.sel > SelWeakStride {
-		t.Errorf("selector state = %s, want stride side", SelStateName(e.sel))
+	if sel := *p.lb.At(slot); sel > SelWeakStride {
+		t.Errorf("selector state = %s, want stride side", SelStateName(sel))
 	}
 }
 
@@ -66,12 +66,12 @@ func TestHybridSelectorInitiallyWeakCAP(t *testing.T) {
 	ref := LoadRef{IP: 0x40}
 	pr := p.Predict(ref)
 	p.Resolve(ref, pr, 0x1000)
-	e := p.lb.Lookup(ref.IP)
-	if e == nil {
+	slot, ok := p.lb.Lookup(ref.IP)
+	if !ok {
 		t.Fatal("LB entry missing")
 	}
-	if e.sel != SelWeakCAP {
-		t.Errorf("initial selector = %s, want weak-cap", SelStateName(e.sel))
+	if sel := *p.lb.At(slot); sel != SelWeakCAP {
+		t.Errorf("initial selector = %s, want weak-cap", SelStateName(sel))
 	}
 }
 
@@ -120,7 +120,7 @@ func TestHybridUpdatePolicies(t *testing.T) {
 		h := NewHybrid(cfg)
 		run(h, work())
 		n := 0
-		for _, e := range h.capCore.lt {
+		for _, e := range h.cap.lt {
 			if e.linkValid {
 				n++
 			}

@@ -21,19 +21,21 @@ type lastEntry struct {
 	conf uint8
 }
 
-// LastComponent is the last-address predictor at component granularity
-// for composition by the tournament meta-predictor. Predict reads the
-// architectural last address without mutating table contents, so the
-// component is sound under a prediction gap as well: there is simply no
-// speculative state to maintain or squash.
+// LastComponent is the last-address predictor at component granularity,
+// over per-load state in a slot-indexed array that its owner's load
+// buffer indexes (see StrideComponent). Predict reads the architectural
+// last address without mutating state, so the component is sound under
+// a prediction gap as well: there is simply no speculative state to
+// maintain or squash.
 type LastComponent struct {
+	slots[lastEntry]
 	cfg LastConfig
-	lb  *LBTable[lastEntry]
 }
 
-// NewLastComponent builds the last-address component.
+// NewLastComponent builds the last-address component. Its owner sizes it
+// with Slots before use.
 func NewLastComponent(cfg LastConfig) *LastComponent {
-	return &LastComponent{cfg: cfg, lb: NewLBTable[lastEntry](cfg.Entries, cfg.Ways)}
+	return &LastComponent{cfg: cfg}
 }
 
 // ID identifies the component in Prediction.Selected.
@@ -42,10 +44,10 @@ func (l *LastComponent) ID() Component { return CompLast }
 // Name returns the component's display name.
 func (l *LastComponent) Name() string { return "last" }
 
-// Predict computes the component's opinion for the load.
-func (l *LastComponent) Predict(ref LoadRef) ComponentPrediction {
-	e := l.lb.Lookup(ref.IP)
-	if e == nil || !e.have {
+// Predict computes the component's opinion for the load in slot.
+func (l *LastComponent) Predict(slot int, ref LoadRef) ComponentPrediction {
+	e := &l.st[slot]
+	if !e.have {
 		return ComponentPrediction{}
 	}
 	return ComponentPrediction{
@@ -56,8 +58,8 @@ func (l *LastComponent) Predict(ref LoadRef) ComponentPrediction {
 }
 
 // Resolve updates the last address and its confidence counter.
-func (l *LastComponent) Resolve(ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
-	e, _ := l.lb.Insert(ref.IP)
+func (l *LastComponent) Resolve(slot int, ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
+	e := &l.st[slot]
 	if e.have && e.last == actual {
 		e.conf = satInc(e.conf, l.cfg.ConfMax)
 	} else {
@@ -68,18 +70,22 @@ func (l *LastComponent) Resolve(ref LoadRef, cp ComponentPrediction, speculated 
 }
 
 // Squash is a no-op: Predict leaves no in-flight bookkeeping behind.
-func (l *LastComponent) Squash(ref LoadRef, cp ComponentPrediction) {}
+func (l *LastComponent) Squash(slot int) {}
 
 // Last is the last-address predictor: it speculates that a static load's
-// next address equals its previous one. It is the component wrapped as
-// a full Predictor.
+// next address equals its previous one. It is the component under its
+// own load buffer, which allocates at resolution: a load the LB has not
+// seen produces no prediction and takes no slot.
 type Last struct {
 	comp *LastComponent
+	lb   *LBTable[struct{}]
 }
 
 // NewLast builds a last-address predictor.
 func NewLast(cfg LastConfig) *Last {
-	return &Last{comp: NewLastComponent(cfg)}
+	l := &Last{comp: NewLastComponent(cfg), lb: NewLBTable[struct{}](cfg.Entries, cfg.Ways)}
+	l.comp.Slots(l.lb.Entries())
+	return l
 }
 
 // Name implements Predictor.
@@ -87,18 +93,15 @@ func (l *Last) Name() string { return "last" }
 
 // Predict implements Predictor.
 func (l *Last) Predict(ref LoadRef) Prediction {
-	cp := l.comp.Predict(ref)
-	if !cp.Predicted {
+	slot, ok := l.lb.Lookup(ref.IP)
+	if !ok {
 		return Prediction{}
 	}
-	return Prediction{
-		Addr:      cp.Addr,
-		Predicted: true,
-		Speculate: cp.Confident,
-	}
+	cp := l.comp.Predict(slot, ref)
+	return Prediction{Addr: cp.Addr, Predicted: cp.Predicted, Speculate: cp.Confident}
 }
 
 // Resolve implements Predictor.
 func (l *Last) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	l.comp.Resolve(ref, ComponentPrediction{}, false, actual)
+	l.comp.Resolve(slotFor(l.lb, l.comp, ref.IP), ref, ComponentPrediction{}, false, actual)
 }

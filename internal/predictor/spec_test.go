@@ -215,10 +215,11 @@ func TestSpecPendingCounterDrains(t *testing.T) {
 	p := NewCAP(cfg)
 	walk := listWalk(0x100, []uint32{0x1010, 0x8058, 0x4024, 0x20c8}, 8)
 	runGap(p, repeatSeq(walk, 20), 6)
-	cs := p.comp.lb.Lookup(0x100)
-	if cs == nil {
+	slot, ok := p.lb.Lookup(0x100)
+	if !ok {
 		t.Fatal("LB entry missing")
 	}
+	cs := &p.comp.st[slot]
 	if cs.pending != 0 {
 		t.Errorf("pending = %d after drain, want 0", cs.pending)
 	}
@@ -246,11 +247,11 @@ func TestSquashRestoresStrideConsistency(t *testing.T) {
 	p.Squash(ref, pr3)
 	p.Squash(ref, pr2)
 	p.Resolve(ref, pr1, 0x1000+8*10)
-	st := p.comp.lb.Lookup(ref.IP)
-	if st == nil {
+	slot, ok := p.lb.Lookup(ref.IP)
+	if !ok {
 		t.Fatal("entry missing")
 	}
-	if st.pending != 0 {
+	if st := &p.comp.st[slot]; st.pending != 0 {
 		t.Errorf("pending = %d after squash+resolve, want 0", st.pending)
 	}
 	// The next prediction must be correct again.
@@ -271,10 +272,11 @@ func TestSquashRestoresCAPConsistency(t *testing.T) {
 	pr1 := p.Predict(ref)
 	pr2 := p.Predict(ref)
 	p.Squash(ref, pr2)
-	cs := p.comp.lb.Lookup(ref.IP)
-	if cs == nil {
+	slot, ok := p.lb.Lookup(ref.IP)
+	if !ok {
 		t.Fatal("entry missing")
 	}
+	cs := &p.comp.st[slot]
 	if cs.pending != 1 {
 		t.Errorf("pending = %d after one squash, want 1", cs.pending)
 	}
@@ -301,12 +303,12 @@ func TestHybridSquash(t *testing.T) {
 	}
 	pr := p.Predict(ref)
 	p.Squash(ref, pr)
-	e := p.lb.Lookup(ref.IP)
-	if e == nil {
+	slot, ok := p.lb.Lookup(ref.IP)
+	if !ok {
 		t.Fatal("entry missing")
 	}
-	if e.stride.pending != 0 || e.cap.pending != 0 {
-		t.Errorf("pending after squash: stride=%d cap=%d", e.stride.pending, e.cap.pending)
+	if sp, cp := p.stride.st[slot].pending, p.cap.st[slot].pending; sp != 0 || cp != 0 {
+		t.Errorf("pending after squash: stride=%d cap=%d", sp, cp)
 	}
 	// Squash of an unknown IP must be a no-op, not a panic.
 	p.Squash(LoadRef{IP: 0xFFFF_0000}, Prediction{})

@@ -34,8 +34,8 @@ func BasicStrideConfig() StrideConfig {
 	return cfg
 }
 
-// strideState is the per-static-load stride prediction state kept in a
-// load-buffer entry. It is shared verbatim by the hybrid predictor.
+// strideState is the per-static-load stride prediction state, one per
+// load-buffer slot.
 type strideState struct {
 	last   uint32 // architectural last address
 	stride int32
@@ -60,22 +60,46 @@ type strideState struct {
 	specValid bool
 }
 
-// strideCore implements prediction/resolution over a strideState; the
-// stand-alone Stride predictor and the Hybrid predictor both embed it.
-type strideCore struct {
+// StrideComponent is the stride predictor at component granularity, over
+// per-load state in a slot-indexed array. Its owner — Stride, Hybrid or
+// a tournament (internal/predictor/tournament) — sizes the array with
+// Slots, resets a slot whenever its LB allocates it, and passes the
+// slot to every call.
+type StrideComponent struct {
+	slots[strideState]
 	cfg StrideConfig
 }
 
-// predict computes this component's opinion for the load. It advances
-// speculative state when the core runs in speculative mode.
-func (c *strideCore) predict(st *strideState, ref LoadRef) ComponentPrediction {
-	if !c.cfg.Speculative {
-		return c.predictFrom(st, st.last, st.have, ref)
+// NewStrideComponent builds the stride component. Its owner sizes it
+// with Slots before use.
+func NewStrideComponent(cfg StrideConfig) *StrideComponent {
+	return &StrideComponent{cfg: cfg}
+}
+
+// ID identifies the component in Prediction.Selected.
+func (s *StrideComponent) ID() Component { return CompStride }
+
+// Name returns the component's display name.
+func (s *StrideComponent) Name() string {
+	if s.cfg.Interval || s.cfg.CF.enabled() {
+		return "stride+"
+	}
+	return "stride"
+}
+
+// Predict computes the component's opinion for the load in slot. It
+// advances speculative state when the component runs in speculative
+// mode; owners allocate the slot at prediction time so in-flight
+// instance counts are exact in pipelined mode.
+func (s *StrideComponent) Predict(slot int, ref LoadRef) ComponentPrediction {
+	st := &s.st[slot]
+	if !s.cfg.Speculative {
+		return s.predictFrom(st, st.last, st.have, ref)
 	}
 	if st.pending == 0 {
 		st.specLast, st.specValid = st.last, st.have
 	}
-	cp := c.predictFrom(st, st.specLast, st.specValid, ref)
+	cp := s.predictFrom(st, st.specLast, st.specValid, ref)
 	if cp.Predicted {
 		st.specLast = cp.Addr
 	}
@@ -83,30 +107,31 @@ func (c *strideCore) predict(st *strideState, ref LoadRef) ComponentPrediction {
 	return cp
 }
 
-func (c *strideCore) predictFrom(st *strideState, base uint32, haveBase bool, ref LoadRef) ComponentPrediction {
+func (s *StrideComponent) predictFrom(st *strideState, base uint32, haveBase bool, ref LoadRef) ComponentPrediction {
 	if !haveBase {
 		return ComponentPrediction{}
 	}
 	addr := base + uint32(st.stride)
-	confident := st.conf >= c.cfg.ConfThreshold &&
-		st.cf.allow(c.cfg.CF, ref.GHR) &&
-		c.intervalAllows(st)
+	confident := st.conf >= s.cfg.ConfThreshold &&
+		st.cf.allow(s.cfg.CF, ref.GHR) &&
+		s.intervalAllows(st)
 	return ComponentPrediction{Addr: addr, Predicted: true, Confident: confident}
 }
 
 // intervalAllows applies the interval technique: once the learned array
 // length is reached, trade a likely misprediction for a no-prediction.
-func (c *strideCore) intervalAllows(st *strideState) bool {
-	if !c.cfg.Interval || st.interval == 0 || !st.intConf {
+func (s *StrideComponent) intervalAllows(st *strideState) bool {
+	if !s.cfg.Interval || st.interval == 0 || !st.intConf {
 		return true
 	}
 	return st.run < st.interval
 }
 
-// resolve verifies this component's part of a prediction and updates the
-// architectural (and, on mispredictions, speculative) state.
-func (c *strideCore) resolve(st *strideState, cp ComponentPrediction, speculated bool, ref LoadRef, actual uint32) {
-	if c.cfg.Speculative && st.pending > 0 {
+// Resolve verifies the component's opinion and updates the architectural
+// (and, on mispredictions, speculative) state in slot.
+func (s *StrideComponent) Resolve(slot int, ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
+	st := &s.st[slot]
+	if s.cfg.Speculative && st.pending > 0 {
 		st.pending--
 	}
 	correct := cp.Predicted && cp.Addr == actual
@@ -114,11 +139,11 @@ func (c *strideCore) resolve(st *strideState, cp ComponentPrediction, speculated
 	// Confidence and control-flow indications reflect prediction outcome.
 	if cp.Predicted {
 		if correct {
-			st.conf = satInc(st.conf, c.cfg.ConfMax)
+			st.conf = satInc(st.conf, s.cfg.ConfMax)
 		} else {
 			st.conf = 0
 		}
-		st.cf.record(c.cfg.CF, ref.GHR, correct, speculated)
+		st.cf.record(s.cfg.CF, ref.GHR, correct, speculated)
 	}
 
 	// Architectural stride update.
@@ -132,7 +157,7 @@ func (c *strideCore) resolve(st *strideState, cp ComponentPrediction, speculated
 			// Stride break: learn the interval, restart the streak. The
 			// interval is confirmed only when two consecutive runs agree
 			// (within one element).
-			if c.cfg.Interval && st.run > 0 {
+			if s.cfg.Interval && st.run > 0 {
 				d := int(st.run) - int(st.interval)
 				st.intConf = st.interval > 0 && d >= -1 && d <= 1
 				st.interval = st.run
@@ -145,7 +170,7 @@ func (c *strideCore) resolve(st *strideState, cp ComponentPrediction, speculated
 	st.last = actual
 	st.have = true
 
-	if c.cfg.Speculative {
+	if s.cfg.Speculative {
 		if st.pending == 0 {
 			st.specLast, st.specValid = st.last, st.have
 		} else if !correct || !st.specValid {
@@ -162,14 +187,16 @@ func (c *strideCore) resolve(st *strideState, cp ComponentPrediction, speculated
 	}
 }
 
-// squash undoes Predict's in-flight bookkeeping for a flushed prediction.
-// The speculative last-address cannot be rewound precisely (the flushed
-// prediction already advanced it), so it is invalidated; the catch-up
-// path re-establishes it at the next resolution.
-func (c *strideCore) squash(st *strideState) {
-	if !c.cfg.Speculative {
+// Squash undoes Predict's in-flight bookkeeping for a flushed prediction
+// (§5.4 wrong-path recovery). The speculative last-address cannot be
+// rewound precisely (the flushed prediction already advanced it), so it
+// is invalidated; the catch-up path re-establishes it at the next
+// resolution.
+func (s *StrideComponent) Squash(slot int) {
+	if !s.cfg.Speculative {
 		return
 	}
+	st := &s.st[slot]
 	if st.pending > 0 {
 		st.pending--
 	}
@@ -179,67 +206,18 @@ func (c *strideCore) squash(st *strideState) {
 	}
 }
 
-// StrideComponent is the stride predictor packaged at component
-// granularity — per-load state in its own load buffer over the shared
-// core — for composition by the tournament meta-predictor
-// (internal/predictor/tournament). The stand-alone Stride predictor is
-// the same component wrapped as a full Predictor.
-type StrideComponent struct {
-	core strideCore
-	lb   *LBTable[strideState]
-}
-
-// NewStrideComponent builds the stride component.
-func NewStrideComponent(cfg StrideConfig) *StrideComponent {
-	return &StrideComponent{
-		core: strideCore{cfg: cfg},
-		lb:   NewLBTable[strideState](cfg.Entries, cfg.Ways),
-	}
-}
-
-// ID identifies the component in Prediction.Selected.
-func (s *StrideComponent) ID() Component { return CompStride }
-
-// Name returns the component's display name.
-func (s *StrideComponent) Name() string {
-	if s.core.cfg.Interval || s.core.cfg.CF.enabled() {
-		return "stride+"
-	}
-	return "stride"
-}
-
-// Predict computes the component's opinion for the load, advancing
-// speculative state in speculative mode. The LB entry is allocated at
-// prediction time so in-flight instance counts are exact in pipelined
-// mode.
-func (s *StrideComponent) Predict(ref LoadRef) ComponentPrediction {
-	st, _ := s.lb.Insert(ref.IP)
-	return s.core.predict(st, ref)
-}
-
-// Resolve verifies the component's opinion and updates its tables.
-func (s *StrideComponent) Resolve(ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
-	st, _ := s.lb.Insert(ref.IP)
-	s.core.resolve(st, cp, speculated, ref, actual)
-}
-
-// Squash undoes Predict's in-flight bookkeeping for a flushed
-// prediction (§5.4 wrong-path recovery).
-func (s *StrideComponent) Squash(ref LoadRef, cp ComponentPrediction) {
-	if st := s.lb.Lookup(ref.IP); st != nil {
-		s.core.squash(st)
-	}
-}
-
-// Stride is the stand-alone stride predictor: the component wrapped as
-// a full Predictor.
+// Stride is the stand-alone stride predictor: the component under its
+// own load buffer.
 type Stride struct {
 	comp *StrideComponent
+	lb   *LBTable[struct{}]
 }
 
 // NewStride builds a stride predictor.
 func NewStride(cfg StrideConfig) *Stride {
-	return &Stride{comp: NewStrideComponent(cfg)}
+	s := &Stride{comp: NewStrideComponent(cfg), lb: NewLBTable[struct{}](cfg.Entries, cfg.Ways)}
+	s.comp.Slots(s.lb.Entries())
+	return s
 }
 
 // Name implements Predictor.
@@ -247,7 +225,7 @@ func (s *Stride) Name() string { return s.comp.Name() }
 
 // Predict implements Predictor.
 func (s *Stride) Predict(ref LoadRef) Prediction {
-	cp := s.comp.Predict(ref)
+	cp := s.comp.Predict(slotFor(s.lb, s.comp, ref.IP), ref)
 	return Prediction{
 		Addr:      cp.Addr,
 		Predicted: cp.Predicted,
@@ -259,11 +237,13 @@ func (s *Stride) Predict(ref LoadRef) Prediction {
 
 // Resolve implements Predictor.
 func (s *Stride) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	s.comp.Resolve(ref, p.Stride, p.Speculate, actual)
+	s.comp.Resolve(slotFor(s.lb, s.comp, ref.IP), ref, p.Stride, p.Speculate, actual)
 }
 
 // Squash implements Squasher: the prediction was made on a wrong path and
 // will never resolve.
 func (s *Stride) Squash(ref LoadRef, p Prediction) {
-	s.comp.Squash(ref, p.Stride)
+	if slot, ok := s.lb.Lookup(ref.IP); ok {
+		s.comp.Squash(slot)
+	}
 }

@@ -1,11 +1,11 @@
 package predictor
 
 // LBTable is a generic set-associative table indexed and tagged by static
-// instruction address, with true-LRU replacement inside each set. All the
-// load buffers in this package (last-address, stride, CAP, hybrid) are
-// instances of it. It is exported so composing packages — the tournament
-// meta-predictor's chooser table — share the exact allocation and LRU
-// discipline of the in-package load buffers.
+// instruction address, with true-LRU replacement inside each set. Every
+// load buffer (last-address, stride, CAP, hybrid, tournament) is one.
+// A probe returns a slot in [0, Entries()) that indexes the per-load
+// state of every component under the LB; T is what the owner itself
+// keeps per entry (a selector, chooser counters, or struct{}).
 type LBTable[T any] struct {
 	sets     int
 	ways     int
@@ -49,23 +49,25 @@ func (t *LBTable[T]) tag(ip uint32) uint32 {
 	return ip >> t.tagShift
 }
 
-// Lookup returns the entry for ip, or nil on a miss. A hit refreshes LRU.
-func (t *LBTable[T]) Lookup(ip uint32) *T {
+// Lookup returns the slot holding ip; ok is false on a miss. A hit
+// refreshes LRU.
+func (t *LBTable[T]) Lookup(ip uint32) (slot int, ok bool) {
 	base := t.set(ip) * t.ways
 	tag := t.tag(ip)
 	for i := base; i < base+t.ways; i++ {
 		s := &t.slots[i]
 		if s.valid && s.tag == tag {
 			t.touch(base, i)
-			return &s.val
+			return i, true
 		}
 	}
-	return nil
+	return -1, false
 }
 
-// Insert returns the entry for ip, allocating (and evicting the LRU way)
-// if absent. The second result is true when the entry already existed.
-func (t *LBTable[T]) Insert(ip uint32) (*T, bool) {
+// Insert returns the slot for ip, allocating (and evicting the LRU way)
+// if absent. On allocation (existed false) the slot holds a zero T, and
+// the owner must reset every component's state in it.
+func (t *LBTable[T]) Insert(ip uint32) (slot int, existed bool) {
 	base := t.set(ip) * t.ways
 	tag := t.tag(ip)
 	victim := base
@@ -73,7 +75,7 @@ func (t *LBTable[T]) Insert(ip uint32) (*T, bool) {
 		s := &t.slots[i]
 		if s.valid && s.tag == tag {
 			t.touch(base, i)
-			return &s.val, true
+			return i, true
 		}
 		if !s.valid {
 			victim = i
@@ -87,8 +89,11 @@ func (t *LBTable[T]) Insert(ip uint32) (*T, bool) {
 	s.tag = tag
 	s.val = zero
 	t.touch(base, victim)
-	return &s.val, false
+	return victim, false
 }
+
+// At returns the owner's value in slot.
+func (t *LBTable[T]) At(slot int) *T { return &t.slots[slot].val }
 
 // touch marks slot i most recently used within its set.
 func (t *LBTable[T]) touch(base, i int) {
@@ -100,5 +105,25 @@ func (t *LBTable[T]) touch(base, i int) {
 	t.slots[i].age = 0
 }
 
-// entries returns the table capacity.
+// Entries returns the table capacity, which bounds every slot index.
 func (t *LBTable[T]) Entries() int { return t.sets * t.ways }
+
+// slots is a component's per-load state, one T per slot of its owner's
+// load buffer. Components embed it for their Slots and Reset methods.
+type slots[T any] struct{ st []T }
+
+// Slots sizes the state to n load-buffer slots, all reset.
+func (s *slots[T]) Slots(n int) { s.st = make([]T, n) }
+
+// Reset clears a slot the owner's LB has just allocated.
+func (s *slots[T]) Reset(slot int) { s.st[slot] = *new(T) }
+
+// slotFor probes lb for ip, resetting comp's state in a newly allocated
+// slot: the owner contract of a stand-alone (one-component) predictor.
+func slotFor(lb *LBTable[struct{}], comp interface{ Reset(slot int) }, ip uint32) int {
+	slot, existed := lb.Insert(ip)
+	if !existed {
+		comp.Reset(slot)
+	}
+	return slot
+}

@@ -5,27 +5,45 @@ import (
 	"testing/quick"
 )
 
+// set inserts ip and stores v as the owner's value in its slot.
+func set(tb *LBTable[int], ip uint32, v int) int {
+	slot, _ := tb.Insert(ip)
+	*tb.At(slot) = v
+	return slot
+}
+
+// get looks ip up, returning its value; ok is false on a miss.
+func get(tb *LBTable[int], ip uint32) (int, bool) {
+	slot, ok := tb.Lookup(ip)
+	if !ok {
+		return 0, false
+	}
+	return *tb.At(slot), true
+}
+
 func TestLBTableLookupMiss(t *testing.T) {
 	tb := NewLBTable[int](16, 2)
-	if tb.Lookup(0x1000) != nil {
-		t.Error("lookup on empty table should miss")
+	if slot, ok := tb.Lookup(0x1000); ok || slot != -1 {
+		t.Errorf("lookup on empty table = (%d, %v), want a miss", slot, ok)
 	}
 }
 
 func TestLBTableInsertAndLookup(t *testing.T) {
 	tb := NewLBTable[int](16, 2)
-	v, existed := tb.Insert(0x1000)
+	slot, existed := tb.Insert(0x1000)
 	if existed {
 		t.Error("first insert should not report existing")
 	}
-	*v = 42
-	got := tb.Lookup(0x1000)
-	if got == nil || *got != 42 {
-		t.Fatalf("lookup after insert = %v, want 42", got)
+	if slot < 0 || slot >= tb.Entries() {
+		t.Fatalf("slot %d out of range [0, %d)", slot, tb.Entries())
 	}
-	v2, existed := tb.Insert(0x1000)
-	if !existed || *v2 != 42 {
-		t.Error("second insert should find the existing entry")
+	*tb.At(slot) = 42
+	if got, ok := get(tb, 0x1000); !ok || got != 42 {
+		t.Fatalf("lookup after insert = (%d, %v), want 42", got, ok)
+	}
+	slot2, existed := tb.Insert(0x1000)
+	if !existed || slot2 != slot || *tb.At(slot2) != 42 {
+		t.Error("second insert should find the existing entry in the same slot")
 	}
 }
 
@@ -33,51 +51,48 @@ func TestLBTableLRUEviction(t *testing.T) {
 	// 4 entries, 2 ways -> 2 sets. IPs in the same set: set bits are
 	// (ip>>2)&1, so ip=0, 8, 16 share set 0.
 	tb := NewLBTable[int](4, 2)
-	a, _ := tb.Insert(0)
-	*a = 1
-	b, _ := tb.Insert(8)
-	*b = 2
+	set(tb, 0, 1)
+	evicted := set(tb, 8, 2)
 	// Touch 0 so 8 becomes LRU.
-	if tb.Lookup(0) == nil {
+	if _, ok := tb.Lookup(0); !ok {
 		t.Fatal("entry 0 vanished")
 	}
-	c, _ := tb.Insert(16)
-	*c = 3
-	if tb.Lookup(8) != nil {
+	// The new entry takes over the LRU entry's slot.
+	if slot := set(tb, 16, 3); slot != evicted {
+		t.Errorf("ip 16 allocated slot %d, want the evicted slot %d", slot, evicted)
+	}
+	if _, ok := tb.Lookup(8); ok {
 		t.Error("LRU entry (ip 8) should have been evicted")
 	}
-	if got := tb.Lookup(0); got == nil || *got != 1 {
+	if got, ok := get(tb, 0); !ok || got != 1 {
 		t.Error("MRU entry (ip 0) should have survived")
 	}
-	if got := tb.Lookup(16); got == nil || *got != 3 {
+	if got, ok := get(tb, 16); !ok || got != 3 {
 		t.Error("new entry (ip 16) missing")
 	}
 }
 
 func TestLBTableEvictedEntryIsZeroed(t *testing.T) {
 	tb := NewLBTable[int](2, 2)
-	a, _ := tb.Insert(0)
-	*a = 7
-	b, _ := tb.Insert(8)
-	*b = 8
+	set(tb, 0, 7)
+	set(tb, 8, 8)
 	// Set is full; inserting a third evicts LRU (ip 0).
-	c, existed := tb.Insert(16)
+	slot, existed := tb.Insert(16)
 	if existed {
 		t.Error("insert after eviction should report new entry")
 	}
-	if *c != 0 {
-		t.Errorf("recycled entry not zeroed: %d", *c)
+	if v := *tb.At(slot); v != 0 {
+		t.Errorf("recycled entry not zeroed: %d", v)
 	}
 }
 
 func TestLBTableDirectMapped(t *testing.T) {
 	tb := NewLBTable[int](4, 1)
-	v, _ := tb.Insert(0x100)
-	*v = 5
+	set(tb, 0x100, 5)
 	// 0x100>>2 = 0x40, set = 0x40 & 3 = 0; conflicting ip maps same set:
 	conflict := uint32(0x100 + 4*4) // next multiple landing in set 0
 	tb.Insert(conflict)
-	if tb.Lookup(0x100) != nil {
+	if _, ok := tb.Lookup(0x100); ok {
 		t.Error("direct-mapped conflict should evict")
 	}
 }
@@ -102,13 +117,13 @@ func TestLBTableNoFalseHits(t *testing.T) {
 		tb := NewLBTable[uint32](64, 2)
 		written := make(map[uint32]uint32)
 		for _, ip := range ips {
-			v, _ := tb.Insert(ip)
-			*v = ip
+			slot, _ := tb.Insert(ip)
+			*tb.At(slot) = ip
 			written[ip] = ip
 		}
 		// Any hit must return the value written for exactly that IP.
 		for ip := range written {
-			if got := tb.Lookup(ip); got != nil && *got != ip {
+			if slot, ok := tb.Lookup(ip); ok && *tb.At(slot) != ip {
 				return false
 			}
 		}

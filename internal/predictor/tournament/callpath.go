@@ -27,7 +27,6 @@ type CallPathConfig struct {
 	PathBits      int
 	ConfMax       uint8
 	ConfThreshold uint8
-	Speculative   bool // accepted for symmetry; Predict is read-only either way
 }
 
 // DefaultCallPathConfig matches the §3.6 table budget with last-4
@@ -80,6 +79,10 @@ func (c *CallPath) ID() predictor.Component { return predictor.CompCallPath }
 // Name returns the component's display name.
 func (c *CallPath) Name() string { return "callpath" }
 
+// Slots and Reset are no-ops: the component keeps no per-load state.
+func (c *CallPath) Slots(n int)    {}
+func (c *CallPath) Reset(slot int) {}
+
 // hash mixes the load IP with the retained call-path bits; index and
 // tag split the result exactly as the CAP link table does.
 func (c *CallPath) hash(ref predictor.LoadRef) uint32 {
@@ -91,7 +94,7 @@ func (c *CallPath) split(h uint32) (idx int, tag uint16) {
 }
 
 // Predict computes the component's opinion; it never mutates state.
-func (c *CallPath) Predict(ref predictor.LoadRef) predictor.ComponentPrediction {
+func (c *CallPath) Predict(slot int, ref predictor.LoadRef) predictor.ComponentPrediction {
 	idx, tag := c.split(c.hash(ref))
 	e := &c.tab[idx]
 	if !e.valid || (c.cfg.TagBits > 0 && e.tag != tag) {
@@ -107,7 +110,7 @@ func (c *CallPath) Predict(ref predictor.LoadRef) predictor.ComponentPrediction 
 // Resolve trains the correlation table: a matching context builds
 // confidence on repeats and records the newest address; a conflicting
 // context takes the entry over with confidence reset.
-func (c *CallPath) Resolve(ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
+func (c *CallPath) Resolve(slot int, ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
 	idx, tag := c.split(c.hash(ref))
 	e := &c.tab[idx]
 	if e.valid && (c.cfg.TagBits == 0 || e.tag == tag) && e.addr == actual {
@@ -119,4 +122,4 @@ func (c *CallPath) Resolve(ref predictor.LoadRef, cp predictor.ComponentPredicti
 }
 
 // Squash is a no-op: Predict leaves no in-flight bookkeeping behind.
-func (c *CallPath) Squash(ref predictor.LoadRef, cp predictor.ComponentPrediction) {}
+func (c *CallPath) Squash(slot int) {}

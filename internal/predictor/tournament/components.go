@@ -44,9 +44,7 @@ func NewComponent(name string, speculative bool) (Component, error) {
 		cfg.Speculative = speculative
 		return NewDelta2(cfg), nil
 	case "callpath":
-		cfg := DefaultCallPathConfig()
-		cfg.Speculative = speculative
-		return NewCallPath(cfg), nil
+		return NewCallPath(DefaultCallPathConfig()), nil
 	}
 	return nil, fmt.Errorf("tournament: unknown component %q", name)
 }
@@ -54,7 +52,6 @@ func NewComponent(name string, speculative bool) (Component, error) {
 // NewNamed builds a tournament over the named components in order,
 // each with its default configuration.
 func NewNamed(cfg Config, speculative bool, names ...string) (*Tournament, error) {
-	cfg.Speculative = speculative
 	comps := make([]Component, 0, len(names))
 	for _, n := range names {
 		c, err := NewComponent(n, speculative)
@@ -78,8 +75,8 @@ func NewFull(speculative bool) *Tournament {
 
 // NewPaperPair builds the two-way stride+CAP tournament that is
 // decision-identical to predictor.NewHybrid(DefaultHybridConfig()):
-// same component configurations, chooser geometry equal to the shared
-// load buffer, counter ceiling 3, and the (1,2) initial vector whose
+// same component configurations, a load buffer of the hybrid's
+// geometry, counter ceiling 3, and the (1,2) initial vector whose
 // constant sum maps the counter pair 1:1 onto the hybrid's 2-bit
 // selector. FuzzTournamentSelector holds this equivalence down to
 // selector state and chosen component.

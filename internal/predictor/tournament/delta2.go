@@ -9,19 +9,17 @@ import "capred/internal/predictor"
 // loop nests, growing-record appends — the prediction is exact where a
 // plain stride predictor re-trains on every step.
 type Delta2Config struct {
-	Entries       int // per-load LB entries (power of two)
-	Ways          int // LB associativity
 	ConfMax       uint8
 	ConfThreshold uint8
 	Speculative   bool
 }
 
-// DefaultDelta2Config mirrors the paper's LB geometry (§4.2).
+// DefaultDelta2Config mirrors the paper's 2-bit confidence counters.
 func DefaultDelta2Config() Delta2Config {
-	return Delta2Config{Entries: 4096, Ways: 2, ConfMax: 3, ConfThreshold: 2}
+	return Delta2Config{ConfMax: 3, ConfThreshold: 2}
 }
 
-// delta2State is the per-static-load state in the LB.
+// delta2State is the per-static-load state, one per load-buffer slot.
 type delta2State struct {
 	last uint32 // architectural last address
 	have bool
@@ -43,12 +41,12 @@ type delta2State struct {
 // Delta2 is the delta-delta (acceleration) component.
 type Delta2 struct {
 	cfg Delta2Config
-	lb  *predictor.LBTable[delta2State]
+	st  []delta2State
 }
 
 // NewDelta2 builds the delta-delta component.
 func NewDelta2(cfg Delta2Config) *Delta2 {
-	return &Delta2{cfg: cfg, lb: predictor.NewLBTable[delta2State](cfg.Entries, cfg.Ways)}
+	return &Delta2{cfg: cfg}
 }
 
 // ID identifies the component in Prediction.Selected.
@@ -56,6 +54,10 @@ func (d *Delta2) ID() predictor.Component { return predictor.CompDelta2 }
 
 // Name returns the component's display name.
 func (d *Delta2) Name() string { return "delta2" }
+
+// Slots and Reset size and clear the per-load state (see Component).
+func (d *Delta2) Slots(n int)    { d.st = make([]delta2State, n) }
+func (d *Delta2) Reset(slot int) { d.st[slot] = delta2State{} }
 
 func (d *Delta2) predictFrom(st *delta2State, last uint32, d1 int32, valid bool) predictor.ComponentPrediction {
 	if !valid {
@@ -72,8 +74,8 @@ func (d *Delta2) predictFrom(st *delta2State, last uint32, d1 int32, valid bool)
 // accelerating sequence is extrapolated across the pending window: each
 // prediction advances the speculative first-difference by the
 // architectural second-difference.
-func (d *Delta2) Predict(ref predictor.LoadRef) predictor.ComponentPrediction {
-	st, _ := d.lb.Insert(ref.IP)
+func (d *Delta2) Predict(slot int, ref predictor.LoadRef) predictor.ComponentPrediction {
+	st := &d.st[slot]
 	if !d.cfg.Speculative {
 		return d.predictFrom(st, st.last, st.d1, st.nd >= 2)
 	}
@@ -90,8 +92,8 @@ func (d *Delta2) Predict(ref predictor.LoadRef) predictor.ComponentPrediction {
 }
 
 // Resolve verifies the opinion and updates the difference chain.
-func (d *Delta2) Resolve(ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
-	st, _ := d.lb.Insert(ref.IP)
+func (d *Delta2) Resolve(slot int, ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
+	st := &d.st[slot]
 	if d.cfg.Speculative && st.pending > 0 {
 		st.pending--
 	}
@@ -141,11 +143,11 @@ func (d *Delta2) Resolve(ref predictor.LoadRef, cp predictor.ComponentPrediction
 // Squash undoes Predict's in-flight bookkeeping; like the stride
 // component, the speculative chain is invalidated and re-established by
 // catch-up at the next resolution.
-func (d *Delta2) Squash(ref predictor.LoadRef, cp predictor.ComponentPrediction) {
-	st := d.lb.Lookup(ref.IP)
-	if st == nil || !d.cfg.Speculative {
+func (d *Delta2) Squash(slot int) {
+	if !d.cfg.Speculative {
 		return
 	}
+	st := &d.st[slot]
 	if st.pending > 0 {
 		st.pending--
 	}

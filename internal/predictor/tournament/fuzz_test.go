@@ -8,13 +8,16 @@ import (
 )
 
 // smallPair builds the hybrid and its two-way tournament replica over
-// deliberately tiny tables (64-entry LBs, 64-entry LT with 4-bit tags)
-// so fuzzed streams exercise collisions, evictions and selector
-// saturation quickly. Both sides get identical component
-// configurations.
+// deliberately tiny tables so fuzzed streams exercise collisions,
+// evictions and selector saturation quickly. The load buffer has 8
+// entries in 4 sets of 2 ways, so the 16 static loads of the fuzzer
+// (and the 32 of TestPaperPairMatchesHybrid) evict one another
+// constantly; the LT has 64 entries with 4-bit tags. Both sides get
+// identical component configurations and size their one LB from
+// CAP.LBEntries/LBWays.
 func smallPair(speculative bool) (*predictor.Hybrid, *Tournament) {
 	hc := predictor.DefaultHybridConfig()
-	hc.CAP.LBEntries = 64
+	hc.CAP.LBEntries = 8
 	hc.CAP.LBWays = 2
 	hc.CAP.LTEntries = 64
 	hc.CAP.TagBits = 4
@@ -26,12 +29,30 @@ func smallPair(speculative bool) (*predictor.Hybrid, *Tournament) {
 	cc := hc.CAP
 	cc.Speculative = speculative
 	tour := New(Config{
-		Entries:     hc.CAP.LBEntries,
-		Ways:        hc.CAP.LBWays,
-		CounterMax:  3,
-		Speculative: speculative,
+		Entries:    hc.CAP.LBEntries,
+		Ways:       hc.CAP.LBWays,
+		CounterMax: 3,
 	}, predictor.NewStrideComponent(sc), predictor.NewCAPComponent(cc))
 	return predictor.NewHybrid(hc), tour
+}
+
+// evictingSeed cycles three static loads that share LB set 0 (IPs 0,
+// 16 and 32), each walking its own stride, so every access past the
+// second evicts the least recently used of the three — under a gap,
+// between a load's Predict and its Resolve. Every seventh record also
+// requests a wrong-path squash.
+func evictingSeed() []byte {
+	var seed []byte
+	for k := 0; k < 60; k++ {
+		load := byte(k % 3)
+		ctl := byte(0)
+		if k%7 == 6 {
+			ctl = 0x30
+		}
+		n := byte(k / 3)
+		seed = append(seed, load*4|ctl, load<<4, n*8, 0x80|load<<3)
+	}
+	return seed
 }
 
 // diffStep compares two predictions field for field.
@@ -55,6 +76,7 @@ func FuzzTournamentSelector(f *testing.F) {
 		seed[i] = byte(i*61 + 7)
 	}
 	f.Add(seed)
+	f.Add(evictingSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, gap := range []int{0, 4} {
 			h, tour := smallPair(gap > 0)

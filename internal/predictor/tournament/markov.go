@@ -10,8 +10,6 @@ import "capred/internal/predictor"
 // *patterns* — the +8,+8,+120 walk of an array-of-structs traversal,
 // or the alternating deltas of a ping-pong buffer.
 type MarkovConfig struct {
-	Entries int // per-load LB entries (power of two)
-	Ways    int // LB associativity
 	// TableEntries sizes the shared stride-history → next-stride table.
 	TableEntries int
 	// TagBits is the number of extra history bits stored per table
@@ -30,14 +28,13 @@ type MarkovConfig struct {
 // table budget.
 func DefaultMarkovConfig() MarkovConfig {
 	return MarkovConfig{
-		Entries: 4096, Ways: 2,
 		TableEntries: 4096, TagBits: 8,
 		HistLen: 3,
 		ConfMax: 3, ConfThreshold: 2,
 	}
 }
 
-// markovState is the per-static-load state in the LB.
+// markovState is the per-static-load state, one per load-buffer slot.
 type markovState struct {
 	last uint32 // architectural last address
 	have bool
@@ -67,7 +64,7 @@ type markovEntry struct {
 // Markov is the Markov-N stride-history component.
 type Markov struct {
 	cfg     MarkovConfig
-	lb      *predictor.LBTable[markovState]
+	st      []markovState
 	tab     []markovEntry
 	shift   uint
 	histMsk uint32
@@ -95,7 +92,6 @@ func NewMarkov(cfg MarkovConfig) *Markov {
 	}
 	m := &Markov{
 		cfg:     cfg,
-		lb:      predictor.NewLBTable[markovState](cfg.Entries, cfg.Ways),
 		tab:     make([]markovEntry, cfg.TableEntries),
 		shift:   shift,
 		idxBits: idxBits,
@@ -113,6 +109,10 @@ func (m *Markov) ID() predictor.Component { return predictor.CompMarkov }
 
 // Name returns the component's display name.
 func (m *Markov) Name() string { return "markov" }
+
+// Slots and Reset size and clear the per-load state (see Component).
+func (m *Markov) Slots(n int)    { m.st = make([]markovState, n) }
+func (m *Markov) Reset(slot int) { m.st[slot] = markovState{} }
 
 // advance folds a stride into the compressed history (§3.2 shift-xor,
 // with the two alignment bits dropped as for base addresses).
@@ -147,8 +147,8 @@ func (m *Markov) predictFrom(st *markovState, last, hist uint32, valid bool) pre
 // Predict computes the component's opinion. In speculative mode each
 // predicted stride is folded into the speculative history so the chain
 // is walked ahead of resolution.
-func (m *Markov) Predict(ref predictor.LoadRef) predictor.ComponentPrediction {
-	st, _ := m.lb.Insert(ref.IP)
+func (m *Markov) Predict(slot int, ref predictor.LoadRef) predictor.ComponentPrediction {
+	st := &m.st[slot]
 	if !m.cfg.Speculative {
 		return m.predictFrom(st, st.last, st.hist, m.warm(st))
 	}
@@ -171,8 +171,8 @@ func (m *Markov) Predict(ref predictor.LoadRef) predictor.ComponentPrediction {
 
 // Resolve verifies the opinion, trains the stride table at the
 // pre-update history, and advances the architectural state.
-func (m *Markov) Resolve(ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
-	st, _ := m.lb.Insert(ref.IP)
+func (m *Markov) Resolve(slot int, ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
+	st := &m.st[slot]
 	if m.cfg.Speculative && st.pending > 0 {
 		st.pending--
 	}
@@ -216,11 +216,11 @@ func (m *Markov) Resolve(ref predictor.LoadRef, cp predictor.ComponentPrediction
 // Squash undoes Predict's in-flight bookkeeping; the speculative
 // history cannot be rewound (shift-xor is lossy), so it is invalidated
 // until the pending window drains.
-func (m *Markov) Squash(ref predictor.LoadRef, cp predictor.ComponentPrediction) {
-	st := m.lb.Lookup(ref.IP)
-	if st == nil || !m.cfg.Speculative {
+func (m *Markov) Squash(slot int) {
+	if !m.cfg.Speculative {
 		return
 	}
+	st := &m.st[slot]
 	if st.pending > 0 {
 		st.pending--
 	}

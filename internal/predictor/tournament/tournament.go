@@ -5,19 +5,26 @@
 // saturating counters arbitrates among the confident ones, with a
 // confidence-gated fallback order when none is confident.
 //
-// The components are the package predictor cores refactored behind the
-// Component interface (stride, CAP, last-address) plus three entrants
-// of their own: a Markov-N stride-history predictor, a delta-delta
-// (acceleration) predictor, and a call-path-context predictor — the
-// latter re-casting §3.6's negative result as a specialist that only
-// has to win the loads it is good at, not the whole trace.
+// The components are package predictor's stride, CAP and last-address
+// components, which implement the Component interface, plus three
+// entrants of their own: a Markov-N stride-history predictor, a
+// delta-delta (acceleration) predictor, and a call-path-context
+// predictor — the latter re-casting §3.6's negative result as a
+// specialist that only has to win the loads it is good at, not the
+// whole trace.
+//
+// Like the paper's hybrid, the tournament keeps one load buffer: its
+// entry holds the chooser counters, and the components keep per-load
+// state in arrays indexed by the entry's slot (see Component).
 //
 // Both resolution disciplines compose unchanged: immediate mode
 // (Predict then Resolve per load) and pipelined mode under
 // internal/pipeline.Gap, including §5.4 wrong-path squashes. A two-way
 // CAP+stride tournament built by NewPaperPair is decision-identical to
-// predictor.NewHybrid with the default configuration; the differential
-// fuzzer FuzzTournamentSelector pins that equivalence.
+// predictor.NewHybrid with the default configuration by construction:
+// one LB of the same geometry, the same component code, and a counter
+// pair that maps onto the hybrid's selector. The differential fuzzer
+// FuzzTournamentSelector pins that equivalence.
 package tournament
 
 import (
@@ -27,21 +34,28 @@ import (
 )
 
 // Component is one tournament entrant: a predictor operating at
-// component granularity. Predict computes the component's opinion for a
-// dynamic load (advancing speculative state when the component was
-// built speculative); Resolve verifies it against the actual address
-// and updates the component's tables; Squash undoes Predict's in-flight
-// bookkeeping for a flushed wrong-path prediction (§5.4, youngest
-// first). Resolutions arrive in prediction order, as under a pipeline
-// gap.
+// component granularity over per-load state in a slot-indexed array.
+// The tournament's load buffer picks the slot; components own no LB.
+// Slots sizes the array once, before any other call; Reset clears a
+// slot whenever the LB allocates it to a new static load. Predict
+// computes the component's opinion for the load in slot (advancing
+// speculative state when the component was built speculative); Resolve
+// verifies it against the actual address and updates the component's
+// tables; Squash undoes Predict's in-flight bookkeeping for a flushed
+// wrong-path prediction (§5.4, youngest first). Resolutions arrive in
+// prediction order, as under a pipeline gap. If the load's entry was
+// evicted in between, Resolve gets the freshly reset slot of the
+// re-allocated entry and Squash is not called.
 type Component interface {
 	// ID identifies the component in Prediction.Selected.
 	ID() predictor.Component
 	// Name returns the display name used in tables and metrics labels.
 	Name() string
-	Predict(ref predictor.LoadRef) predictor.ComponentPrediction
-	Resolve(ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32)
-	Squash(ref predictor.LoadRef, cp predictor.ComponentPrediction)
+	Slots(n int)
+	Reset(slot int)
+	Predict(slot int, ref predictor.LoadRef) predictor.ComponentPrediction
+	Resolve(slot int, ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32)
+	Squash(slot int)
 }
 
 // MaxComponents bounds the entrant count so chooser entries stay a
@@ -49,12 +63,11 @@ type Component interface {
 const MaxComponents = 8
 
 // Config configures the meta-chooser. Component configuration lives
-// with the components themselves; the chooser only needs its table
-// geometry and counter shape.
+// with the components themselves; the tournament only needs its load
+// buffer geometry and counter shape.
 type Config struct {
-	// Entries/Ways is the chooser table geometry; to compose with a
-	// shared-LB mental model (and to match the hybrid exactly in the
-	// two-way case) it should equal the components' LB geometry.
+	// Entries/Ways is the geometry of the tournament's load buffer, the
+	// only one: its slots index every component's per-load state.
 	Entries int
 	Ways    int
 	// CounterMax is the per-component saturating-counter ceiling.
@@ -66,9 +79,6 @@ type Config struct {
 	// The order of descending initial counters (ties broken by
 	// component order) also fixes the confidence-gated fallback order.
 	Init []uint8
-	// Speculative records the discipline the components were built for;
-	// it does not change chooser behavior but is validated against use.
-	Speculative bool
 }
 
 // DefaultConfig mirrors the paper's load-buffer geometry (§4.2).
@@ -99,7 +109,9 @@ type Tournament struct {
 	ids   []predictor.Component
 	lb    *predictor.LBTable[chooserEntry]
 	init  [MaxComponents]uint8
-	pref  []int // component indices in fallback-preference order
+	pref  []int              // component indices in fallback-preference order
+	rank  [MaxComponents]int // rank[i] is component i's position in pref
+	index [1 << 8]int8       // component index + 1 by ID, 0 for none
 
 	// In-flight per-component opinions, oldest first. Resolutions pop
 	// the head (they arrive in prediction order); squashes pop the tail
@@ -112,11 +124,11 @@ type Tournament struct {
 	stats []ComponentStat
 }
 
-// New builds a tournament over the given components. Zero-valued
-// geometry fields of cfg take their DefaultConfig values. Components
-// must have distinct, non-none IDs; their speculative/immediate
-// discipline must match cfg.Speculative by construction (the caller
-// builds them).
+// New builds a tournament over the given components and sizes each one
+// to the tournament's load buffer. Zero-valued geometry fields of cfg
+// take their DefaultConfig values. Components must have distinct,
+// non-none IDs, and must all be built for the discipline the tournament
+// is driven in (the caller builds them).
 func New(cfg Config, comps ...Component) *Tournament {
 	if len(comps) == 0 {
 		panic("tournament: at least one component required")
@@ -138,18 +150,18 @@ func New(cfg Config, comps ...Component) *Tournament {
 		comps: comps,
 		lb:    predictor.NewLBTable[chooserEntry](cfg.Entries, cfg.Ways),
 	}
-	seen := map[predictor.Component]bool{}
-	for _, c := range comps {
+	for i, c := range comps {
 		id := c.ID()
 		if id == predictor.CompNone {
 			panic("tournament: component with CompNone ID")
 		}
-		if seen[id] {
+		if t.index[id] != 0 {
 			panic(fmt.Sprintf("tournament: duplicate component %s", id))
 		}
-		seen[id] = true
+		t.index[id] = int8(i + 1)
 		t.ids = append(t.ids, id)
 		t.stats = append(t.stats, ComponentStat{Name: c.Name()})
+		c.Slots(t.lb.Entries())
 	}
 	if len(cfg.Init) == 0 {
 		for i, id := range t.ids {
@@ -180,6 +192,9 @@ func New(cfg Config, comps ...Component) *Tournament {
 			t.pref[j], t.pref[j-1] = t.pref[j-1], t.pref[j]
 		}
 	}
+	for r, i := range t.pref {
+		t.rank[i] = r
+	}
 	t.ring = make([][]predictor.ComponentPrediction, 16)
 	for i := range t.ring {
 		t.ring[i] = make([]predictor.ComponentPrediction, len(comps))
@@ -200,16 +215,6 @@ func (t *Tournament) ComponentStats() []ComponentStat {
 	out := make([]ComponentStat, len(t.stats))
 	copy(out, t.stats)
 	return out
-}
-
-// rank returns i's position in the fallback-preference order.
-func (t *Tournament) rank(i int) int {
-	for r, j := range t.pref {
-		if j == i {
-			return r
-		}
-	}
-	return len(t.pref)
 }
 
 // pushFlight appends a fresh opinions slot to the in-flight ring.
@@ -237,38 +242,32 @@ func (t *Tournament) popOldest() []predictor.ComponentPrediction {
 	return ops
 }
 
-// popNewest removes and returns the youngest in-flight opinions.
-func (t *Tournament) popNewest() []predictor.ComponentPrediction {
-	t.n--
-	return t.ring[(t.head+t.n)%len(t.ring)]
-}
-
-// indexOf maps a component ID back to its slot, -1 for none.
-func (t *Tournament) indexOf(id predictor.Component) int {
-	for i, cid := range t.ids {
-		if cid == id {
-			return i
+// slot probes the load buffer for ip. A newly allocated entry starts
+// from the initial counter vector with every component's state reset.
+func (t *Tournament) slot(ip uint32) (int, *chooserEntry) {
+	slot, existed := t.lb.Insert(ip)
+	e := t.lb.At(slot)
+	if !existed {
+		e.ctr = t.init
+		for _, c := range t.comps {
+			c.Reset(slot)
 		}
 	}
-	return -1
+	return slot, e
 }
 
 // Predict implements Predictor. Every component produces an opinion;
 // among the confident ones the chooser picks the highest per-entry
 // counter (ties to the higher-preference component). With no confident
 // component, the highest-preference predicted address is reported
-// without speculation — the confidence-gated fallback. The chooser
-// entry is allocated at prediction time, like the components' LB
-// entries, so the two-way case stays in lockstep with the hybrid's
-// shared load buffer.
+// without speculation — the confidence-gated fallback. The LB entry is
+// allocated at prediction time, as in the hybrid, so in-flight instance
+// counts are exact in pipelined mode.
 func (t *Tournament) Predict(ref predictor.LoadRef) predictor.Prediction {
-	e, existed := t.lb.Insert(ref.IP)
-	if !existed {
-		e.ctr = t.init
-	}
+	slot, e := t.slot(ref.IP)
 	ops := t.pushFlight()
 	for i, c := range t.comps {
-		ops[i] = c.Predict(ref)
+		ops[i] = c.Predict(slot, ref)
 	}
 
 	var p predictor.Prediction
@@ -287,7 +286,7 @@ func (t *Tournament) Predict(ref predictor.LoadRef) predictor.Prediction {
 			continue
 		}
 		if chosen < 0 || e.ctr[i] > e.ctr[chosen] ||
-			(e.ctr[i] == e.ctr[chosen] && t.rank(i) < t.rank(chosen)) {
+			(e.ctr[i] == e.ctr[chosen] && t.rank[i] < t.rank[chosen]) {
 			chosen = i
 		}
 	}
@@ -329,10 +328,7 @@ func (t *Tournament) Resolve(ref predictor.LoadRef, p predictor.Prediction, actu
 		panic("tournament: Resolve without a matching Predict")
 	}
 	ops := t.popOldest()
-	e, existed := t.lb.Insert(ref.IP)
-	if !existed {
-		e.ctr = t.init
-	}
+	slot, e := t.slot(ref.IP)
 
 	npred, ncorrect := 0, 0
 	for i := range ops {
@@ -356,9 +352,9 @@ func (t *Tournament) Resolve(ref predictor.LoadRef, p predictor.Prediction, actu
 		}
 	}
 
-	chosen := t.indexOf(p.Selected)
+	chosen := int(t.index[p.Selected]) - 1
 	for i, c := range t.comps {
-		c.Resolve(ref, ops[i], p.Speculate && i == chosen, actual)
+		c.Resolve(slot, ref, ops[i], p.Speculate && i == chosen, actual)
 	}
 	if p.Speculate && chosen >= 0 {
 		t.stats[chosen].Selected++
@@ -369,16 +365,18 @@ func (t *Tournament) Resolve(ref predictor.LoadRef, p predictor.Prediction, actu
 }
 
 // Squash implements Squasher: the youngest in-flight prediction was
-// made on a wrong path and will never resolve (§5.4). The chooser
-// entry is looked up (not modified) to keep its LRU state in lockstep
-// with the components' load buffers.
+// made on a wrong path and will never resolve (§5.4). Its opinions leave
+// the in-flight ring; the chooser counters are untouched. If the load's
+// entry has been evicted since Predict, its in-flight state went with
+// it and no component is called.
 func (t *Tournament) Squash(ref predictor.LoadRef, p predictor.Prediction) {
 	if t.n == 0 {
 		return
 	}
-	t.lb.Lookup(ref.IP)
-	ops := t.popNewest()
-	for i, c := range t.comps {
-		c.Squash(ref, ops[i])
+	t.n--
+	if slot, ok := t.lb.Lookup(ref.IP); ok {
+		for _, c := range t.comps {
+			c.Squash(slot)
+		}
 	}
 }

@@ -1,24 +1,56 @@
 package tournament
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"capred/internal/pipeline"
 	"capred/internal/predictor"
 )
 
-// feed resolves one address through a component in immediate mode:
-// predict, then resolve with the actual, returning the prediction.
-func feed(c Component, ip, addr uint32) predictor.ComponentPrediction {
+// owned drives one component the way a tournament does: a private
+// 64-entry load buffer picks the slot, and a newly allocated slot is
+// reset before use.
+type owned struct {
+	c  Component
+	lb *predictor.LBTable[struct{}]
+}
+
+func own(c Component) *owned {
+	o := &owned{c: c, lb: predictor.NewLBTable[struct{}](64, 2)}
+	c.Slots(o.lb.Entries())
+	return o
+}
+
+func (o *owned) slot(ip uint32) int {
+	slot, existed := o.lb.Insert(ip)
+	if !existed {
+		o.c.Reset(slot)
+	}
+	return slot
+}
+
+func (o *owned) Predict(ref predictor.LoadRef) predictor.ComponentPrediction {
+	return o.c.Predict(o.slot(ref.IP), ref)
+}
+
+func (o *owned) Resolve(ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
+	o.c.Resolve(o.slot(ref.IP), ref, cp, speculated, actual)
+}
+
+// feed resolves one address through an owned component in immediate
+// mode: predict, then resolve with the actual, returning the prediction.
+func feed(o *owned, ip, addr uint32) predictor.ComponentPrediction {
 	ref := predictor.LoadRef{IP: ip}
-	cp := c.Predict(ref)
-	c.Resolve(ref, cp, false, addr)
+	cp := o.Predict(ref)
+	o.Resolve(ref, cp, false, addr)
 	return cp
 }
 
 func TestMarkovWarmupAndPattern(t *testing.T) {
 	cfg := DefaultMarkovConfig()
-	m := NewMarkov(cfg)
+	m := own(NewMarkov(cfg))
 
 	// A repeating +8,+8,+120 stride pattern (array-of-structs walk).
 	strides := []uint32{8, 8, 120}
@@ -62,11 +94,11 @@ func TestMarkovWarmupAndPattern(t *testing.T) {
 // tag match turns cross-load pollution into a quiet miss.
 func TestMarkovTagRejectsAliases(t *testing.T) {
 	cfg := MarkovConfig{
-		Entries: 64, Ways: 2,
 		TableEntries: 16, TagBits: 8,
 		HistLen: 1, ConfMax: 3, ConfThreshold: 2,
 	}
 	m := NewMarkov(cfg)
+	o := own(m)
 
 	// Search stride space for an index collision with distinct tags,
 	// using the component's own hash so the test tracks the geometry.
@@ -88,10 +120,10 @@ outer:
 	// Load A trains: history(sA) → next stride sA (constant stride).
 	addr := uint32(0x1000)
 	for i := 0; i < 8; i++ {
-		feed(m, 0x10, addr)
+		feed(o, 0x10, addr)
 		addr += uint32(sA)
 	}
-	if cp := m.Predict(predictor.LoadRef{IP: 0x10}); !cp.Predicted {
+	if cp := o.Predict(predictor.LoadRef{IP: 0x10}); !cp.Predicted {
 		t.Fatalf("load A not predicting after training: %+v", cp)
 	}
 
@@ -101,10 +133,10 @@ outer:
 	// entry — and must get a miss (no prediction), not load A's stride.
 	addr = uint32(0x8000)
 	for i := 0; i < 2; i++ {
-		feed(m, 0x20, addr)
+		feed(o, 0x20, addr)
 		addr += uint32(sB)
 	}
-	cp := m.Predict(predictor.LoadRef{IP: 0x20})
+	cp := o.Predict(predictor.LoadRef{IP: 0x20})
 	if cp.Predicted {
 		t.Fatalf("tag failed to reject alias: load B predicted %+v (load A's entry)", cp)
 	}
@@ -113,6 +145,7 @@ outer:
 	// stride to load B — the pollution the tag exists to stop.
 	cfg.TagBits = 0
 	m = NewMarkov(cfg)
+	o = own(m)
 	// Geometry changed (tag bits folded out of the history); re-find a
 	// colliding pair by index only.
 	idxA, _ = m.split(m.advance(0, 64))
@@ -128,22 +161,22 @@ outer:
 	}
 	addr = 0x1000
 	for i := 0; i < 8; i++ {
-		feed(m, 0x10, addr)
+		feed(o, 0x10, addr)
 		addr += 64
 	}
 	addr = 0x8000
 	for i := 0; i < 2; i++ {
-		feed(m, 0x20, addr)
+		feed(o, 0x20, addr)
 		addr += uint32(sB)
 	}
-	cp = m.Predict(predictor.LoadRef{IP: 0x20})
+	cp = o.Predict(predictor.LoadRef{IP: 0x20})
 	if !cp.Predicted || cp.Addr != addr-uint32(sB)+64 {
 		t.Fatalf("untagged alias should serve load A's stride 64: %+v", cp)
 	}
 }
 
 func TestDelta2Quadratic(t *testing.T) {
-	d := NewDelta2(DefaultDelta2Config())
+	d := own(NewDelta2(DefaultDelta2Config()))
 
 	// addr(n) = 4n² + 100: first difference 4(2n-1), second difference
 	// constant 8. A stride predictor never converges on this stream; the
@@ -184,7 +217,7 @@ func TestDelta2Quadratic(t *testing.T) {
 func TestDelta2SpeculativeCatchUp(t *testing.T) {
 	cfg := DefaultDelta2Config()
 	cfg.Speculative = true
-	d := NewDelta2(cfg)
+	d := own(NewDelta2(cfg))
 	ref := predictor.LoadRef{IP: 0x80}
 	addrAt := func(n uint32) uint32 { return 8*n*n + 3*n }
 
@@ -218,13 +251,13 @@ func TestCallPathContexts(t *testing.T) {
 		t.Fatalf("test paths collide (idx %d); pick different path values", idxA)
 	}
 	for i := 0; i < 4; i++ {
-		c.Resolve(refA, predictor.ComponentPrediction{}, false, 0xAAAA)
-		c.Resolve(refB, predictor.ComponentPrediction{}, false, 0xBBBB)
+		c.Resolve(0, refA, predictor.ComponentPrediction{}, false, 0xAAAA)
+		c.Resolve(0, refB, predictor.ComponentPrediction{}, false, 0xBBBB)
 	}
-	if cp := c.Predict(refA); !cp.Predicted || cp.Addr != 0xAAAA || !cp.Confident {
+	if cp := c.Predict(0, refA); !cp.Predicted || cp.Addr != 0xAAAA || !cp.Confident {
 		t.Fatalf("context A: %+v, want confident 0xAAAA", cp)
 	}
-	if cp := c.Predict(refB); !cp.Predicted || cp.Addr != 0xBBBB || !cp.Confident {
+	if cp := c.Predict(0, refB); !cp.Predicted || cp.Addr != 0xBBBB || !cp.Confident {
 		t.Fatalf("context B: %+v, want confident 0xBBBB", cp)
 	}
 }
@@ -253,40 +286,47 @@ func TestCallPathHashCollisions(t *testing.T) {
 
 	// Train context A to confidence.
 	for i := 0; i < 4; i++ {
-		c.Resolve(refA, predictor.ComponentPrediction{}, false, 0xAAAA)
+		c.Resolve(0, refA, predictor.ComponentPrediction{}, false, 0xAAAA)
 	}
 	// Context B collides on the index but not the tag: miss, not 0xAAAA.
-	if cp := c.Predict(refB); cp.Predicted {
+	if cp := c.Predict(0, refB); cp.Predicted {
 		t.Fatalf("tag failed to reject colliding context: %+v", cp)
 	}
 	// B resolves once: it takes the entry over with confidence reset...
-	c.Resolve(refB, predictor.ComponentPrediction{}, false, 0xBBBB)
-	if cp := c.Predict(refB); !cp.Predicted || cp.Addr != 0xBBBB || cp.Confident {
+	c.Resolve(0, refB, predictor.ComponentPrediction{}, false, 0xBBBB)
+	if cp := c.Predict(0, refB); !cp.Predicted || cp.Addr != 0xBBBB || cp.Confident {
 		t.Fatalf("takeover: %+v, want unconfident 0xBBBB", cp)
 	}
 	// ...and A is now the one missing on the tag.
-	if cp := c.Predict(refA); cp.Predicted {
+	if cp := c.Predict(0, refA); cp.Predicted {
 		t.Fatalf("evicted context A still predicting: %+v", cp)
 	}
 }
 
 // scripted is a stub component for chooser unit tests: it replays a
-// fixed opinion and records what Resolve told it.
+// fixed opinion and records the slots it was driven with and what
+// Resolve told it.
 type scripted struct {
-	id      predictor.Component
-	op      predictor.ComponentPrediction
-	gotSpec []bool
+	id        predictor.Component
+	op        predictor.ComponentPrediction
+	gotSpec   []bool
+	resets    []int
+	predicted []int
+	squashed  []int
 }
 
 func (s *scripted) ID() predictor.Component { return s.id }
 func (s *scripted) Name() string            { return s.id.String() }
-func (s *scripted) Predict(predictor.LoadRef) predictor.ComponentPrediction {
+func (s *scripted) Slots(int)               {}
+func (s *scripted) Reset(slot int)          { s.resets = append(s.resets, slot) }
+func (s *scripted) Predict(slot int, _ predictor.LoadRef) predictor.ComponentPrediction {
+	s.predicted = append(s.predicted, slot)
 	return s.op
 }
-func (s *scripted) Resolve(_ predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, _ uint32) {
+func (s *scripted) Resolve(_ int, _ predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, _ uint32) {
 	s.gotSpec = append(s.gotSpec, speculated)
 }
-func (s *scripted) Squash(predictor.LoadRef, predictor.ComponentPrediction) {}
+func (s *scripted) Squash(slot int) { s.squashed = append(s.squashed, slot) }
 
 func TestChooserFallbackOrder(t *testing.T) {
 	// Three components, none confident: the chooser must fall back in
@@ -317,7 +357,7 @@ func TestChooserCounterArbitration(t *testing.T) {
 	// counters toward whichever is correct, and the pick follows.
 	a := &scripted{id: predictor.CompStride, op: predictor.ComponentPrediction{Addr: 1, Predicted: true, Confident: true}}
 	b := &scripted{id: predictor.CompCAP, op: predictor.ComponentPrediction{Addr: 2, Predicted: true, Confident: true}}
-	tour := New(Config{Entries: 16, Ways: 2, CounterMax: 3, Speculative: true}, a, b)
+	tour := New(Config{Entries: 16, Ways: 2, CounterMax: 3}, a, b)
 	ref := predictor.LoadRef{IP: 0x10}
 
 	// Default init biases CAP (1,2): first pick is CAP.
@@ -425,4 +465,129 @@ func TestComponentNamesResolve(t *testing.T) {
 	if _, err := NewComponent("bogus", false); err == nil {
 		t.Fatal("NewComponent(bogus) did not error")
 	}
+}
+
+// TestSlotResetAndSquashAfterEviction drives a one-set, two-way load
+// buffer past capacity. Every allocation resets the slot in every
+// component, a re-allocated slot is reset again for its new load, and
+// squashing a load whose entry was evicted after its Predict calls no
+// component (its in-flight state left with the entry) but still pops
+// the in-flight ring.
+func TestSlotResetAndSquashAfterEviction(t *testing.T) {
+	a := &scripted{id: predictor.CompStride}
+	b := &scripted{id: predictor.CompCAP}
+	tour := New(Config{Entries: 2, Ways: 2, CounterMax: 3}, a, b)
+	refA := predictor.LoadRef{IP: 0x0}
+	refB := predictor.LoadRef{IP: 0x4}
+	refC := predictor.LoadRef{IP: 0x8}
+
+	pa := tour.Predict(refA)
+	pb := tour.Predict(refB)
+	pc := tour.Predict(refC) // evicts A, the least recently used
+	for _, c := range []*scripted{a, b} {
+		p := c.predicted
+		if len(p) != 3 || p[0] == p[1] || p[2] != p[0] {
+			t.Fatalf("%s: predicted slots %v, want C to take over A's slot", c.id, p)
+		}
+		if !slices.Equal(c.resets, p) {
+			t.Fatalf("%s: reset slots %v, want one reset per allocation %v", c.id, c.resets, p)
+		}
+	}
+
+	tour.Squash(refC, pc)
+	tour.Squash(refB, pb)
+	tour.Squash(refA, pa) // A's entry is gone: no component call
+	for _, c := range []*scripted{a, b} {
+		if want := []int{c.predicted[2], c.predicted[1]}; !slices.Equal(c.squashed, want) {
+			t.Fatalf("%s: squashed slots %v, want %v (C then B, nothing for evicted A)", c.id, c.squashed, want)
+		}
+	}
+	if tour.n != 0 {
+		t.Fatalf("in-flight ring holds %d predictions after squashing all three", tour.n)
+	}
+	// The squash did not re-allocate A: predicting it again takes a
+	// fresh slot and resets it.
+	tour.Resolve(refA, tour.Predict(refA), 0)
+	if len(a.resets) != 4 {
+		t.Fatalf("resets after re-predicting A: %v, want a fourth", a.resets)
+	}
+}
+
+// lastPair builds the stand-alone last-address predictor and a one-way
+// tournament over the same component configuration, both over an LB of
+// the given geometry. A one-way tournament maps the component's opinion
+// onto Addr/Predicted/Speculate exactly as Last does.
+func lastPair(entries, ways int) (*predictor.Last, *Tournament) {
+	lc := predictor.DefaultLastConfig()
+	lc.Entries, lc.Ways = entries, ways
+	return predictor.NewLast(lc), New(Config{Entries: entries, Ways: ways}, predictor.NewLastComponent(lc))
+}
+
+// TestLastImmediateMatchesStandalone: in a tournament the last-address
+// component gets its slot at prediction time, like every component,
+// while the stand-alone Last allocates at resolution. In immediate mode
+// both leave the same LB contents after every load, so last's opinions
+// (and every tournament that includes it) are unchanged. The stream
+// cycles 12 static loads through an 8-entry LB, so it evicts.
+func TestLastImmediateMatchesStandalone(t *testing.T) {
+	last, tour := lastPair(8, 2)
+	rng := uint32(0x2545F491)
+	spec := 0
+	for step := 0; step < 20_000; step++ {
+		rng ^= rng << 13
+		rng ^= rng >> 17
+		rng ^= rng << 5
+		ip := rng % 12 * 4
+		addr := 0x1000 + ip*16
+		if rng>>28 == 0 {
+			addr += uint32(step) // an occasional fresh address
+		}
+		ref := predictor.LoadRef{IP: ip}
+		pl, pt := last.Predict(ref), tour.Predict(ref)
+		if pl.Addr != pt.Addr || pl.Predicted != pt.Predicted || pl.Speculate != pt.Speculate {
+			t.Fatalf("step %d: last %+v, tournament %+v", step, pl, pt)
+		}
+		if pl.Speculate {
+			spec++
+		}
+		last.Resolve(ref, pl, addr)
+		tour.Resolve(ref, pt, addr)
+	}
+	if spec < 1000 {
+		t.Fatalf("only %d speculations; the stream no longer exercises last", spec)
+	}
+}
+
+// TestLastGapAllocatesAtPredict pins the behaviour that changed when
+// the tournament's components moved under its one LB: under a
+// prediction gap, loads still in flight already hold LB entries, so
+// they can evict an older load's entry before it resolves. The
+// stand-alone Last only allocates at resolution and keeps the entry.
+func TestLastGapAllocatesAtPredict(t *testing.T) {
+	last, tour := lastPair(2, 2) // one set of two ways
+	gl, gt := pipeline.New(last, 4), pipeline.New(tour, 4)
+	refA := predictor.LoadRef{IP: 0x0}
+	for i := 0; i < 8; i++ {
+		gl.Process(refA, 0xA000)
+		gt.Process(refA, 0xA000)
+	}
+	gl.Drain()
+	gt.Drain()
+
+	// B and C enter the window unresolved, then A comes round again.
+	for _, ip := range []uint32{0x4, 0x8} {
+		ref := predictor.LoadRef{IP: ip}
+		gl.Process(ref, ip<<12)
+		gt.Process(ref, ip<<12)
+	}
+	pl := gl.Process(refA, 0xA000)
+	pt := gt.Process(refA, 0xA000)
+	if !pl.Speculate || pl.Addr != 0xA000 {
+		t.Fatalf("stand-alone last = %+v, want a speculative 0xA000 (B and C hold no entry yet)", pl)
+	}
+	if pt.Predicted {
+		t.Fatalf("tournament last = %+v, want no prediction (B and C evicted A at predict time)", pt)
+	}
+	gl.Drain()
+	gt.Drain()
 }
