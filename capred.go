@@ -370,8 +370,8 @@ type (
 	Gap = pipeline.Gap
 )
 
-// NewGap wraps a predictor with a prediction gap; build the predictor in
-// speculative mode when depth > 0.
+// NewGap wraps a predictor with a prediction gap; depth 0 is the paper's
+// immediate update.
 var NewGap = pipeline.New
 
 // Value prediction (§1's comparison point) and data prefetching (§1.1).

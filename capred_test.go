@@ -72,9 +72,7 @@ func TestTraceRoundTripThroughPublicAPI(t *testing.T) {
 }
 
 func TestGapThroughPublicAPI(t *testing.T) {
-	cfg := capred.DefaultHybridConfig()
-	cfg.Speculative = true
-	g := capred.NewGap(capred.NewHybrid(cfg), 8)
+	g := capred.NewGap(capred.NewHybrid(capred.DefaultHybridConfig()), 8)
 	for i := 0; i < 100; i++ {
 		g.Process(capred.LoadRef{IP: 0x40}, 0x1234)
 	}

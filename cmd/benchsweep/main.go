@@ -21,10 +21,11 @@
 //	benchsweep [-events n] [-traces n] [-o file]
 //	benchsweep -gate BENCH_sweep.json [-gate-drop 0.10]
 //
-// Gate mode reruns only the drain benchmark and compares the fresh
-// warm-cursor throughput against the committed baseline's: a drop
-// beyond the tolerance exits nonzero, which is how CI makes the perf
-// trajectory an enforced invariant rather than an uploaded artifact.
+// Gate mode reruns the drain and prediction benchmarks and compares the
+// fresh warm-cursor throughput and tournament/hybrid ratio against the
+// committed baseline's: a drop beyond the tolerance exits nonzero, which
+// is how CI makes the perf trajectory an enforced invariant rather than
+// an uploaded artifact.
 package main
 
 import (
@@ -75,9 +76,10 @@ type sweepReport struct {
 
 // predictReport measures end-to-end prediction throughput (RunTrace
 // over a warm replay cursor) for the hybrid and the 5-way tournament.
-// The tournament figure is gated: its per-event cost is the price of
-// the meta-predictor abstraction, and a regression here means the
-// component fan-out or the chooser grew a hot-path cost.
+// The tournament/hybrid ratio is gated: it is the price of the
+// meta-predictor abstraction, measured in one run on one host, and a
+// regression here means the component fan-out or the chooser grew a
+// hot-path cost the hybrid did not.
 type predictReport struct {
 	Traces         int     `json:"traces"`
 	EventsPerTrace int64   `json:"events_per_trace"`
@@ -100,7 +102,7 @@ func main() {
 	nTraces := fs.Int("traces", 8, "traces to drain-benchmark (0 = full roster)")
 	out := fs.String("o", "BENCH_sweep.json", "output file (- for stdout)")
 	gate := fs.String("gate", "", "baseline BENCH_sweep.json to gate against: rerun the drain benchmark and exit nonzero when warm-cursor throughput regresses past -gate-drop")
-	gateDrop := fs.Float64("gate-drop", 0.10, "fractional warm-cursor drain regression tolerated by -gate")
+	gateDrop := fs.Float64("gate-drop", 0.10, "fractional regression of the warm-cursor drain and the tournament/hybrid ratio tolerated by -gate")
 	fs.Parse(os.Args[1:])
 
 	if *gate != "" {
@@ -138,9 +140,11 @@ func main() {
 // fails when a fresh number lands more than drop below the committed
 // baseline's. Two figures gate: the warm-cursor drain (the rate the
 // sweeps actually run at, which the SoA pipeline exists to protect) and
-// the tournament prediction throughput (the meta-predictor's hot-path
-// cost). The generator and cold figures move with workload-generation
-// cost, which is not a regression of either.
+// the tournament/hybrid throughput ratio (the meta-predictor's hot-path
+// cost). The ratio divides two throughputs from the same run, so a
+// faster or slower host moves both alike and leaves it in place. The
+// generator and cold figures move with workload-generation cost, which
+// is not a regression of either.
 func gateDrain(baselinePath string, drop float64, events int64, nTraces int) int {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -172,22 +176,22 @@ func gateDrain(baselinePath string, drop float64, events int64, nTraces int) int
 		fresh, base.Drain.WarmCursorMEvS, floor)
 
 	// Baselines written before the prediction benchmark existed have no
-	// tournament figure; they gate on drain alone.
-	if base.Predict.TournamentMEvS > 0 {
-		var freshT float64
+	// ratio; they gate on drain alone.
+	if base.Predict.TournamentVsHybrid > 0 {
+		var freshR float64
 		for i := 0; i < 3; i++ {
-			if r := predictBench(events, nTraces).TournamentMEvS; r > freshT {
-				freshT = r
+			if r := predictBench(events, nTraces).TournamentVsHybrid; r > freshR {
+				freshR = r
 			}
 		}
-		floorT := base.Predict.TournamentMEvS * (1 - drop)
-		if freshT < floorT {
-			fmt.Fprintf(os.Stderr, "benchsweep: gate FAIL: tournament prediction %.1f Mev/s is below %.1f (baseline %.1f - %.0f%%)\n",
-				freshT, floorT, base.Predict.TournamentMEvS, drop*100)
+		floorR := base.Predict.TournamentVsHybrid * (1 - drop)
+		if freshR < floorR {
+			fmt.Fprintf(os.Stderr, "benchsweep: gate FAIL: tournament/hybrid throughput %.3f is below %.3f (baseline %.3f - %.0f%%)\n",
+				freshR, floorR, base.Predict.TournamentVsHybrid, drop*100)
 			return 1
 		}
-		fmt.Printf("benchsweep: gate ok: tournament prediction %.1f Mev/s vs baseline %.1f (floor %.1f)\n",
-			freshT, base.Predict.TournamentMEvS, floorT)
+		fmt.Printf("benchsweep: gate ok: tournament/hybrid throughput %.3f vs baseline %.3f (floor %.3f)\n",
+			freshR, base.Predict.TournamentVsHybrid, floorR)
 	}
 	return 0
 }

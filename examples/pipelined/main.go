@@ -8,7 +8,9 @@
 // predictions for that loop (the domino effect).
 //
 // This example runs the hybrid predictor over the same mixed workload at
-// prediction gaps 0 (immediate), 4, 8 and 12.
+// prediction gaps 0 (immediate), 4, 8 and 12. The same predictor
+// configuration serves every gap: the gap passed to RunTrace is the only
+// input that picks between immediate update and pipelined operation.
 package main
 
 import (
@@ -32,9 +34,7 @@ func main() {
 	fmt.Println("hybrid CAP/stride over a mixed workload, varying prediction gap")
 	fmt.Printf("%-10s  %-10s  %-9s\n", "gap", "pred rate", "accuracy")
 	for _, gap := range []int{0, 4, 8, 12} {
-		cfg := capred.DefaultHybridConfig()
-		cfg.Speculative = gap > 0
-		c, err := capred.RunTrace(source(), capred.NewHybrid(cfg), gap)
+		c, err := capred.RunTrace(source(), capred.NewHybrid(capred.DefaultHybridConfig()), gap)
 		if err != nil {
 			log.Fatalf("trace failed: %v", err)
 		}

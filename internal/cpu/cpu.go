@@ -252,8 +252,8 @@ func b2u(b bool) uint32 {
 
 // Run simulates the trace on the configured machine. pred may be nil (no
 // address prediction — the paper's baseline) or any Predictor; gapDepth
-// defers prediction verification by that many dynamic loads (§5). When
-// gapDepth > 0 the predictor must be built in speculative mode.
+// defers prediction verification by that many dynamic loads (§5), and
+// depth 0 is the immediate update.
 func Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) Result {
 	var (
 		res  Result

@@ -29,10 +29,9 @@ type slot struct {
 	actual uint32
 }
 
-// New wraps p with a prediction gap of the given depth (≥ 0). The
-// predictor should have been constructed in speculative mode when depth is
-// non-zero, otherwise its internal state repair is never exercised and
-// results are meaningless.
+// New wraps p with a prediction gap of the given depth (≥ 0). Any
+// predictor works at any depth: depth 0 resolves each prediction at
+// once, the paper's immediate update.
 func New(p predictor.Predictor, depth int) *Gap {
 	if depth < 0 {
 		panic("pipeline: negative gap depth")

@@ -41,7 +41,6 @@ type CAPConfig struct {
 
 	ConfMax       uint8
 	ConfThreshold uint8
-	Speculative   bool
 }
 
 // DefaultCAPConfig returns the paper's baseline CAP configuration (§4.2).
@@ -84,7 +83,7 @@ type capState struct {
 	conf uint8
 	cf   cfInd
 
-	// Speculative (pipelined) state.
+	// In-flight state, meaningful only while pending > 0.
 	specHist  uint32
 	specValid bool
 	pending   uint16
@@ -261,23 +260,22 @@ func (c *CAPComponent) ID() Component { return CompCAP }
 // Name returns the component's display name.
 func (c *CAPComponent) Name() string { return "cap" }
 
-// Predict computes the CAP opinion for the load in slot and, in
-// speculative mode, advances the speculative history.
+// Predict computes the CAP opinion for the load in slot and advances
+// the speculative history. With nothing in flight it reads the
+// architectural history, so Predict followed at once by Resolve is the
+// paper's immediate update.
 func (c *CAPComponent) Predict(slot int, ref LoadRef) ComponentPrediction {
 	cs := &c.st[slot]
-	if !c.cfg.Speculative {
-		return c.predictFrom(cs, cs.hist, true, ref)
+	hist, valid := cs.specHist, cs.specValid
+	if cs.pending == 0 {
+		hist, valid = cs.hist, true
 	}
-	if cs.pending == 0 && !cs.poisoned {
-		cs.specHist, cs.specValid = cs.hist, true
-	}
-	cp := c.predictFrom(cs, cs.specHist, cs.specValid, ref)
-	if cp.Predicted && cs.specValid {
-		cs.specHist = c.advance(cs.specHist, c.base(cp.Addr, ref.Offset))
-	} else {
-		// The address is unknown until resolution; the speculative
-		// history cannot be maintained (§5.2: no catch-up mechanism).
-		cs.specValid = false
+	cp := c.predictFrom(cs, hist, valid, ref)
+	// Without a predicted address the next instance's history is unknown
+	// until resolution (§5.2: CAP has no catch-up mechanism).
+	cs.specValid = cp.Predicted
+	if cp.Predicted {
+		cs.specHist = c.advance(hist, c.base(cp.Addr, ref.Offset))
 	}
 	if cs.poisoned {
 		cp.Confident = false
@@ -311,7 +309,7 @@ func (c *CAPComponent) Resolve(slot int, ref LoadRef, cp ComponentPrediction, sp
 // the hybrid's §4.3 update policies.
 func (c *CAPComponent) resolve(slot int, ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32, updateLT bool) {
 	cs := &c.st[slot]
-	if c.cfg.Speculative && cs.pending > 0 {
+	if cs.pending > 0 {
 		cs.pending--
 	}
 	base := c.base(actual, ref.Offset)
@@ -331,27 +329,22 @@ func (c *CAPComponent) resolve(slot int, ref LoadRef, cp ComponentPrediction, sp
 	}
 	cs.hist = c.advance(cs.hist, base)
 
-	if c.cfg.Speculative {
-		if cp.Predicted && !correct {
-			cs.poisoned = true
-			cs.specValid = false
-		}
-		if cs.pending == 0 {
-			cs.poisoned = false
-			cs.specHist, cs.specValid = cs.hist, true
-		}
+	if cp.Predicted && !correct {
+		cs.poisoned = true
+		cs.specValid = false
+	}
+	if cs.pending == 0 {
+		cs.poisoned = false
 	}
 }
 
 // Squash undoes Predict's in-flight bookkeeping for a flushed prediction
 // (§5.4 wrong-path recovery). The speculative history cannot be rewound
 // (shift-xor is lossy), so it is invalidated until the pending window
-// drains — the architectural history is untouched, which is exactly the
-// history-buffer recovery property §5.4 asks for.
+// drains, after which Predict reads the architectural history again —
+// untouched, which is exactly the history-buffer recovery property §5.4
+// asks for.
 func (c *CAPComponent) Squash(slot int) {
-	if !c.cfg.Speculative {
-		return
-	}
 	cs := &c.st[slot]
 	if cs.pending > 0 {
 		cs.pending--
@@ -359,7 +352,6 @@ func (c *CAPComponent) Squash(slot int) {
 	cs.specValid = false
 	if cs.pending == 0 {
 		cs.poisoned = false
-		cs.specHist, cs.specValid = cs.hist, true
 	}
 }
 
@@ -411,8 +403,9 @@ func (c *CAP) Squash(ref LoadRef, p Prediction) {
 // addresses ahead ... similar in concept to the two-block ahead branch
 // predictor" [Sezn96]: each predicted base address is folded into a
 // scratch history to look up the next link. The chain stops early at the
-// first missing or tag-mismatching link. PredictAhead never mutates
-// predictor state.
+// first missing or tag-mismatching link. While instances of the load are
+// in flight the chain starts from the speculative history. PredictAhead
+// never mutates predictor state.
 func (c *CAP) PredictAhead(ref LoadRef, n int) []uint32 {
 	comp := c.comp
 	slot, ok := c.lb.Lookup(ref.IP)
@@ -421,7 +414,7 @@ func (c *CAP) PredictAhead(ref LoadRef, n int) []uint32 {
 	}
 	cs := &comp.st[slot]
 	hist := cs.hist
-	if comp.cfg.Speculative && cs.specValid {
+	if cs.pending > 0 && cs.specValid {
 		hist = cs.specHist
 	}
 	out := make([]uint32, 0, n)

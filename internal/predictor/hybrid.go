@@ -76,7 +76,10 @@ type HybridConfig struct {
 	// when both are confident instead of using the dynamic counter.
 	StaticSelector Component
 	UpdatePolicy   UpdatePolicy
-	Speculative    bool
+
+	// Deprecated: ignored. The prediction gap the predictor is driven
+	// under is the only input that picks the resolution discipline.
+	Speculative bool
 }
 
 // DefaultHybridConfig returns the paper's baseline hybrid configuration.
@@ -100,11 +103,8 @@ type Hybrid struct {
 	lb     *LBTable[uint8]
 }
 
-// NewHybrid builds a hybrid predictor. The Speculative flag is propagated
-// to both components.
+// NewHybrid builds a hybrid predictor.
 func NewHybrid(cfg HybridConfig) *Hybrid {
-	cfg.Stride.Speculative = cfg.Speculative
-	cfg.CAP.Speculative = cfg.Speculative
 	h := &Hybrid{
 		cfg:    cfg,
 		stride: NewStrideComponent(cfg.Stride),
@@ -134,7 +134,8 @@ func (h *Hybrid) slot(ip uint32) (int, *uint8) {
 }
 
 // Predict implements Predictor. The LB entry is allocated at prediction
-// time so that in-flight instance counts are exact in pipelined mode.
+// time so that in-flight instance counts are exact under a prediction
+// gap.
 func (h *Hybrid) Predict(ref LoadRef) Prediction {
 	slot, sel := h.slot(ref.IP)
 	scp := h.stride.Predict(slot, ref)

@@ -5,15 +5,14 @@
 // predictor with a dynamic selector, and the control-based (g-share and
 // call-path) predictors the paper evaluates as a negative result.
 //
-// All predictors implement the Predictor interface. Two resolution
-// disciplines are supported with the same code:
-//
-//   - Immediate mode (§4 of the paper): call Predict, then immediately
-//     Resolve with the actual address. Predict does not mutate state.
-//   - Pipelined mode (§5): construct the predictor with Speculative set,
-//     interpose internal/pipeline.Gap, and Resolve is called a
-//     prediction-gap worth of loads later. Predict advances speculative
-//     state; Resolve repairs it on mispredictions.
+// All predictors implement the Predictor interface, and there is one
+// resolution discipline: Predict always advances speculative state, and
+// Resolve calls arrive in prediction order and repair that state. When
+// nothing is in flight for a static load, Predict reads its
+// architectural state. internal/pipeline.Gap decides how many loads
+// separate a prediction from its resolution: at depth 0 each Resolve
+// follows its Predict at once, which is the paper's immediate update
+// (§4); a positive depth is the §5 prediction gap.
 package predictor
 
 import "fmt"
@@ -104,12 +103,12 @@ func (p Prediction) Mispredicted(actual uint32) bool {
 
 // Predictor is a load-address predictor.
 type Predictor interface {
-	// Predict produces a prediction for the load. In speculative mode it
-	// also advances the predictor's speculative state.
+	// Predict produces a prediction for the load and advances the
+	// predictor's speculative state.
 	Predict(ref LoadRef) Prediction
 	// Resolve verifies a previous prediction against the actual effective
-	// address and updates the prediction tables. In pipelined operation
-	// resolutions arrive in prediction order.
+	// address and updates the prediction tables. Resolutions arrive in
+	// prediction order.
 	Resolve(ref LoadRef, p Prediction, actual uint32)
 	// Name returns a short identifier for reports.
 	Name() string

@@ -44,7 +44,6 @@ func runGap(p Predictor, seq []access, gap int) result {
 
 func specStrideCfg() StrideConfig {
 	cfg := DefaultStrideConfig()
-	cfg.Speculative = true
 	cfg.Interval = false // isolate pipelining effects
 	cfg.CF = CFConfig{}
 	return cfg
@@ -87,9 +86,7 @@ func TestSpecStrideCatchUpAfterBreak(t *testing.T) {
 }
 
 func TestSpecCAPStopsSpeculatingWhileMispredictionInFlight(t *testing.T) {
-	cfg := DefaultCAPConfig()
-	cfg.Speculative = true
-	p := NewCAP(cfg)
+	p := NewCAP(DefaultCAPConfig())
 	// Train on a walk, then change the list order to force a mispredict.
 	walk := listWalk(0x100, []uint32{0x1010, 0x8058, 0x4024, 0x20c8}, 8)
 	runGap(p, repeatSeq(walk, 30), 4)
@@ -110,9 +107,7 @@ func TestSpecCAPTightLoopDominoEffect(t *testing.T) {
 	seq := repeatSeq(walk, 60)
 
 	imm := run(NewCAP(DefaultCAPConfig()), seq)
-	cfg := DefaultCAPConfig()
-	cfg.Speculative = true
-	gap := runGap(NewCAP(cfg), seq, 12)
+	gap := runGap(NewCAP(DefaultCAPConfig()), seq, 12)
 
 	if gap.specCorrect >= imm.specCorrect {
 		t.Errorf("a gap longer than the loop should hurt CAP: imm=%d gap=%d",
@@ -137,9 +132,7 @@ func TestSpecCAPRecoversWhenInstanceSpacingExceedsGap(t *testing.T) {
 			}
 		}
 	}
-	cfg := DefaultCAPConfig()
-	cfg.Speculative = true
-	p := NewCAP(cfg)
+	p := NewCAP(DefaultCAPConfig())
 
 	// Count walk-load outcomes only.
 	var walkLoads, walkCorrect int
@@ -187,10 +180,8 @@ func TestSpecHybridGapDegradesGracefully(t *testing.T) {
 			ld(0x600, uint32(0x300000+64*(i%100)), 0)) // wrapping stride
 	}
 	imm := run(NewHybrid(DefaultHybridConfig()), seq)
-	cfg := DefaultHybridConfig()
-	cfg.Speculative = true
-	g4 := runGap(NewHybrid(cfg), seq, 4)
-	g12 := runGap(NewHybrid(cfg), seq, 12)
+	g4 := runGap(NewHybrid(DefaultHybridConfig()), seq, 4)
+	g12 := runGap(NewHybrid(DefaultHybridConfig()), seq, 12)
 
 	// At gap 4 every stream's instance spacing (6) exceeds the gap, so
 	// almost nothing is lost. At gap 12 the list walk's context chain can
@@ -209,10 +200,8 @@ func TestSpecHybridGapDegradesGracefully(t *testing.T) {
 
 func TestSpecPendingCounterDrains(t *testing.T) {
 	// After all resolutions, internal pending counters must return to
-	// zero so immediate behaviour resumes.
-	cfg := DefaultCAPConfig()
-	cfg.Speculative = true
-	p := NewCAP(cfg)
+	// zero so the next Predict reads the architectural state again.
+	p := NewCAP(DefaultCAPConfig())
 	walk := listWalk(0x100, []uint32{0x1010, 0x8058, 0x4024, 0x20c8}, 8)
 	runGap(p, repeatSeq(walk, 20), 6)
 	slot, ok := p.lb.Lookup(0x100)
@@ -262,9 +251,7 @@ func TestSquashRestoresStrideConsistency(t *testing.T) {
 }
 
 func TestSquashRestoresCAPConsistency(t *testing.T) {
-	cfg := DefaultCAPConfig()
-	cfg.Speculative = true
-	p := NewCAP(cfg)
+	p := NewCAP(DefaultCAPConfig())
 	walk := listWalk(0x100, []uint32{0x1010, 0x8058, 0x4024, 0x20c8}, 8)
 	run(p, repeatSeq(walk, 30)) // train architecturally
 
@@ -281,9 +268,20 @@ func TestSquashRestoresCAPConsistency(t *testing.T) {
 		t.Errorf("pending = %d after one squash, want 1", cs.pending)
 	}
 	p.Resolve(ref, pr1, pr1.Addr) // resolve correctly: the walk advanced one node
-	if cs.pending != 0 || !cs.specValid {
-		t.Errorf("state after drain: pending=%d specValid=%v", cs.pending, cs.specValid)
+	if cs.pending != 0 || cs.poisoned {
+		t.Errorf("state after drain: pending=%d poisoned=%v", cs.pending, cs.poisoned)
 	}
+	// With nothing in flight, the next Predict must use the architectural
+	// history, whatever the stale speculative history holds.
+	cs.specHist, cs.specValid = ^cs.hist, false
+	want := p.comp.predictFrom(cs, cs.hist, true, ref)
+	if !want.Predicted {
+		t.Fatal("trained walk has no link for the architectural history")
+	}
+	if got := p.comp.Predict(slot, ref); got != want {
+		t.Errorf("post-drain prediction = %+v, want the architectural history's %+v", got, want)
+	}
+	p.comp.Squash(slot)
 	// Architectural history must be intact: continue the walk from where
 	// the resolved prediction left it (rotated by one node) and predictions
 	// must keep flowing immediately.
@@ -293,9 +291,7 @@ func TestSquashRestoresCAPConsistency(t *testing.T) {
 }
 
 func TestHybridSquash(t *testing.T) {
-	cfg := DefaultHybridConfig()
-	cfg.Speculative = true
-	p := NewHybrid(cfg)
+	p := NewHybrid(DefaultHybridConfig())
 	ref := LoadRef{IP: 0x40}
 	for i := 0; i < 10; i++ {
 		pr := p.Predict(ref)

@@ -11,7 +11,6 @@ type StrideConfig struct {
 	ConfThreshold uint8
 	Interval      bool     // record array length, stop speculating past it
 	CF            CFConfig // control-flow indications (0 bits = off)
-	Speculative   bool     // pipelined (prediction-gap) operation
 }
 
 // DefaultStrideConfig returns the enhanced stride predictor of §4.2:
@@ -54,7 +53,7 @@ type strideState struct {
 
 	cf cfInd
 
-	// Speculative (pipelined) state.
+	// In-flight state, meaningful only while pending > 0.
 	pending   uint16 // predictions awaiting resolution
 	specLast  uint32 // address of the most recently predicted instance
 	specValid bool
@@ -87,22 +86,22 @@ func (s *StrideComponent) Name() string {
 	return "stride"
 }
 
-// Predict computes the component's opinion for the load in slot. It
-// advances speculative state when the component runs in speculative
-// mode; owners allocate the slot at prediction time so in-flight
-// instance counts are exact in pipelined mode.
+// Predict computes the component's opinion for the load in slot and
+// advances its speculative state. With nothing in flight it reads the
+// architectural last address, so Predict followed at once by Resolve is
+// the paper's immediate update; owners allocate the slot at prediction
+// time so in-flight instance counts are exact under a prediction gap.
 func (s *StrideComponent) Predict(slot int, ref LoadRef) ComponentPrediction {
 	st := &s.st[slot]
-	if !s.cfg.Speculative {
-		return s.predictFrom(st, st.last, st.have, ref)
-	}
+	base, valid := st.specLast, st.specValid
 	if st.pending == 0 {
-		st.specLast, st.specValid = st.last, st.have
+		base, valid = st.last, st.have
 	}
-	cp := s.predictFrom(st, st.specLast, st.specValid, ref)
+	cp := s.predictFrom(st, base, valid, ref)
 	if cp.Predicted {
-		st.specLast = cp.Addr
+		base = cp.Addr
 	}
+	st.specLast, st.specValid = base, valid
 	st.pending++
 	return cp
 }
@@ -131,7 +130,7 @@ func (s *StrideComponent) intervalAllows(st *strideState) bool {
 // (and, on mispredictions, speculative) state in slot.
 func (s *StrideComponent) Resolve(slot int, ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
 	st := &s.st[slot]
-	if s.cfg.Speculative && st.pending > 0 {
+	if st.pending > 0 {
 		st.pending--
 	}
 	correct := cp.Predicted && cp.Addr == actual
@@ -170,20 +169,12 @@ func (s *StrideComponent) Resolve(slot int, ref LoadRef, cp ComponentPrediction,
 	st.last = actual
 	st.have = true
 
-	if s.cfg.Speculative {
-		if st.pending == 0 {
-			st.specLast, st.specValid = st.last, st.have
-		} else if !correct || !st.specValid {
-			// Catch-up (§5.2): extrapolate the stride over the pending
-			// unresolved instances so the next prediction lands
-			// correctly, instead of waiting for the window to drain.
-			if st.haveSt {
-				st.specLast = actual + uint32(st.stride)*uint32(st.pending)
-				st.specValid = true
-			} else {
-				st.specValid = false
-			}
-		}
+	if st.pending > 0 && (!correct || !st.specValid) {
+		// Catch-up (§5.2): extrapolate the stride over the pending
+		// unresolved instances so the next prediction lands correctly,
+		// instead of waiting for the window to drain.
+		st.specLast = actual + uint32(st.stride)*uint32(st.pending)
+		st.specValid = st.haveSt
 	}
 }
 
@@ -191,19 +182,14 @@ func (s *StrideComponent) Resolve(slot int, ref LoadRef, cp ComponentPrediction,
 // (§5.4 wrong-path recovery). The speculative last-address cannot be
 // rewound precisely (the flushed prediction already advanced it), so it
 // is invalidated; the catch-up path re-establishes it at the next
-// resolution.
+// resolution, and once nothing is in flight Predict reads the
+// architectural state again.
 func (s *StrideComponent) Squash(slot int) {
-	if !s.cfg.Speculative {
-		return
-	}
 	st := &s.st[slot]
 	if st.pending > 0 {
 		st.pending--
 	}
 	st.specValid = false
-	if st.pending == 0 {
-		st.specLast, st.specValid = st.last, st.have
-	}
 }
 
 // Stride is the stand-alone stride predictor: the component under its

@@ -4,8 +4,8 @@ import "capred/internal/predictor"
 
 // CallPathConfig configures the call-path-context component: a hash of
 // the load's IP and the low bits of the call-path history register —
-// the rolling hash over the last few call-site IPs that
-// predictor.Session maintains — indexes a shared, tagged correlation
+// the predictor.PathHist rolling hash over the last few call-site IPs
+// that the trace driver maintains — indexes a shared, tagged correlation
 // table of last addresses with per-context confidence.
 //
 // This is the paper's §3.6 call-path predictor, which loses badly as a
@@ -21,7 +21,7 @@ type CallPathConfig struct {
 	// matched on lookup; zero disables tagging.
 	TagBits int
 	// PathBits is how many low bits of the path-history hash enter the
-	// index. The session hash shifts three bits per call site, so k
+	// index. The path hash shifts three bits per call site, so k
 	// retained call sites need about 3k bits; the default 12 keeps the
 	// last four.
 	PathBits      int

@@ -20,29 +20,21 @@ func DefaultComponents() []string {
 }
 
 // NewComponent builds the named component with its default
-// configuration for the given discipline. The names are the components'
-// own Name() values — one open namespace shared with the
-// predictor.Component table, not a parallel enum.
-func NewComponent(name string, speculative bool) (Component, error) {
+// configuration. The names are the components' own Name() values — one
+// open namespace shared with the predictor.Component table, not a
+// parallel enum.
+func NewComponent(name string) (Component, error) {
 	switch name {
 	case "stride":
-		cfg := predictor.DefaultStrideConfig()
-		cfg.Speculative = speculative
-		return predictor.NewStrideComponent(cfg), nil
+		return predictor.NewStrideComponent(predictor.DefaultStrideConfig()), nil
 	case "cap":
-		cfg := predictor.DefaultCAPConfig()
-		cfg.Speculative = speculative
-		return predictor.NewCAPComponent(cfg), nil
+		return predictor.NewCAPComponent(predictor.DefaultCAPConfig()), nil
 	case "last":
 		return predictor.NewLastComponent(predictor.DefaultLastConfig()), nil
 	case "markov":
-		cfg := DefaultMarkovConfig()
-		cfg.Speculative = speculative
-		return NewMarkov(cfg), nil
+		return NewMarkov(DefaultMarkovConfig()), nil
 	case "delta2":
-		cfg := DefaultDelta2Config()
-		cfg.Speculative = speculative
-		return NewDelta2(cfg), nil
+		return NewDelta2(DefaultDelta2Config()), nil
 	case "callpath":
 		return NewCallPath(DefaultCallPathConfig()), nil
 	}
@@ -51,10 +43,10 @@ func NewComponent(name string, speculative bool) (Component, error) {
 
 // NewNamed builds a tournament over the named components in order,
 // each with its default configuration.
-func NewNamed(cfg Config, speculative bool, names ...string) (*Tournament, error) {
+func NewNamed(cfg Config, names ...string) (*Tournament, error) {
 	comps := make([]Component, 0, len(names))
 	for _, n := range names {
-		c, err := NewComponent(n, speculative)
+		c, err := NewComponent(n)
 		if err != nil {
 			return nil, err
 		}
@@ -65,8 +57,11 @@ func NewNamed(cfg Config, speculative bool, names ...string) (*Tournament, error
 
 // NewFull builds the default 5-way tournament (DefaultComponents over
 // the default chooser).
-func NewFull(speculative bool) *Tournament {
-	t, err := NewNamed(DefaultConfig(), speculative, DefaultComponents()...)
+//
+// Deprecated: the bool is ignored. The prediction gap the tournament is
+// driven under is the only input that picks the resolution discipline.
+func NewFull(_ bool) *Tournament {
+	t, err := NewNamed(DefaultConfig(), DefaultComponents()...)
 	if err != nil {
 		panic(err) // unreachable: DefaultComponents are all known
 	}
@@ -80,14 +75,14 @@ func NewFull(speculative bool) *Tournament {
 // constant sum maps the counter pair 1:1 onto the hybrid's 2-bit
 // selector. FuzzTournamentSelector holds this equivalence down to
 // selector state and chosen component.
-func NewPaperPair(speculative bool) *Tournament {
+func NewPaperPair() *Tournament {
 	hc := predictor.DefaultHybridConfig()
 	cfg := Config{
 		Entries:    hc.CAP.LBEntries,
 		Ways:       hc.CAP.LBWays,
 		CounterMax: 3,
 	}
-	t, err := NewNamed(cfg, speculative, "stride", "cap")
+	t, err := NewNamed(cfg, "stride", "cap")
 	if err != nil {
 		panic(err) // unreachable
 	}

@@ -11,7 +11,6 @@ import "capred/internal/predictor"
 type Delta2Config struct {
 	ConfMax       uint8
 	ConfThreshold uint8
-	Speculative   bool
 }
 
 // DefaultDelta2Config mirrors the paper's 2-bit confidence counters.
@@ -28,8 +27,9 @@ type delta2State struct {
 	nd   uint8 // differences accumulated, saturating at 2 (warm-up)
 	conf uint8
 
-	// Speculative (pipelined) state: specLast/specD1 are the address
-	// and first-difference of the most recently predicted instance. The
+	// In-flight state, meaningful only while pending > 0.
+	// specLast/specD1 are the address and first-difference of the most
+	// recently predicted instance. The
 	// closed-form catch-up (§5.2 generalized to second order) restores
 	// them after a misprediction without waiting for the drain.
 	specLast  uint32
@@ -70,23 +70,23 @@ func (d *Delta2) predictFrom(st *delta2State, last uint32, d1 int32, valid bool)
 	}
 }
 
-// Predict computes the component's opinion. In speculative mode the
-// accelerating sequence is extrapolated across the pending window: each
-// prediction advances the speculative first-difference by the
-// architectural second-difference.
+// Predict computes the component's opinion and extrapolates the
+// accelerating sequence across the pending window: each prediction
+// advances the speculative first-difference by the architectural
+// second-difference. With nothing in flight it reads the architectural
+// state.
 func (d *Delta2) Predict(slot int, ref predictor.LoadRef) predictor.ComponentPrediction {
 	st := &d.st[slot]
-	if !d.cfg.Speculative {
-		return d.predictFrom(st, st.last, st.d1, st.nd >= 2)
-	}
+	last, d1, valid := st.specLast, st.specD1, st.specValid
 	if st.pending == 0 {
-		st.specLast, st.specD1, st.specValid = st.last, st.d1, st.nd >= 2
+		last, d1, valid = st.last, st.d1, st.nd >= 2
 	}
-	cp := d.predictFrom(st, st.specLast, st.specD1, st.specValid)
+	cp := d.predictFrom(st, last, d1, valid)
 	if cp.Predicted {
-		st.specD1 += st.d2
-		st.specLast = cp.Addr
+		d1 += st.d2
+		last = cp.Addr
 	}
+	st.specLast, st.specD1, st.specValid = last, d1, valid
 	st.pending++
 	return cp
 }
@@ -94,7 +94,7 @@ func (d *Delta2) Predict(slot int, ref predictor.LoadRef) predictor.ComponentPre
 // Resolve verifies the opinion and updates the difference chain.
 func (d *Delta2) Resolve(slot int, ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
 	st := &d.st[slot]
-	if d.cfg.Speculative && st.pending > 0 {
+	if st.pending > 0 {
 		st.pending--
 	}
 	correct := cp.Predicted && cp.Addr == actual
@@ -119,23 +119,19 @@ func (d *Delta2) Resolve(slot int, ref predictor.LoadRef, cp predictor.Component
 	st.last = actual
 	st.have = true
 
-	if d.cfg.Speculative {
-		if st.pending == 0 {
-			st.specLast, st.specD1, st.specValid = st.last, st.d1, st.nd >= 2
-		} else if !correct || !st.specValid {
-			// Catch-up: extrapolate the quadratic over the pending
-			// unresolved instances so the next prediction lands
-			// correctly instead of waiting for the window to drain.
-			if st.nd >= 2 {
-				a, d1 := st.last, st.d1
-				for i := uint16(0); i < st.pending; i++ {
-					d1 += st.d2
-					a += uint32(d1)
-				}
-				st.specLast, st.specD1, st.specValid = a, d1, true
-			} else {
-				st.specValid = false
+	if st.pending > 0 && (!correct || !st.specValid) {
+		// Catch-up: extrapolate the quadratic over the pending
+		// unresolved instances so the next prediction lands correctly
+		// instead of waiting for the window to drain.
+		if st.nd >= 2 {
+			a, d1 := st.last, st.d1
+			for i := uint16(0); i < st.pending; i++ {
+				d1 += st.d2
+				a += uint32(d1)
 			}
+			st.specLast, st.specD1, st.specValid = a, d1, true
+		} else {
+			st.specValid = false
 		}
 	}
 }
@@ -144,15 +140,9 @@ func (d *Delta2) Resolve(slot int, ref predictor.LoadRef, cp predictor.Component
 // component, the speculative chain is invalidated and re-established by
 // catch-up at the next resolution.
 func (d *Delta2) Squash(slot int) {
-	if !d.cfg.Speculative {
-		return
-	}
 	st := &d.st[slot]
 	if st.pending > 0 {
 		st.pending--
 	}
 	st.specValid = false
-	if st.pending == 0 {
-		st.specLast, st.specD1, st.specValid = st.last, st.d1, st.nd >= 2
-	}
 }

@@ -15,24 +15,18 @@ import (
 // constantly; the LT has 64 entries with 4-bit tags. Both sides get
 // identical component configurations and size their one LB from
 // CAP.LBEntries/LBWays.
-func smallPair(speculative bool) (*predictor.Hybrid, *Tournament) {
+func smallPair() (*predictor.Hybrid, *Tournament) {
 	hc := predictor.DefaultHybridConfig()
 	hc.CAP.LBEntries = 8
 	hc.CAP.LBWays = 2
 	hc.CAP.LTEntries = 64
 	hc.CAP.TagBits = 4
 	hc.CAP.PFTableEntries = 256
-	hc.Speculative = speculative
-
-	sc := hc.Stride
-	sc.Speculative = speculative
-	cc := hc.CAP
-	cc.Speculative = speculative
 	tour := New(Config{
 		Entries:    hc.CAP.LBEntries,
 		Ways:       hc.CAP.LBWays,
 		CounterMax: 3,
-	}, predictor.NewStrideComponent(sc), predictor.NewCAPComponent(cc))
+	}, predictor.NewStrideComponent(hc.Stride), predictor.NewCAPComponent(hc.CAP))
 	return predictor.NewHybrid(hc), tour
 }
 
@@ -79,7 +73,7 @@ func FuzzTournamentSelector(f *testing.F) {
 	f.Add(evictingSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, gap := range []int{0, 4} {
-			h, tour := smallPair(gap > 0)
+			h, tour := smallPair()
 			gh := pipeline.New(h, gap)
 			gt := pipeline.New(tour, gap)
 			var ghr predictor.GHR
@@ -126,7 +120,7 @@ func FuzzTournamentSelector(f *testing.F) {
 // is exercised) and periodic squashes.
 func TestPaperPairMatchesHybrid(t *testing.T) {
 	for _, gap := range []int{0, 4, 40} {
-		h, tour := smallPair(gap > 0)
+		h, tour := smallPair()
 		gh := pipeline.New(h, gap)
 		gt := pipeline.New(tour, gap)
 		var ghr predictor.GHR

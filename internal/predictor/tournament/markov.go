@@ -21,7 +21,6 @@ type MarkovConfig struct {
 	HistLen       int
 	ConfMax       uint8
 	ConfThreshold uint8
-	Speculative   bool
 }
 
 // DefaultMarkovConfig is the last-3-strides predictor at the paper's
@@ -42,11 +41,12 @@ type markovState struct {
 	hist uint32 // compressed architectural stride history
 	conf uint8
 
-	// Speculative (pipelined) state: the Markov chain can be walked
-	// ahead — each predicted stride is folded into a speculative
-	// history, CAP-style. A misprediction poisons the chain until the
-	// pending window drains (§5.2 discipline; no catch-up, because the
-	// wrong stride corrupted the compressed history).
+	// In-flight state, meaningful only while pending > 0: the Markov
+	// chain can be walked ahead — each predicted stride is folded into
+	// a speculative history, CAP-style. A misprediction poisons the
+	// chain until the pending window drains (§5.2 discipline; no
+	// catch-up, because the wrong stride corrupted the compressed
+	// history).
 	specLast  uint32
 	specHist  uint32
 	specValid bool
@@ -144,23 +144,20 @@ func (m *Markov) predictFrom(st *markovState, last, hist uint32, valid bool) pre
 	}
 }
 
-// Predict computes the component's opinion. In speculative mode each
-// predicted stride is folded into the speculative history so the chain
-// is walked ahead of resolution.
+// Predict computes the component's opinion and folds the predicted
+// stride into the speculative history, so the chain is walked ahead of
+// resolution. With nothing in flight it reads the architectural state.
 func (m *Markov) Predict(slot int, ref predictor.LoadRef) predictor.ComponentPrediction {
 	st := &m.st[slot]
-	if !m.cfg.Speculative {
-		return m.predictFrom(st, st.last, st.hist, m.warm(st))
+	last, hist, valid := st.specLast, st.specHist, st.specValid
+	if st.pending == 0 {
+		last, hist, valid = st.last, st.hist, m.warm(st)
 	}
-	if st.pending == 0 && !st.poisoned {
-		st.specLast, st.specHist, st.specValid = st.last, st.hist, m.warm(st)
-	}
-	cp := m.predictFrom(st, st.specLast, st.specHist, st.specValid)
-	if cp.Predicted && st.specValid {
-		st.specHist = m.advance(st.specHist, int32(cp.Addr-st.specLast))
+	cp := m.predictFrom(st, last, hist, valid)
+	st.specValid = cp.Predicted
+	if cp.Predicted {
+		st.specHist = m.advance(hist, int32(cp.Addr-last))
 		st.specLast = cp.Addr
-	} else {
-		st.specValid = false
 	}
 	if st.poisoned {
 		cp.Confident = false
@@ -173,7 +170,7 @@ func (m *Markov) Predict(slot int, ref predictor.LoadRef) predictor.ComponentPre
 // pre-update history, and advances the architectural state.
 func (m *Markov) Resolve(slot int, ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
 	st := &m.st[slot]
-	if m.cfg.Speculative && st.pending > 0 {
+	if st.pending > 0 {
 		st.pending--
 	}
 	correct := cp.Predicted && cp.Addr == actual
@@ -201,15 +198,12 @@ func (m *Markov) Resolve(slot int, ref predictor.LoadRef, cp predictor.Component
 	st.last = actual
 	st.have = true
 
-	if m.cfg.Speculative {
-		if cp.Predicted && !correct {
-			st.poisoned = true
-			st.specValid = false
-		}
-		if st.pending == 0 {
-			st.poisoned = false
-			st.specLast, st.specHist, st.specValid = st.last, st.hist, m.warm(st)
-		}
+	if cp.Predicted && !correct {
+		st.poisoned = true
+		st.specValid = false
+	}
+	if st.pending == 0 {
+		st.poisoned = false
 	}
 }
 
@@ -217,9 +211,6 @@ func (m *Markov) Resolve(slot int, ref predictor.LoadRef, cp predictor.Component
 // history cannot be rewound (shift-xor is lossy), so it is invalidated
 // until the pending window drains.
 func (m *Markov) Squash(slot int) {
-	if !m.cfg.Speculative {
-		return
-	}
 	st := &m.st[slot]
 	if st.pending > 0 {
 		st.pending--
@@ -227,6 +218,5 @@ func (m *Markov) Squash(slot int) {
 	st.specValid = false
 	if st.pending == 0 {
 		st.poisoned = false
-		st.specLast, st.specHist, st.specValid = st.last, st.hist, m.warm(st)
 	}
 }

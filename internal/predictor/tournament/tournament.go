@@ -17,14 +17,17 @@
 // entry holds the chooser counters, and the components keep per-load
 // state in arrays indexed by the entry's slot (see Component).
 //
-// Both resolution disciplines compose unchanged: immediate mode
-// (Predict then Resolve per load) and pipelined mode under
-// internal/pipeline.Gap, including §5.4 wrong-path squashes. A two-way
-// CAP+stride tournament built by NewPaperPair is decision-identical to
-// predictor.NewHybrid with the default configuration by construction:
-// one LB of the same geometry, the same component code, and a counter
-// pair that maps onto the hybrid's selector. The differential fuzzer
-// FuzzTournamentSelector pins that equivalence.
+// Like every predictor, the tournament has one resolution discipline:
+// Predict advances speculative state and resolutions arrive in
+// prediction order, at once (immediate update) or a prediction gap
+// later under internal/pipeline.Gap, with §5.4 wrong-path squashes.
+//
+// A two-way CAP+stride tournament built by NewPaperPair is
+// decision-identical to predictor.NewHybrid with the default
+// configuration by construction: one LB of the same geometry, the same
+// component code, and a counter pair that maps onto the hybrid's
+// selector. The differential fuzzer FuzzTournamentSelector pins that
+// equivalence.
 package tournament
 
 import (
@@ -38,8 +41,9 @@ import (
 // The tournament's load buffer picks the slot; components own no LB.
 // Slots sizes the array once, before any other call; Reset clears a
 // slot whenever the LB allocates it to a new static load. Predict
-// computes the component's opinion for the load in slot (advancing
-// speculative state when the component was built speculative); Resolve
+// computes the component's opinion for the load in slot and advances
+// its speculative state (reading the architectural state when nothing
+// is in flight for the slot); Resolve
 // verifies it against the actual address and updates the component's
 // tables; Squash undoes Predict's in-flight bookkeeping for a flushed
 // wrong-path prediction (§5.4, youngest first). Resolutions arrive in
@@ -127,8 +131,7 @@ type Tournament struct {
 // New builds a tournament over the given components and sizes each one
 // to the tournament's load buffer. Zero-valued geometry fields of cfg
 // take their DefaultConfig values. Components must have distinct,
-// non-none IDs, and must all be built for the discipline the tournament
-// is driven in (the caller builds them).
+// non-none IDs.
 func New(cfg Config, comps ...Component) *Tournament {
 	if len(comps) == 0 {
 		panic("tournament: at least one component required")
@@ -262,7 +265,7 @@ func (t *Tournament) slot(ip uint32) (int, *chooserEntry) {
 // component, the highest-preference predicted address is reported
 // without speculation — the confidence-gated fallback. The LB entry is
 // allocated at prediction time, as in the hybrid, so in-flight instance
-// counts are exact in pipelined mode.
+// counts are exact under a prediction gap.
 func (t *Tournament) Predict(ref predictor.LoadRef) predictor.Prediction {
 	slot, e := t.slot(ref.IP)
 	ops := t.pushFlight()

@@ -215,9 +215,7 @@ func TestDelta2Quadratic(t *testing.T) {
 // fills every prediction of the quadratic stream must still be exact —
 // the closed-form catch-up, not re-warm-up, keeps the chain aligned.
 func TestDelta2SpeculativeCatchUp(t *testing.T) {
-	cfg := DefaultDelta2Config()
-	cfg.Speculative = true
-	d := own(NewDelta2(cfg))
+	d := own(NewDelta2(DefaultDelta2Config()))
 	ref := predictor.LoadRef{IP: 0x80}
 	addrAt := func(n uint32) uint32 { return 8*n*n + 3*n }
 
@@ -448,7 +446,7 @@ func TestComponentNamesResolve(t *testing.T) {
 	// labels and classification breakdowns must never print "none".
 	seen := map[predictor.Component]bool{}
 	for _, name := range ComponentNames() {
-		c, err := NewComponent(name, false)
+		c, err := NewComponent(name)
 		if err != nil {
 			t.Fatalf("NewComponent(%q): %v", name, err)
 		}
@@ -462,7 +460,7 @@ func TestComponentNamesResolve(t *testing.T) {
 			t.Fatalf("component %q: ID().String()=%q Name()=%q must agree", name, s, c.Name())
 		}
 	}
-	if _, err := NewComponent("bogus", false); err == nil {
+	if _, err := NewComponent("bogus"); err == nil {
 		t.Fatal("NewComponent(bogus) did not error")
 	}
 }

@@ -127,7 +127,6 @@ func (c SessionConfig) build() (predictor.Predictor, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	speculative := c.Gap > 0
 	applyCAP := func(cfg *predictor.CAPConfig) {
 		if c.ConfThreshold != nil {
 			cfg.ConfThreshold = *c.ConfThreshold
@@ -141,7 +140,6 @@ func (c SessionConfig) build() (predictor.Predictor, error) {
 		if c.PFBits != nil {
 			cfg.PFBits = *c.PFBits
 		}
-		cfg.Speculative = speculative
 	}
 	switch c.Predictor {
 	case "last":
@@ -158,7 +156,6 @@ func (c SessionConfig) build() (predictor.Predictor, error) {
 		if c.ConfThreshold != nil {
 			cfg.ConfThreshold = *c.ConfThreshold
 		}
-		cfg.Speculative = speculative
 		return predictor.NewStride(cfg), nil
 	case "cap":
 		cfg := predictor.DefaultCAPConfig()
@@ -173,7 +170,6 @@ func (c SessionConfig) build() (predictor.Predictor, error) {
 		if c.UpdatePolicy != "" {
 			cfg.UpdatePolicy = updatePolicies[c.UpdatePolicy]
 		}
-		cfg.Speculative = speculative
 		return predictor.NewHybrid(cfg), nil
 	case "tournament":
 		names := c.Components
@@ -184,7 +180,7 @@ func (c SessionConfig) build() (predictor.Predictor, error) {
 		if c.ChooserMax != nil {
 			cfg.CounterMax = *c.ChooserMax
 		}
-		return tournament.NewNamed(cfg, speculative, names...)
+		return tournament.NewNamed(cfg, names...)
 	}
 	return nil, fmt.Errorf("unknown predictor %q", c.Predictor)
 }
@@ -199,7 +195,7 @@ func tournamentComponentLabels() []string {
 	names := tournament.ComponentNames()
 	out := make([]string, len(names))
 	for i, n := range names {
-		c, err := tournament.NewComponent(n, false)
+		c, err := tournament.NewComponent(n)
 		if err != nil {
 			panic(err) // unreachable: ComponentNames lists buildable components
 		}

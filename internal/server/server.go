@@ -206,7 +206,7 @@ func (s *Server) registerMetrics() {
 	s.mCompCorrect = make(map[string]*Var)
 	for _, name := range tournamentComponentLabels() {
 		labels := fmt.Sprintf("component=%q", name)
-		s.mCompSelected[name] = r.Counter("capserve_tournament_selected_total", "Speculative predictions won, by tournament component.", labels)
+		s.mCompSelected[name] = r.Counter("capserve_tournament_selected_total", "Predictions launched speculatively and won, by tournament component.", labels)
 		s.mCompCorrect[name] = r.Counter("capserve_tournament_selected_correct_total", "Correct speculative predictions among those won, by tournament component.", labels)
 	}
 }

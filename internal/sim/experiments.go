@@ -489,20 +489,8 @@ func Fig11(cfg Config) Fig11Result {
 	sPasses := make([]*suitePass, len(r.Gaps))
 	hPasses := make([]*suitePass, len(r.Gaps))
 	for gi, gap := range r.Gaps {
-		gap := gap
-		spec := gap > 0
-		sf := func() predictor.Predictor {
-			sc := predictor.DefaultStrideConfig()
-			sc.Speculative = spec
-			return predictor.NewStride(sc)
-		}
-		hf := func() predictor.Predictor {
-			hc := predictor.DefaultHybridConfig()
-			hc.Speculative = spec
-			return predictor.NewHybrid(hc)
-		}
-		sPasses[gi] = g.addSuitePass(fmt.Sprintf("stride gap %d", gap), sf, gap)
-		hPasses[gi] = g.addSuitePass(fmt.Sprintf("hybrid gap %d", gap), hf, gap)
+		sPasses[gi] = g.addSuitePass(fmt.Sprintf("stride gap %d", gap), strideFactory, gap)
+		hPasses[gi] = g.addSuitePass(fmt.Sprintf("hybrid gap %d", gap), hybridFactory, gap)
 	}
 	r.absorb(g.size(), g.run())
 	for gi := range r.Gaps {
@@ -578,21 +566,11 @@ func Fig12(cfg Config) Fig12Result {
 				res, err := runTimed(cfg, spec, mcfg, f, gap)
 				return res.Cycles, err
 			}
-			specStrideF := func() predictor.Predictor {
-				sc := predictor.DefaultStrideConfig()
-				sc.Speculative = true
-				return predictor.NewStride(sc)
-			}
-			specHybridF := func() predictor.Predictor {
-				hc := predictor.DefaultHybridConfig()
-				hc.Speculative = true
-				return predictor.NewHybrid(hc)
-			}
 			variants := []struct {
 				f   Factory
 				gap int
 			}{
-				{nil, 0}, {strideFactory, 0}, {specStrideF, 8}, {hybridFactory, 0}, {specHybridF, 8},
+				{nil, 0}, {strideFactory, 0}, {strideFactory, 8}, {hybridFactory, 0}, {hybridFactory, 8},
 			}
 			for v, va := range variants {
 				c, err := run(va.f, va.gap)

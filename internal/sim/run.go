@@ -91,9 +91,8 @@ type Factory func() predictor.Predictor
 
 // RunTrace drives one predictor over one event stream, maintaining the
 // global branch-history and call-path registers, and returns the
-// prediction counters. gapDepth 0 is the paper's immediate-update mode
-// (§4); a positive depth defers resolutions by that many dynamic loads
-// (§5) — the predictor must then be built in speculative mode.
+// prediction counters. gapDepth 0 is the paper's immediate update (§4);
+// a positive depth defers resolutions by that many dynamic loads (§5).
 //
 // The returned error is non-nil when the stream ended on a source error
 // (src.Err) rather than clean EOF; the counters accumulated up to that

@@ -26,9 +26,7 @@ func TestRunTraceDrainsGapOnSourceError(t *testing.T) {
 	const faultAt = 10_000
 	for _, gap := range []int{0, 4} {
 		mk := func() predictor.Predictor {
-			hc := predictor.DefaultHybridConfig()
-			hc.Speculative = gap > 0
-			return predictor.NewHybrid(hc)
+			return predictor.NewHybrid(predictor.DefaultHybridConfig())
 		}
 
 		// Faulted run: the stream dies after faultAt events.

@@ -15,88 +15,63 @@ import (
 // accumulates bit-identical counters by construction rather than by
 // parallel-implementation discipline.
 type Stepper struct {
-	sess *predictor.Session
-	gap  *pipeline.Gap // non-nil when operating under a prediction gap
+	p    predictor.Predictor
+	gap  *pipeline.Gap
+	ghr  predictor.GHR
+	path predictor.PathHist
 	C    metrics.Counters
 }
 
-// NewStepper wraps p for step-wise driving. gapDepth 0 is the paper's
-// immediate-update mode; a positive depth defers resolutions by that
-// many dynamic loads (the predictor must then be built in speculative
-// mode, as for RunTrace).
+// NewStepper wraps p for step-wise driving. Every load goes through a
+// prediction gap of gapDepth dynamic loads; depth 0 resolves each
+// prediction at once, the paper's immediate update.
 func NewStepper(p predictor.Predictor, gapDepth int) *Stepper {
-	s := &Stepper{sess: predictor.NewSession(p)}
-	if gapDepth > 0 {
-		s.gap = pipeline.New(p, gapDepth)
-	}
-	return s
+	return &Stepper{p: p, gap: pipeline.New(p, gapDepth)}
 }
 
 // Predictor returns the wrapped predictor instance. The serving layer
 // and the tournament ablation use it to pull predictor-specific
 // statistics (e.g. per-component selection counts) after — or, under
 // the session lock, during — a run.
-func (s *Stepper) Predictor() predictor.Predictor { return s.sess.Predictor() }
+func (s *Stepper) Predictor() predictor.Predictor { return s.p }
+
+// load predicts one dynamic load under the current history registers,
+// schedules its resolution through the gap, and records the prediction.
+func (s *Stepper) load(ip uint32, offset int32, addr uint32) {
+	ref := predictor.LoadRef{IP: ip, Offset: offset, GHR: s.ghr.Value(), Path: s.path.Value()}
+	s.C.Record(s.gap.Process(ref, addr), addr)
+}
 
 // Step processes one event.
 func (s *Stepper) Step(ev trace.Event) {
 	switch ev.Kind {
 	case trace.KindBranch:
-		s.sess.Branch(ev.Taken)
+		s.ghr.Update(ev.Taken)
 	case trace.KindCall:
-		s.sess.Call(ev.IP)
+		s.path.Push(ev.IP)
 	case trace.KindLoad:
-		var pr predictor.Prediction
-		if s.gap == nil {
-			pr = s.sess.Load(ev.IP, ev.Offset, ev.Addr)
-		} else {
-			pr = s.gap.Process(s.sess.Ref(ev.IP, ev.Offset), ev.Addr)
-		}
-		s.C.Record(pr, ev.Addr)
+		s.load(ev.IP, ev.Offset, ev.Addr)
 	}
 }
 
 // StepBlock processes a struct-of-arrays block of events in order,
 // reading only the columns each kind carries (the Block column
-// contract). The gap-mode dispatch is hoisted out of the per-event
-// path; each loop is the exact per-event sequence Step performs, so
+// contract). It performs exactly the per-event sequence Step does, so
 // block and per-event driving stay bit-identical.
 func (s *Stepper) StepBlock(b *trace.Block) {
-	kt := b.KindTaken
-	if s.gap == nil {
-		for i, kb := range kt {
-			switch trace.Kind(kb &^ trace.KindTakenBit) {
-			case trace.KindBranch:
-				s.sess.Branch(kb&trace.KindTakenBit != 0)
-			case trace.KindCall:
-				s.sess.Call(b.IP[i])
-			case trace.KindLoad:
-				addr := b.Addr[i]
-				pr := s.sess.Load(b.IP[i], b.Offset[i], addr)
-				s.C.Record(pr, addr)
-			}
-		}
-		return
-	}
-	for i, kb := range kt {
+	for i, kb := range b.KindTaken {
 		switch trace.Kind(kb &^ trace.KindTakenBit) {
 		case trace.KindBranch:
-			s.sess.Branch(kb&trace.KindTakenBit != 0)
+			s.ghr.Update(kb&trace.KindTakenBit != 0)
 		case trace.KindCall:
-			s.sess.Call(b.IP[i])
+			s.path.Push(b.IP[i])
 		case trace.KindLoad:
-			addr := b.Addr[i]
-			pr := s.gap.Process(s.sess.Ref(b.IP[i], b.Offset[i]), addr)
-			s.C.Record(pr, addr)
+			s.load(b.IP[i], b.Offset[i], b.Addr[i])
 		}
 	}
 }
 
 // Finish resolves the predictions still in flight inside the prediction
-// gap; it is a no-op in immediate mode. Call it once, at clean end of
-// stream, as RunTrace does.
-func (s *Stepper) Finish() {
-	if s.gap != nil {
-		s.gap.Drain()
-	}
-}
+// gap (none at depth 0). Call it once, at clean end of stream, as
+// RunTrace does.
+func (s *Stepper) Finish() { s.gap.Drain() }

@@ -62,9 +62,7 @@ func FuzzStepBlockVsStep(f *testing.F) {
 		evs := eventsFromBytes(data)
 		for _, gap := range []int{0, 4} {
 			mk := func() *Stepper {
-				hc := predictor.DefaultHybridConfig()
-				hc.Speculative = gap > 0
-				return NewStepper(predictor.NewHybrid(hc), gap)
+				return NewStepper(predictor.NewHybrid(predictor.DefaultHybridConfig()), gap)
 			}
 
 			perEvent := mk()

@@ -37,18 +37,16 @@ func tournamentRows() []tournamentRow {
 }
 
 // tournamentPredictor builds the predictor for one ablation row.
-func tournamentPredictor(row tournamentRow, speculative bool) (predictor.Predictor, error) {
+func tournamentPredictor(row tournamentRow) (predictor.Predictor, error) {
 	if row.comps == nil {
-		cfg := predictor.DefaultHybridConfig()
-		cfg.Speculative = speculative
-		return predictor.NewHybrid(cfg), nil
+		return predictor.NewHybrid(predictor.DefaultHybridConfig()), nil
 	}
 	if len(row.comps) == 2 && row.comps[0] == "stride" && row.comps[1] == "cap" {
 		// The paper pair carries the chooser geometry and initial counter
 		// vector that make it decision-identical to the hybrid row.
-		return tournament.NewPaperPair(speculative), nil
+		return tournament.NewPaperPair(), nil
 	}
-	return tournament.NewNamed(tournament.DefaultConfig(), speculative, row.comps...)
+	return tournament.NewNamed(tournament.DefaultConfig(), row.comps...)
 }
 
 // tournamentTally is one trace's result: the standard counters plus the
@@ -96,7 +94,7 @@ func Tournament(cfg Config) TournamentResult {
 			var t tournamentTally
 			err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) error {
 				f := cfg.factoryFor(spec, func() predictor.Predictor {
-					p, err := tournamentPredictor(row, false)
+					p, err := tournamentPredictor(row)
 					if err != nil {
 						panic(err) // unreachable: rows name known components only
 					}

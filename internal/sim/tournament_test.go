@@ -21,7 +21,7 @@ func TestTournamentStepBlockEquivalence(t *testing.T) {
 	}
 	const events = 40_000
 	for _, gap := range []int{0, 4} {
-		stepSt := NewStepper(tournament.NewFull(gap > 0), gap)
+		stepSt := NewStepper(tournament.NewFull(false), gap)
 		src := trace.NewLimit(spec.Open(), events)
 		for {
 			ev, ok := src.Next()
@@ -35,7 +35,7 @@ func TestTournamentStepBlockEquivalence(t *testing.T) {
 		}
 		stepSt.Finish()
 
-		blockSt := NewStepper(tournament.NewFull(gap > 0), gap)
+		blockSt := NewStepper(tournament.NewFull(false), gap)
 		if err := forEachBlock(nil, trace.NewLimit(spec.Open(), events), blockSt.StepBlock); err != nil {
 			t.Fatalf("gap %d: block source: %v", gap, err)
 		}
@@ -63,14 +63,11 @@ func TestTournamentPairMatchesHybridOnTrace(t *testing.T) {
 	}
 	const events = 60_000
 	for _, gap := range []int{0, 8} {
-		speculative := gap > 0
-		hcfg := predictor.DefaultHybridConfig()
-		hcfg.Speculative = speculative
-		want, err := RunTrace(trace.NewLimit(spec.Open(), events), predictor.NewHybrid(hcfg), gap)
+		want, err := RunTrace(trace.NewLimit(spec.Open(), events), predictor.NewHybrid(predictor.DefaultHybridConfig()), gap)
 		if err != nil {
 			t.Fatalf("gap %d: hybrid: %v", gap, err)
 		}
-		got, err := RunTrace(trace.NewLimit(spec.Open(), events), tournament.NewPaperPair(speculative), gap)
+		got, err := RunTrace(trace.NewLimit(spec.Open(), events), tournament.NewPaperPair(), gap)
 		if err != nil {
 			t.Fatalf("gap %d: tournament: %v", gap, err)
 		}
