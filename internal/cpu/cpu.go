@@ -250,6 +250,15 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
+// src1Mask and src2Mask gate the readiness check's operand reads on the
+// event kind without a branch: a kind that does not carry the column
+// maps to zero, so its stale cell reads as "no dependency". They are
+// indexed by kind&7, which keeps every kind byte in range.
+var (
+	src1Mask = [8]uint32{trace.KindALU: ^uint32(0), trace.KindLoad: ^uint32(0), trace.KindStore: ^uint32(0), trace.KindBranch: ^uint32(0)}
+	src2Mask = [8]uint32{trace.KindALU: ^uint32(0), trace.KindLoad: ^uint32(0), trace.KindStore: ^uint32(0)}
+)
+
 // Run simulates the trace on the configured machine. pred may be nil (no
 // address prediction — the paper's baseline) or any Predictor; gapDepth
 // defers prediction verification by that many dynamic loads (§5), and
@@ -285,11 +294,11 @@ func Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) R
 	// the source's interface dispatch) once per block instead of once per
 	// event keeps cancellation latency in the microseconds, and the block
 	// stays on the warm replay cursor's zero-copy path end to end. The
-	// timing model reads most fields of every kind (the readiness check
-	// consumes Src1/Src2 before the kind dispatch), so each event is
-	// gathered through the kind-gated Event accessor rather than read
-	// column-wise: fields a kind does not carry must come back zero here,
-	// not as another event's stale column data.
+	// model reads the columns directly and dispatches on the kind byte
+	// once: each case reads only the columns its kind carries, and the
+	// readiness check, which runs before the dispatch, masks Src1/Src2 by
+	// kind so a kind that does not carry them reads no dependency rather
+	// than another event's stale cell.
 	bs := trace.AsBlocks(src)
 	block := trace.GetBlock()
 	defer trace.PutBlock(block)
@@ -300,9 +309,9 @@ func Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) R
 				break
 			}
 		}
-		n, ok := bs.NextBlock(block, trace.BlockLen)
-		for bi := 0; bi < n; bi++ {
-			ev := block.Event(bi)
+		_, ok := bs.NextBlock(block, trace.BlockLen)
+		for bi, kb := range block.KindTaken {
+			kind := trace.Kind(kb &^ trace.KindTakenBit)
 
 			// Fetch: width-limited, stalled by flushes and the finite window.
 			f := fetchCycle
@@ -324,47 +333,48 @@ func Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) R
 			// than the completion ring have long retired; their values are
 			// ready by construction.
 			ready := dispatch
-			if d := int64(ev.Src1); d != 0 && d <= complete.mask {
+			if d := int64(block.Src1[bi] & src1Mask[kind&7]); d != 0 && d <= complete.mask {
 				if c := complete.get(seq - d); c > ready {
 					ready = c
 				}
 			}
-			if d := int64(ev.Src2); d != 0 && d <= complete.mask {
+			if d := int64(block.Src2[bi] & src2Mask[kind&7]); d != 0 && d <= complete.mask {
 				if c := complete.get(seq - d); c > ready {
 					ready = c
 				}
 			}
 
 			var done int64
-			switch ev.Kind {
+			switch kind {
 			case trace.KindALU:
 				issue := fus.reserve(ready)
-				done = issue + int64(ev.Latency())
+				done = issue + int64(trace.Latency(block.Lat[bi]))
 
 			case trace.KindStore:
 				issue := fus.reserve(ready)
 				issue = ports.reserve(issue)
-				hier.Access(ev.Addr, true)
+				hier.Access(block.Addr[bi], true)
 				done = issue + 1
 
 			case trace.KindLoad:
+				ip, addr := block.IP[bi], block.Addr[bi]
 				res.Loads++
 				if cfg.Prefetcher != nil {
-					if pfAddr, ok := cfg.Prefetcher.Observe(ev.IP, ev.Addr); ok {
+					if pfAddr, ok := cfg.Prefetcher.Observe(ip, addr); ok {
 						hier.Prefetch(pfAddr)
 					}
 				}
 				var p predictor.Prediction
 				if gap != nil {
 					ref := predictor.LoadRef{
-						IP: ev.IP, Offset: ev.Offset,
+						IP: ip, Offset: block.Offset[bi],
 						GHR: ghr.Value(), Path: path.Value(),
 					}
-					p = gap.Process(ref, ev.Addr)
+					p = gap.Process(ref, addr)
 				}
-				lat := int64(hier.Access(ev.Addr, false))
+				lat := int64(hier.Access(addr, false))
 				switch {
-				case p.Speculate && p.Addr == ev.Addr:
+				case p.Speculate && p.Addr == addr:
 					// Correct speculative access: launched in the front end at
 					// fetch, so the data returns at f+lat and dependents do not
 					// wait for address generation. The port was used early.
@@ -394,23 +404,24 @@ func Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) R
 				}
 
 			case trace.KindBranch:
+				ip, taken := block.IP[bi], kb&trace.KindTakenBit != 0
 				res.Branches++
 				issue := fus.reserve(ready)
 				done = issue + 1
-				if bp.predict(ev.IP) != ev.Taken {
+				if bp.predict(ip) != taken {
 					res.BranchMispreds++
 					if fl := done + int64(cfg.BranchFlushPenalty); fl > flushUntil {
 						flushUntil = fl
 					}
 				}
-				bp.update(ev.IP, ev.Taken)
-				ghr.Update(ev.Taken)
+				bp.update(ip, taken)
+				ghr.Update(taken)
 
 			case trace.KindCall, trace.KindReturn:
 				issue := fus.reserve(ready)
 				done = issue + 1
-				if ev.Kind == trace.KindCall {
-					path.Push(ev.IP)
+				if kind == trace.KindCall {
+					path.Push(block.IP[bi])
 				}
 			}
 

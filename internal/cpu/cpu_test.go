@@ -293,3 +293,112 @@ func TestTournamentLearnsLoopPattern(t *testing.T) {
 		t.Errorf("tournament mispredicted %d/3000 on a period-8 loop", misses)
 	}
 }
+
+// garbage is the fill a soiled columnSource writes into every cell
+// before scattering the event, so cells the event's kind does not carry
+// hold it instead of zero.
+type garbage struct {
+	word uint32 // IP, Addr, Val and Offset cells
+	src  uint32 // Src1 and Src2 cells
+	lat  uint8
+}
+
+// columnSource delivers events as blocks of at most blockLen, each cell
+// prefilled with zero (fill nil) or with fill's garbage before SetEvent
+// writes the fields each kind carries.
+type columnSource struct {
+	evs      []trace.Event
+	pos      int
+	blockLen int
+	fill     *garbage
+}
+
+func (s *columnSource) Next() (trace.Event, bool) {
+	if s.pos >= len(s.evs) {
+		return trace.Event{}, false
+	}
+	s.pos++
+	return s.evs[s.pos-1], true
+}
+
+func (s *columnSource) Err() error { return nil }
+
+func (s *columnSource) NextBlock(b *trace.Block, max int) (int, bool) {
+	n := min(max, s.blockLen, len(s.evs)-s.pos)
+	b.Resize(n)
+	var g garbage
+	if s.fill != nil {
+		g = *s.fill
+	}
+	for i, ev := range s.evs[s.pos : s.pos+n] {
+		b.IP[i], b.Addr[i], b.Val[i], b.Offset[i] = g.word, g.word, g.word, int32(g.word)
+		b.Src1[i], b.Src2[i], b.Lat[i] = g.src, g.src, g.lat
+		b.SetEvent(i, ev)
+	}
+	s.pos += n
+	return n, s.pos < len(s.evs)
+}
+
+// runConfigs are the machine set-ups the column-gating checks compare
+// under: every path through Run that reads a per-kind column.
+var runConfigs = []struct {
+	name     string
+	gap      int
+	pred     bool
+	prefetch bool
+}{
+	{name: "no predictor"},
+	{name: "hybrid gap 0", pred: true},
+	{name: "hybrid gap 8", gap: 8, pred: true},
+	{name: "rpt + hybrid", pred: true, prefetch: true},
+}
+
+// checkSoiledEqualsClean runs evs through every runConfig twice, once
+// from zeroed columns and once with soil in every uncarried cell, and
+// fails on any difference in the Result.
+func checkSoiledEqualsClean(t *testing.T, evs []trace.Event, blockLen int, soil garbage) {
+	t.Helper()
+	for _, rc := range runConfigs {
+		run := func(fill *garbage) Result {
+			cfg := DefaultConfig()
+			if rc.prefetch {
+				cfg.Prefetcher = prefetch.NewRPT(prefetch.DefaultRPTConfig())
+			}
+			var pred predictor.Predictor
+			if rc.pred {
+				pred = predictor.NewHybrid(predictor.DefaultHybridConfig())
+			}
+			return Run(&columnSource{evs: evs, blockLen: blockLen, fill: fill}, pred, rc.gap, cfg)
+		}
+		clean, soiled := run(nil), run(&soil)
+		if clean != soiled {
+			t.Errorf("%s: uncarried column cells changed the result over %d events:\nzeroed  %+v\nsoiled  %+v",
+				rc.name, len(evs), clean, soiled)
+		}
+	}
+}
+
+func TestRunIgnoresUncarriedColumns(t *testing.T) {
+	spec, ok := workload.ByName("INT_xli")
+	if !ok {
+		t.Fatal("INT_xli missing")
+	}
+	src := trace.NewLimit(spec.Open(), 60_000)
+	var evs []trace.Event
+	var kinds [8]int
+	for ev, ok := src.Next(); ok; ev, ok = src.Next() {
+		evs = append(evs, ev)
+		kinds[ev.Kind]++
+	}
+	// The workload roster emits no stores; FuzzRunSoiledColumns covers
+	// them.
+	for _, k := range []trace.Kind{trace.KindALU, trace.KindLoad, trace.KindBranch, trace.KindCall, trace.KindReturn} {
+		if kinds[k] == 0 {
+			t.Fatalf("trace has no %v events; the check would not cover that kind", k)
+		}
+	}
+	// The Src garbage is a one-event distance: a huge distance falls
+	// outside the completion ring and reads as no dependency anyway,
+	// which would hide a leaked read.
+	checkSoiledEqualsClean(t, evs, trace.BlockLen, garbage{word: 0xFFFFFFFF, src: 1, lat: 255})
+}

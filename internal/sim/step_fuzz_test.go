@@ -11,55 +11,15 @@ import (
 
 	"capred/internal/predictor"
 	"capred/internal/trace"
+	"capred/internal/trace/tracetest"
 )
-
-// eventsFromBytes expands raw fuzz bytes into a valid event mix, four
-// bytes per event, so the fuzzer explores interleavings without ever
-// constructing an event the trace layer would reject.
-func eventsFromBytes(data []byte) []trace.Event {
-	evs := make([]trace.Event, 0, len(data)/4)
-	for i := 0; i+4 <= len(data); i += 4 {
-		k, a, b, c := data[i], data[i+1], data[i+2], data[i+3]
-		ev := trace.Event{IP: uint32(a)<<4 | uint32(k>>4)}
-		switch k % 6 {
-		case 0:
-			ev.Kind = trace.KindLoad
-			ev.Addr = uint32(b)<<8 | uint32(c)
-			ev.Val = uint32(c) * 3
-			ev.Offset = int32(int8(b))
-			ev.Src1, ev.Src2 = uint32(c&7), uint32(b&7)
-		case 1:
-			ev.Kind = trace.KindStore
-			ev.Addr = uint32(c)<<8 | uint32(b)
-			ev.Offset = -int32(b & 31)
-			ev.Src1, ev.Src2 = uint32(b&7), uint32(c&7)
-		case 2:
-			ev.Kind = trace.KindBranch
-			ev.Addr = uint32(b) << 2
-			ev.Taken = c&1 == 1
-			ev.Src1 = uint32(c & 7)
-		case 3:
-			ev.Kind = trace.KindCall
-			ev.Addr = uint32(b) << 4
-		case 4:
-			ev.Kind = trace.KindReturn
-			ev.Addr = uint32(c) << 4
-		default:
-			ev.Kind = trace.KindALU
-			ev.Src1, ev.Src2 = uint32(b&15), uint32(c&15)
-			ev.Lat = 1 + c%8
-		}
-		evs = append(evs, ev)
-	}
-	return evs
-}
 
 func FuzzStepBlockVsStep(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 200, 9, 9})
 	f.Add([]byte("load-branch-call mixes steer from here, any bytes work"))
 	f.Add(make([]byte, 4*300)) // long all-load run, repeated IP 0
 	f.Fuzz(func(t *testing.T, data []byte) {
-		evs := eventsFromBytes(data)
+		evs := tracetest.EventsFromBytes(data)
 		for _, gap := range []int{0, 4} {
 			mk := func() *Stepper {
 				return NewStepper(predictor.NewHybrid(predictor.DefaultHybridConfig()), gap)

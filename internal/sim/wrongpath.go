@@ -76,54 +76,45 @@ func runTraceWrongPath(ctx context.Context, src trace.Source, p predictor.Predic
 		bhist = bhist<<1 | b2u(taken)
 	}
 
-	process := func(ev trace.Event) {
-		switch ev.Kind {
-		case trace.KindBranch:
-			mispredicted := predictBr(ev.IP) != ev.Taken
-			updateBr(ev.IP, ev.Taken)
-			ghr.Update(ev.Taken)
-			if mispredicted && mode != WrongPathNone && rn > 0 {
-				// Fetch down the wrong path: replay recent loads with
-				// perturbed addresses, then recover.
-				injected := 0
-				for i := 0; i < burst; i++ {
-					ref := recent[(wr-1-i%rn+len(recent))%len(recent)]
-					ref.GHR = ghr.Value() ^ 1 // wrong-path history
-					pr := gap.Process(ref, ref.IP*2654435761|4)
-					injected++
-					if mode == WrongPathSquash {
-						// Recovery will flush these before resolution.
-						_ = pr
-					}
-				}
-				if mode == WrongPathSquash {
-					gap.SquashNewest(injected)
-				}
-				// In destructive mode the bogus actuals resolve through
-				// the normal gap flow, corrupting the tables.
-			}
-		case trace.KindCall:
-			path.Push(ev.IP)
-		case trace.KindLoad:
-			ref := predictor.LoadRef{
-				IP: ev.IP, Offset: ev.Offset,
-				GHR: ghr.Value(), Path: path.Value(),
-			}
-			recent[wr] = ref
-			wr = (wr + 1) % len(recent)
-			if rn < len(recent) {
-				rn++
-			}
-			pr := gap.Process(ref, ev.Addr)
-			c.Record(pr, ev.Addr)
-		}
-	}
-	// The wrong-path injection body wants whole events (it replays the
-	// branch/load interleaving through the gap); gather per event rather
-	// than duplicating that logic column-wise.
 	err := forEachBlock(ctx, src, func(b *trace.Block) {
-		for i := range b.KindTaken {
-			process(b.Event(i))
+		for i, kb := range b.KindTaken {
+			switch trace.Kind(kb &^ trace.KindTakenBit) {
+			case trace.KindBranch:
+				ip, taken := b.IP[i], kb&trace.KindTakenBit != 0
+				mispredicted := predictBr(ip) != taken
+				updateBr(ip, taken)
+				ghr.Update(taken)
+				if mispredicted && mode != WrongPathNone && rn > 0 {
+					// Fetch down the wrong path: replay recent loads with
+					// perturbed addresses, then recover.
+					for j := 0; j < burst; j++ {
+						ref := recent[(wr-1-j%rn+len(recent))%len(recent)]
+						ref.GHR = ghr.Value() ^ 1 // wrong-path history
+						gap.Process(ref, ref.IP*2654435761|4)
+					}
+					if mode == WrongPathSquash {
+						// Recovery flushes the burst before it resolves.
+						gap.SquashNewest(burst)
+					}
+					// In destructive mode the bogus actuals resolve through
+					// the normal gap flow, corrupting the tables.
+				}
+			case trace.KindCall:
+				path.Push(b.IP[i])
+			case trace.KindLoad:
+				ref := predictor.LoadRef{
+					IP: b.IP[i], Offset: b.Offset[i],
+					GHR: ghr.Value(), Path: path.Value(),
+				}
+				recent[wr] = ref
+				wr = (wr + 1) % len(recent)
+				if rn < len(recent) {
+					rn++
+				}
+				addr := b.Addr[i]
+				pr := gap.Process(ref, addr)
+				c.Record(pr, addr)
+			}
 		}
 	})
 	if err != nil {

@@ -13,9 +13,12 @@ package trace
 // kind carries that field (the same fields the v3 encoding stores — see
 // format.go). Everything else is stale garbage from earlier fills, which
 // is what lets decoders skip zeroing 32 bytes per event. Consumers must
-// therefore gate every column read on the event kind, exactly as
-// Block.Event does; comparing or copying whole columns across events of
-// mixed kinds is a bug.
+// therefore gate every column read on the event kind, either by reading
+// the column only inside a switch case for a kind that carries it (as
+// Block.Event and sim.Stepper.StepBlock do) or by masking the cell with
+// a kind-indexed mask that is zero for kinds that do not carry it (as
+// cpu.Run does for Src1/Src2); comparing or copying whole columns across
+// events of mixed kinds is a bug.
 
 import "sync"
 

@@ -117,14 +117,32 @@ func (c *ReplayCache) Open(key string, gen func() Source) Source {
 // through the block scatter (SetEvent), so only the fields each kind
 // carries land in the columns — cached replays return exactly the
 // canonical form the v3 codec round-trips.
+//
+// A *Limit announces the stream's length, so its columns are sized once
+// instead of grown by append; the size is capped at what the budget
+// could retain, and the budget check runs before each append, so an
+// over-budget stream is rejected without allocating past the budget.
 func (c *ReplayCache) materialise(gen func() Source) *Block {
 	limit := c.remaining()
-	src := AsBlocks(gen())
+	s := gen()
+	cols := &Block{}
+	if l, ok := s.(*Limit); ok && l.n > 0 {
+		n := l.n
+		if limit >= 0 && n > limit/colBytesPerEvent {
+			n = limit / colBytesPerEvent
+		}
+		cols = NewBlock(int(n))
+	}
+	src := AsBlocks(s)
 	b := GetBlock()
 	defer PutBlock(b)
-	cols := &Block{}
 	for {
 		n, ok := src.NextBlock(b, BlockLen)
+		if limit >= 0 && int64(cols.Len()+n)*colBytesPerEvent > limit {
+			// Over budget: abandon the columns; every open of this key
+			// regenerates live instead.
+			return c.reject()
+		}
 		cols.KindTaken = append(cols.KindTaken, b.KindTaken[:n]...)
 		cols.IP = append(cols.IP, b.IP[:n]...)
 		cols.Addr = append(cols.Addr, b.Addr[:n]...)
@@ -133,11 +151,6 @@ func (c *ReplayCache) materialise(gen func() Source) *Block {
 		cols.Src1 = append(cols.Src1, b.Src1[:n]...)
 		cols.Src2 = append(cols.Src2, b.Src2[:n]...)
 		cols.Lat = append(cols.Lat, b.Lat[:n]...)
-		if limit >= 0 && int64(cols.Len())*colBytesPerEvent > limit {
-			// Over budget: abandon the columns; every open of this key
-			// regenerates live instead.
-			return c.reject()
-		}
 		if !ok {
 			break
 		}

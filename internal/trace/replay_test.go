@@ -34,27 +34,44 @@ func canonicalAll(evs []Event) []Event {
 	return out
 }
 
+// replayGens are the generator shapes materialise handles differently:
+// a plain source whose columns grow by append, and a Limit whose columns
+// are sized once from its remaining count.
+var replayGens = []struct {
+	name string
+	wrap func(Source, int) Source
+}{
+	{"slice", func(src Source, _ int) Source { return src }},
+	{"limit", func(src Source, n int) Source { return NewLimit(src, int64(n)) }},
+}
+
 func TestReplayCacheMaterialisesOnce(t *testing.T) {
 	want := canonicalAll(testEvents(2000))
-	var opens atomic.Int64
-	gen := func() Source {
-		opens.Add(1)
-		return NewSliceSource(want)
-	}
-	c := NewReplayCache(0)
-	for i := 0; i < 5; i++ {
-		got := drainAll(t, c.Open("k", gen))
-		eventsEqual(t, got, want)
-	}
-	if n := opens.Load(); n != 1 {
-		t.Fatalf("generator opened %d times, want 1", n)
-	}
-	st := c.Stats()
-	if st.Entries != 1 || st.Hits != 5 || st.Misses != 0 || st.Rejected != 0 {
-		t.Fatalf("stats = %+v, want 1 entry, 5 hits", st)
-	}
-	if st.Bytes <= 0 {
-		t.Fatalf("stats report %d resident bytes", st.Bytes)
+	for _, rg := range replayGens {
+		var opens atomic.Int64
+		gen := func() Source {
+			opens.Add(1)
+			return rg.wrap(NewSliceSource(want), len(want))
+		}
+		c := NewReplayCache(0)
+		for i := 0; i < 5; i++ {
+			got := drainAll(t, c.Open("k", gen))
+			eventsEqual(t, got, want)
+		}
+		if n := opens.Load(); n != 1 {
+			t.Fatalf("%s: generator opened %d times, want 1", rg.name, n)
+		}
+		st := c.Stats()
+		if st.Entries != 1 || st.Hits != 5 || st.Misses != 0 || st.Rejected != 0 {
+			t.Fatalf("%s: stats = %+v, want 1 entry, 5 hits", rg.name, st)
+		}
+		if st.Bytes <= 0 {
+			t.Fatalf("%s: stats report %d resident bytes", rg.name, st.Bytes)
+		}
+		if cols := c.entries["k"].cols; rg.name == "limit" && cap(cols.IP) != len(want) {
+			t.Fatalf("limit: resident columns have capacity %d for %d events, want them sized once",
+				cap(cols.IP), len(want))
+		}
 	}
 }
 
@@ -95,31 +112,33 @@ func TestReplayCacheConcurrentCursors(t *testing.T) {
 
 func TestReplayCacheBudgetFallback(t *testing.T) {
 	want := canonicalAll(testEvents(4000))
-	var opens atomic.Int64
-	gen := func() Source {
-		opens.Add(1)
-		return NewSliceSource(want)
-	}
-	// A 4000-event stream encodes to far more than 128 bytes, so the
-	// cache must reject it and regenerate on every open.
-	c := NewReplayCache(128)
-	for i := 0; i < 3; i++ {
-		got := drainAll(t, c.Open("k", gen))
-		eventsEqual(t, got, want)
-	}
-	st := c.Stats()
-	if st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("over-budget stream retained: %+v", st)
-	}
-	if st.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", st.Rejected)
-	}
-	if st.Misses != 3 {
-		t.Fatalf("misses = %d, want 3", st.Misses)
-	}
-	// One open to materialise (abandoned) + one live fallback per Open.
-	if n := opens.Load(); n != 4 {
-		t.Fatalf("generator opened %d times, want 4", n)
+	for _, rg := range replayGens {
+		var opens atomic.Int64
+		gen := func() Source {
+			opens.Add(1)
+			return rg.wrap(NewSliceSource(want), len(want))
+		}
+		// A 4000-event stream encodes to far more than 128 bytes, so the
+		// cache must reject it and regenerate on every open.
+		c := NewReplayCache(128)
+		for i := 0; i < 3; i++ {
+			got := drainAll(t, c.Open("k", gen))
+			eventsEqual(t, got, want)
+		}
+		st := c.Stats()
+		if st.Entries != 0 || st.Bytes != 0 {
+			t.Fatalf("%s: over-budget stream retained: %+v", rg.name, st)
+		}
+		if st.Rejected != 1 {
+			t.Fatalf("%s: rejected = %d, want 1", rg.name, st.Rejected)
+		}
+		if st.Misses != 3 {
+			t.Fatalf("%s: misses = %d, want 3", rg.name, st.Misses)
+		}
+		// One open to materialise (abandoned) + one live fallback per Open.
+		if n := opens.Load(); n != 4 {
+			t.Fatalf("%s: generator opened %d times, want 4", rg.name, n)
+		}
 	}
 }
 

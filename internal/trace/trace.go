@@ -72,11 +72,15 @@ func (e Event) IsMem() bool { return e.Kind == KindLoad || e.Kind == KindStore }
 
 // Latency returns the execution latency, treating the zero value as one
 // cycle so that generators may leave Lat unset for simple operations.
-func (e Event) Latency() int {
-	if e.Lat == 0 {
+func (e Event) Latency() int { return Latency(e.Lat) }
+
+// Latency returns the execution latency a Lat field encodes: zero is
+// one cycle. Column readers apply it to Block.Lat directly.
+func Latency(lat uint8) int {
+	if lat == 0 {
 		return 1
 	}
-	return int(e.Lat)
+	return int(lat)
 }
 
 // Source is a stream of trace events. Implementations follow the
