@@ -136,21 +136,21 @@ var (
 )
 
 // Tournament meta-predictor: N-way component arbitration behind the
-// standard Predictor interface. A two-way stride+CAP tournament
-// (NewPaperPairTournament) is decision-identical to NewHybrid; the full
-// lineup (NewFullTournament) adds the Markov stride-history, delta-delta
-// and call-path-context components.
+// standard Predictor interface. It is the same code as NewHybrid, which
+// builds the stride+CAP pair; the full lineup (NewFullTournament) adds
+// the Markov stride-history, delta-delta and call-path-context
+// components.
 type (
 	// Tournament is the N-way meta-predictor.
-	Tournament = tournament.Tournament
+	Tournament = predictor.Tournament
 	// TournamentConfig sizes the tournament's chooser.
-	TournamentConfig = tournament.Config
+	TournamentConfig = predictor.Config
 	// TournamentComponent is one tournament entrant: per-load state in a
 	// slot-indexed array (Slots / Reset) that the tournament's one load
 	// buffer indexes, and Predict / Resolve / Squash taking the slot.
-	TournamentComponent = tournament.Component
+	TournamentComponent = predictor.Entrant
 	// ComponentStat is one component's selection statistics.
-	ComponentStat = tournament.ComponentStat
+	ComponentStat = predictor.ComponentStat
 	// MarkovConfig configures the Markov stride-history component.
 	MarkovConfig = tournament.MarkovConfig
 	// Delta2Config configures the delta-delta (acceleration) component.
@@ -161,13 +161,12 @@ type (
 
 // Tournament constructors.
 var (
-	NewTournament            = tournament.New
+	NewTournament            = predictor.New
 	NewNamedTournament       = tournament.NewNamed
 	NewFullTournament        = tournament.NewFull
-	NewPaperPairTournament   = tournament.NewPaperPair
 	NewTournamentComponent   = tournament.NewComponent
 	TournamentComponentNames = tournament.ComponentNames
-	DefaultTournamentConfig  = tournament.DefaultConfig
+	DefaultTournamentConfig  = predictor.DefaultConfig
 	NewStrideComponent       = predictor.NewStrideComponent
 	NewCAPComponent          = predictor.NewCAPComponent
 	NewLastComponent         = predictor.NewLastComponent

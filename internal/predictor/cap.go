@@ -92,13 +92,11 @@ type capState struct {
 
 // CAPComponent is the CAP predictor at component granularity: the
 // global link table plus per-load state in a slot-indexed array that
-// its owner's load buffer indexes (see StrideComponent). Its Resolve
-// always updates the link table (§4.3 UpdateAlways, the paper's best
-// policy); the cross-component update policies remain a Hybrid-only
-// refinement because they need the other component's outcome.
+// its owner's load buffer indexes (see StrideComponent).
 type CAPComponent struct {
 	slots[capState]
 	cfg     CAPConfig
+	policy  UpdatePolicy // §4.3; NewHybrid sets it, UpdateAlways elsewhere
 	lt      []ltEntry
 	pfTab   []pfEntry
 	ltSets  int
@@ -300,14 +298,9 @@ func (c *CAPComponent) predictFrom(cs *capState, hist uint32, histValid bool, re
 }
 
 // Resolve verifies the component's opinion and updates history,
-// confidence and the link table.
-func (c *CAPComponent) Resolve(slot int, ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
-	c.resolve(slot, ref, cp, speculated, actual, true)
-}
-
-// resolve is Resolve with the link-table update gated by updateLT, for
-// the hybrid's §4.3 update policies.
-func (c *CAPComponent) resolve(slot int, ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32, updateLT bool) {
+// confidence and the link table, the last gated by the §4.3 update
+// policy.
+func (c *CAPComponent) Resolve(slot int, ref LoadRef, cp ComponentPrediction, o Outcome, actual uint32) {
 	cs := &c.st[slot]
 	if cs.pending > 0 {
 		cs.pending--
@@ -321,10 +314,10 @@ func (c *CAPComponent) resolve(slot int, ref LoadRef, cp ComponentPrediction, sp
 		} else {
 			cs.conf = 0
 		}
-		cs.cf.record(c.cfg.CF, ref.GHR, correct, speculated)
+		cs.cf.record(c.cfg.CF, ref.GHR, correct, o.Speculated(CompCAP))
 	}
 
-	if updateLT {
+	if c.updatesLT(o) {
 		c.ltUpdate(cs.hist, base)
 	}
 	cs.hist = c.advance(cs.hist, base)
@@ -336,6 +329,19 @@ func (c *CAPComponent) resolve(slot int, ref LoadRef, cp ComponentPrediction, sp
 	if cs.pending == 0 {
 		cs.poisoned = false
 	}
+}
+
+// updatesLT applies the §4.3 link-table update policy to a resolved
+// load. Only the hybrid sets a policy other than UpdateAlways, since the
+// others need the stride component's outcome.
+func (c *CAPComponent) updatesLT(o Outcome) bool {
+	switch c.policy {
+	case UpdateUnlessStrideCorrect:
+		return !o.CorrectBy(CompStride)
+	case UpdateUnlessStrideSelected:
+		return !(o.CorrectBy(CompStride) && o.Speculated(CompStride))
+	}
+	return true
 }
 
 // Squash undoes Predict's in-flight bookkeeping for a flushed prediction
@@ -386,7 +392,7 @@ func (c *CAP) Predict(ref LoadRef) Prediction {
 
 // Resolve implements Predictor.
 func (c *CAP) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	c.comp.Resolve(slotFor(c.lb, c.comp, ref.IP), ref, p.CAP, p.Speculate, actual)
+	c.comp.Resolve(slotFor(c.lb, c.comp, ref.IP), ref, p.CAP, soloOutcome(CompCAP, p, actual), actual)
 }
 
 // Squash implements Squasher: the prediction was made on a wrong path and

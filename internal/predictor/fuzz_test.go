@@ -148,7 +148,8 @@ func FuzzHybridSelector(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h := NewHybrid(fuzzHybridConfig())
+		cfg := fuzzHybridConfig()
+		h := NewHybrid(cfg)
 		var ghr GHR
 		var path PathHist
 		for len(data) >= 4 {
@@ -166,7 +167,7 @@ func FuzzHybridSelector(f *testing.F) {
 			ref := LoadRef{IP: ip, Offset: offset, GHR: ghr.Value(), Path: path.Value()}
 			selBefore := uint8(SelWeakCAP)
 			if slot, ok := h.lb.Lookup(ip); ok {
-				selBefore = *h.lb.At(slot)
+				selBefore = h.lb.At(slot).ctr[h.cap]
 			}
 			p := h.Predict(ref)
 			if p.Speculate && !p.Predicted {
@@ -181,7 +182,7 @@ func FuzzHybridSelector(f *testing.F) {
 			if !ok {
 				t.Fatal("LB entry vanished between Predict and Resolve")
 			}
-			sel := *h.lb.At(slot)
+			sel := h.lb.At(slot).ctr[h.cap]
 			if sel > SelStrongCAP {
 				t.Fatalf("selector left the 2-bit range: %d", sel)
 			}
@@ -192,11 +193,11 @@ func FuzzHybridSelector(f *testing.F) {
 			if diff != 0 && !(p.Stride.Predicted && p.CAP.Predicted) {
 				t.Fatalf("selector moved without both components predicting: %d -> %d", selBefore, sel)
 			}
-			cfg := h.cfg
-			if c := h.stride.st[slot].conf; c > cfg.Stride.ConfMax {
+			strc, capc := hybridParts(h)
+			if c := strc.st[slot].conf; c > cfg.Stride.ConfMax {
 				t.Fatalf("stride confidence %d exceeds max %d", c, cfg.Stride.ConfMax)
 			}
-			if c := h.cap.st[slot].conf; c > cfg.CAP.ConfMax {
+			if c := capc.st[slot].conf; c > cfg.CAP.ConfMax {
 				t.Fatalf("cap confidence %d exceeds max %d", c, cfg.CAP.ConfMax)
 			}
 		}

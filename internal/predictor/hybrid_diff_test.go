@@ -1,0 +1,244 @@
+package predictor_test
+
+import (
+	"fmt"
+	"testing"
+
+	"capred/internal/pipeline"
+	"capred/internal/predictor"
+)
+
+// hybridConfigs lists every hybrid configuration callers build: the
+// dynamic selector and the two static-selector ablations, each under
+// the three §4.3 link-table update policies.
+func hybridConfigs() []predictor.HybridConfig {
+	var out []predictor.HybridConfig
+	for _, sel := range []predictor.Component{predictor.CompNone, predictor.CompStride, predictor.CompCAP} {
+		for _, pol := range []predictor.UpdatePolicy{predictor.UpdateAlways, predictor.UpdateUnlessStrideCorrect, predictor.UpdateUnlessStrideSelected} {
+			cfg := predictor.DefaultHybridConfig()
+			cfg.StaticSelector, cfg.UpdatePolicy = sel, pol
+			out = append(out, cfg)
+		}
+	}
+	return out
+}
+
+// smallPair builds NewHybrid and the frozen reference over deliberately
+// tiny tables, so fuzzed streams exercise collisions, evictions and
+// selector saturation quickly. The load buffer has 8 entries in 4 sets
+// of 2 ways, so the 16 static loads of the fuzzer (and the 32 of
+// TestHybridMatchesReference) evict one another constantly; the LT has
+// 64 entries with 4-bit tags.
+func smallPair(cfg predictor.HybridConfig) (*predictor.Hybrid, *predictor.Tournament) {
+	cfg.CAP.LBEntries = 8
+	cfg.CAP.LBWays = 2
+	cfg.CAP.LTEntries = 64
+	cfg.CAP.TagBits = 4
+	cfg.CAP.PFTableEntries = 256
+	return predictor.NewReferenceHybrid(cfg), predictor.NewHybrid(cfg)
+}
+
+func configName(cfg predictor.HybridConfig) string {
+	return fmt.Sprintf("static=%s policy=%s", cfg.StaticSelector, cfg.UpdatePolicy)
+}
+
+// evictingSeed cycles three static loads that share LB set 0 (IPs 0,
+// 16 and 32), each walking its own stride, so every access past the
+// second evicts the least recently used of the three — under a gap,
+// between a load's Predict and its Resolve. Every seventh record also
+// requests a wrong-path squash.
+func evictingSeed() []byte {
+	var seed []byte
+	for k := 0; k < 60; k++ {
+		load := byte(k % 3)
+		ctl := byte(0)
+		if k%7 == 6 {
+			ctl = 0x30
+		}
+		n := byte(k / 3)
+		seed = append(seed, load*4|ctl, load<<4, n*8, 0x80|load<<3)
+	}
+	return seed
+}
+
+// confidentSeed trains four static loads that sit in four different LB
+// sets, so nothing evicts them: a constant address, a three-node walk,
+// a stride and a second constant. Both components grow confident on
+// the constants, which is where the static selector and the counters
+// disagree on the pick. Every eleventh record also requests a
+// wrong-path squash.
+func confidentSeed() []byte {
+	walk := []uint32{0x200, 0x340, 0x180}
+	var seed []byte
+	for k := 0; k < 120; k++ {
+		load, n := k%4, uint32(k/4)
+		var addr uint32
+		switch load {
+		case 0:
+			addr = 0x100
+		case 1:
+			addr = walk[n%3]
+		case 2:
+			addr = 0x800 + 16*n
+		case 3:
+			addr = 0x3c0
+		}
+		ctl := byte(0)
+		if k%11 == 10 {
+			ctl = 0x30
+		}
+		seed = append(seed, byte(load)|ctl, byte(addr>>4), byte(addr&0xF), 0)
+	}
+	return seed
+}
+
+// diffStep compares two predictions field for field.
+func diffStep(t *testing.T, name string, step int, ph, pt predictor.Prediction) {
+	t.Helper()
+	if ph != pt {
+		t.Fatalf("%s step %d: NewHybrid diverged from the reference:\nreference %+v\nNewHybrid %+v", name, step, ph, pt)
+	}
+}
+
+// FuzzTournamentSelector is the differential fuzzer of the hybrid:
+// NewHybrid's chooser makes the same decisions as the frozen reference
+// selector — same chosen component, same selector state, same
+// confidence gating, same link-table updates — in immediate mode and
+// under a prediction gap with wrong-path squashes mixed in. The first
+// input byte picks the selector and update-policy configuration; every
+// seed stream is added once per configuration.
+func FuzzTournamentSelector(f *testing.F) {
+	random := make([]byte, 96)
+	for i := range random {
+		random[i] = byte(i*61 + 7)
+	}
+	seeds := [][]byte{
+		{},
+		{0, 1, 2, 3, 0, 1, 2, 3, 0xFF, 0x80, 0x40, 0x20},
+		random,
+		evictingSeed(),
+		confidentSeed(),
+	}
+	configs := hybridConfigs()
+	for _, seed := range seeds {
+		for i := range configs {
+			f.Add(append([]byte{byte(i)}, seed...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		cfg := configs[int(data[0])%len(configs)]
+		for _, gap := range []int{0, 4} {
+			name := fmt.Sprintf("%s gap=%d", configName(cfg), gap)
+			h, tour := smallPair(cfg)
+			gh := pipeline.New(h, gap)
+			gt := pipeline.New(tour, gap)
+			var ghr predictor.GHR
+			var path predictor.PathHist
+			in := data[1:]
+			for step := 0; len(in) >= 4; step++ {
+				// A tiny IP space (16 static loads) plus low-entropy
+				// addresses makes strides, repeats and collisions all
+				// common; two control bits drive history updates and one
+				// triggers a wrong-path squash.
+				ip := uint32(in[0]&0xF) * 4
+				addr := uint32(in[1])<<4 | uint32(in[2])
+				offset := int32(in[3] & 0x3F)
+				ghr.Update(in[3]&0x80 != 0)
+				if in[3]&0x40 != 0 {
+					path.Push(ip)
+				}
+				squash := in[0]&0x30 == 0x30
+				in = in[4:]
+
+				ref := predictor.LoadRef{IP: ip, Offset: offset, GHR: ghr.Value(), Path: path.Value()}
+				diffStep(t, name, step, gh.Process(ref, addr), gt.Process(ref, addr))
+				if squash {
+					if nh, nt := gh.SquashNewest(1), gt.SquashNewest(1); nh != nt {
+						t.Fatalf("%s step %d: squashed %d vs %d", name, step, nh, nt)
+					}
+				}
+			}
+			gh.Drain()
+			gt.Drain()
+			// The drained state must agree too: one more prediction per
+			// static load compares the post-drain tables.
+			for ip := uint32(0); ip < 16; ip++ {
+				ref := predictor.LoadRef{IP: ip * 4, GHR: ghr.Value(), Path: path.Value()}
+				diffStep(t, name, -1, gh.Process(ref, 0x1234), gt.Process(ref, 0x1234))
+			}
+		}
+	})
+}
+
+// TestHybridMatchesReference pins the equivalence deterministically on
+// a longer structured stream than fuzzing reaches, for every selector
+// and update-policy configuration, including a gap deeper than the
+// chooser's initial in-flight ring (so ring growth is exercised) and
+// periodic squashes. The first quarter of the stream keeps to four
+// static loads in four LB sets, so both components grow confident and
+// the selector decides; the rest spreads 32 static loads over the
+// 8-entry LB.
+func TestHybridMatchesReference(t *testing.T) {
+	for _, cfg := range hybridConfigs() {
+		for _, gap := range []int{0, 4, 40} {
+			h, tour := smallPair(cfg)
+			gh := pipeline.New(h, gap)
+			gt := pipeline.New(tour, gap)
+			var ghr predictor.GHR
+			var path predictor.PathHist
+			rng := uint32(0x9E3779B9)
+			next := func() uint32 { // xorshift: deterministic, seedless
+				rng ^= rng << 13
+				rng ^= rng >> 17
+				rng ^= rng << 5
+				return rng
+			}
+			var hot [4]uint32 // per-load instance counts of the first phase
+			for step := 0; step < 20_000; step++ {
+				r := next()
+				ip := (r & 0x1F) * 4
+				offset := int32(r >> 8 & 0x3F)
+				var addr uint32
+				switch {
+				case step < 5_000:
+					load := r & 3
+					ip, offset = load*4, 0
+					n := hot[load]
+					hot[load]++
+					switch load {
+					case 0, 3: // constant
+						addr = 0x5000 + load*0x100
+					case 1: // walk
+						addr = 0x8000 + (n%7)*0x40
+					case 2: // stride
+						addr = 0x1000 + n*8
+					}
+				case r>>30 == 0: // strided
+					addr = 0x1000 + uint32(step)*8
+				case r>>30 == 1: // repeating walk
+					addr = 0x8000 + (uint32(step)%7)*0x40
+				default: // noise
+					addr = next() & 0xFFFF
+				}
+				ghr.Update(r&0x100 != 0)
+				if r&0x200 != 0 {
+					path.Push(ip)
+				}
+				ref := predictor.LoadRef{IP: ip, Offset: offset, GHR: ghr.Value(), Path: path.Value()}
+				ph, pt := gh.Process(ref, addr), gt.Process(ref, addr)
+				if ph != pt {
+					t.Fatalf("%s gap %d step %d: reference %+v NewHybrid %+v", configName(cfg), gap, step, ph, pt)
+				}
+				if gap > 0 && r&0xF000 == 0xF000 {
+					gh.SquashNewest(2)
+					gt.SquashNewest(2)
+				}
+			}
+			gh.Drain()
+			gt.Drain()
+		}
+	}
+}

@@ -52,12 +52,8 @@ func TestHybridSelectorConverges(t *testing.T) {
 		pr := p.Predict(ref)
 		p.Resolve(ref, pr, uint32(0x200000+64*i))
 	}
-	slot, ok := p.lb.Lookup(ip)
-	if !ok {
-		t.Fatal("LB entry missing")
-	}
-	if sel := *p.lb.At(slot); sel > SelWeakStride {
-		t.Errorf("selector state = %s, want stride side", SelStateName(sel))
+	if sel := selector(t, p, ip); sel > SelWeakStride {
+		t.Errorf("selector state = %d, want stride side (at most %d)", sel, SelWeakStride)
 	}
 }
 
@@ -66,12 +62,8 @@ func TestHybridSelectorInitiallyWeakCAP(t *testing.T) {
 	ref := LoadRef{IP: 0x40}
 	pr := p.Predict(ref)
 	p.Resolve(ref, pr, 0x1000)
-	slot, ok := p.lb.Lookup(ref.IP)
-	if !ok {
-		t.Fatal("LB entry missing")
-	}
-	if sel := *p.lb.At(slot); sel != SelWeakCAP {
-		t.Errorf("initial selector = %s, want weak-cap", SelStateName(sel))
+	if sel := selector(t, p, ref.IP); sel != SelWeakCAP {
+		t.Errorf("initial selector = %d, want weak-cap (%d)", sel, SelWeakCAP)
 	}
 }
 
@@ -119,8 +111,9 @@ func TestHybridUpdatePolicies(t *testing.T) {
 		cfg.CAP.PFBits = 0
 		h := NewHybrid(cfg)
 		run(h, work())
+		_, capc := hybridParts(h)
 		n := 0
-		for _, e := range h.cap.lt {
+		for _, e := range capc.lt {
 			if e.linkValid {
 				n++
 			}
@@ -141,21 +134,6 @@ func TestUpdatePolicyString(t *testing.T) {
 	}
 }
 
-func TestSelStateName(t *testing.T) {
-	want := map[uint8]string{
-		SelStrongStride: "strong-stride",
-		SelWeakStride:   "weak-stride",
-		SelWeakCAP:      "weak-cap",
-		SelStrongCAP:    "strong-cap",
-		9:               "invalid",
-	}
-	for s, n := range want {
-		if SelStateName(s) != n {
-			t.Errorf("SelStateName(%d) = %q, want %q", s, SelStateName(s), n)
-		}
-	}
-}
-
 func TestHybridReportsComponentOpinions(t *testing.T) {
 	p := NewHybrid(DefaultHybridConfig())
 	ref := LoadRef{IP: 0x100, Offset: 8}
@@ -170,4 +148,21 @@ func TestHybridReportsComponentOpinions(t *testing.T) {
 	if !pr.Stride.Confident || !pr.CAP.Confident {
 		t.Errorf("both components should be confident on a constant load: %+v", pr)
 	}
+}
+
+// hybridParts returns the hybrid's stride and CAP components.
+func hybridParts(h *Tournament) (*StrideComponent, *CAPComponent) {
+	return h.comps[h.stride].(*StrideComponent), h.comps[h.cap].(*CAPComponent)
+}
+
+// selector returns the hybrid's 2-bit selector state for ip: the CAP
+// counter of its chooser entry, which the constant counter sum makes
+// the paper's selector.
+func selector(t *testing.T, h *Tournament, ip uint32) uint8 {
+	t.Helper()
+	slot, ok := h.lb.Lookup(ip)
+	if !ok {
+		t.Fatal("LB entry missing")
+	}
+	return h.lb.At(slot).ctr[h.cap]
 }

@@ -58,7 +58,7 @@ func (l *LastComponent) Predict(slot int, ref LoadRef) ComponentPrediction {
 }
 
 // Resolve updates the last address and its confidence counter.
-func (l *LastComponent) Resolve(slot int, ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
+func (l *LastComponent) Resolve(slot int, ref LoadRef, cp ComponentPrediction, o Outcome, actual uint32) {
 	e := &l.st[slot]
 	if e.have && e.last == actual {
 		e.conf = satInc(e.conf, l.cfg.ConfMax)
@@ -103,5 +103,5 @@ func (l *Last) Predict(ref LoadRef) Prediction {
 
 // Resolve implements Predictor.
 func (l *Last) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	l.comp.Resolve(slotFor(l.lb, l.comp, ref.IP), ref, ComponentPrediction{}, false, actual)
+	l.comp.Resolve(slotFor(l.lb, l.comp, ref.IP), ref, ComponentPrediction{}, 0, actual)
 }

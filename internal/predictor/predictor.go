@@ -5,6 +5,13 @@
 // predictor with a dynamic selector, and the control-based (g-share and
 // call-path) predictors the paper evaluates as a negative result.
 //
+// The hybrid is one case of the package's only chooser, Tournament: N
+// entrants (Entrant) predict every load out of one shared load buffer
+// whose entry holds a saturating counter per entrant. NewHybrid builds
+// it over the stride and CAP components, where the counter pair is the
+// paper's 2-bit selector (§3.7); internal/predictor/tournament adds
+// further entrants and builds tournaments by component name.
+//
 // All predictors implement the Predictor interface, and there is one
 // resolution discipline: Predict always advances speculative state, and
 // Resolve calls arrive in prediction order and repair that state. When
@@ -28,7 +35,7 @@ type LoadRef struct {
 
 // Component identifies which component predictor produced an address.
 // The zero value means none; values beyond the paper's hybrid pair name
-// the tournament entrants (internal/predictor/tournament).
+// the other tournament entrants (internal/predictor/tournament).
 type Component uint8
 
 // Component predictors known to the package and its composers.
@@ -44,9 +51,9 @@ const (
 )
 
 // componentNames is the single open name table: every display surface —
-// classification breakdowns, selector-state names, /metrics labels —
-// derives component names from here (via the component's own ID) rather
-// than a closed stride/cap switch, so new entrants render correctly.
+// classification breakdowns, /metrics labels — derives component names
+// from here (via the component's own ID) rather than a closed stride/cap
+// switch, so new entrants render correctly.
 var componentNames = [numComponents]string{
 	CompNone:     "none",
 	CompStride:   "stride",

@@ -215,6 +215,24 @@ func TestSpecPendingCounterDrains(t *testing.T) {
 	if cs.poisoned {
 		t.Error("poisoned flag should clear after drain")
 	}
+
+	// The same holds for both components under the hybrid's chooser.
+	h := NewHybrid(DefaultHybridConfig())
+	runGap(h, repeatSeq(walk, 20), 6)
+	slot, ok = h.lb.Lookup(0x100)
+	if !ok {
+		t.Fatal("hybrid LB entry missing")
+	}
+	strc, capc := hybridParts(h)
+	if sp, cp := strc.st[slot].pending, capc.st[slot].pending; sp != 0 || cp != 0 {
+		t.Errorf("hybrid pending after drain: stride=%d cap=%d, want 0", sp, cp)
+	}
+	if capc.st[slot].poisoned {
+		t.Error("hybrid CAP poisoned flag should clear after drain")
+	}
+	if h.n != 0 {
+		t.Errorf("hybrid in-flight ring holds %d after drain, want 0", h.n)
+	}
 }
 
 func TestSquashRestoresStrideConsistency(t *testing.T) {
@@ -303,7 +321,8 @@ func TestHybridSquash(t *testing.T) {
 	if !ok {
 		t.Fatal("entry missing")
 	}
-	if sp, cp := p.stride.st[slot].pending, p.cap.st[slot].pending; sp != 0 || cp != 0 {
+	strc, capc := hybridParts(p)
+	if sp, cp := strc.st[slot].pending, capc.st[slot].pending; sp != 0 || cp != 0 {
 		t.Errorf("pending after squash: stride=%d cap=%d", sp, cp)
 	}
 	// Squash of an unknown IP must be a no-op, not a panic.

@@ -60,8 +60,8 @@ type strideState struct {
 }
 
 // StrideComponent is the stride predictor at component granularity, over
-// per-load state in a slot-indexed array. Its owner — Stride, Hybrid or
-// a tournament (internal/predictor/tournament) — sizes the array with
+// per-load state in a slot-indexed array. Its owner — Stride or a
+// Tournament such as the hybrid — sizes the array with
 // Slots, resets a slot whenever its LB allocates it, and passes the
 // slot to every call.
 type StrideComponent struct {
@@ -128,7 +128,7 @@ func (s *StrideComponent) intervalAllows(st *strideState) bool {
 
 // Resolve verifies the component's opinion and updates the architectural
 // (and, on mispredictions, speculative) state in slot.
-func (s *StrideComponent) Resolve(slot int, ref LoadRef, cp ComponentPrediction, speculated bool, actual uint32) {
+func (s *StrideComponent) Resolve(slot int, ref LoadRef, cp ComponentPrediction, o Outcome, actual uint32) {
 	st := &s.st[slot]
 	if st.pending > 0 {
 		st.pending--
@@ -142,7 +142,7 @@ func (s *StrideComponent) Resolve(slot int, ref LoadRef, cp ComponentPrediction,
 		} else {
 			st.conf = 0
 		}
-		st.cf.record(s.cfg.CF, ref.GHR, correct, speculated)
+		st.cf.record(s.cfg.CF, ref.GHR, correct, o.Speculated(CompStride))
 	}
 
 	// Architectural stride update.
@@ -223,7 +223,7 @@ func (s *Stride) Predict(ref LoadRef) Prediction {
 
 // Resolve implements Predictor.
 func (s *Stride) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	s.comp.Resolve(slotFor(s.lb, s.comp, ref.IP), ref, p.Stride, p.Speculate, actual)
+	s.comp.Resolve(slotFor(s.lb, s.comp, ref.IP), ref, p.Stride, soloOutcome(CompStride, p, actual), actual)
 }
 
 // Squash implements Squasher: the prediction was made on a wrong path and

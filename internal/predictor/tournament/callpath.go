@@ -110,7 +110,7 @@ func (c *CallPath) Predict(slot int, ref predictor.LoadRef) predictor.ComponentP
 // Resolve trains the correlation table: a matching context builds
 // confidence on repeats and records the newest address; a conflicting
 // context takes the entry over with confidence reset.
-func (c *CallPath) Resolve(slot int, ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
+func (c *CallPath) Resolve(slot int, ref predictor.LoadRef, cp predictor.ComponentPrediction, _ predictor.Outcome, actual uint32) {
 	idx, tag := c.split(c.hash(ref))
 	e := &c.tab[idx]
 	if e.valid && (c.cfg.TagBits == 0 || e.tag == tag) && e.addr == actual {

@@ -1,3 +1,19 @@
+// Package tournament holds the entrants of the N-way meta-predictor
+// beyond the paper's pair, and the name registry that builds
+// tournaments from component names. The chooser itself is
+// predictor.Tournament, the same code that runs the paper's hybrid
+// (predictor.NewHybrid).
+//
+// The three entrants are a Markov-N stride-history predictor, a
+// delta-delta (acceleration) predictor, and a call-path-context
+// predictor — the latter re-casting §3.6's negative result as a
+// specialist that only has to win the loads it is good at, not the
+// whole trace. Each implements predictor.Entrant: per-load state in an
+// array indexed by a slot of the tournament's one load buffer.
+//
+// The registry (NewComponent, NewNamed, NewFull) names every buildable
+// entrant, package predictor's stride, CAP and last-address components
+// included; capserve validates session configs against ComponentNames.
 package tournament
 
 import (
@@ -23,7 +39,7 @@ func DefaultComponents() []string {
 // configuration. The names are the components' own Name() values — one
 // open namespace shared with the predictor.Component table, not a
 // parallel enum.
-func NewComponent(name string) (Component, error) {
+func NewComponent(name string) (predictor.Entrant, error) {
 	switch name {
 	case "stride":
 		return predictor.NewStrideComponent(predictor.DefaultStrideConfig()), nil
@@ -43,8 +59,8 @@ func NewComponent(name string) (Component, error) {
 
 // NewNamed builds a tournament over the named components in order,
 // each with its default configuration.
-func NewNamed(cfg Config, names ...string) (*Tournament, error) {
-	comps := make([]Component, 0, len(names))
+func NewNamed(cfg predictor.Config, names ...string) (*predictor.Tournament, error) {
+	comps := make([]predictor.Entrant, 0, len(names))
 	for _, n := range names {
 		c, err := NewComponent(n)
 		if err != nil {
@@ -52,7 +68,7 @@ func NewNamed(cfg Config, names ...string) (*Tournament, error) {
 		}
 		comps = append(comps, c)
 	}
-	return New(cfg, comps...), nil
+	return predictor.New(cfg, comps...), nil
 }
 
 // NewFull builds the default 5-way tournament (DefaultComponents over
@@ -60,31 +76,10 @@ func NewNamed(cfg Config, names ...string) (*Tournament, error) {
 //
 // Deprecated: the bool is ignored. The prediction gap the tournament is
 // driven under is the only input that picks the resolution discipline.
-func NewFull(_ bool) *Tournament {
-	t, err := NewNamed(DefaultConfig(), DefaultComponents()...)
+func NewFull(_ bool) *predictor.Tournament {
+	t, err := NewNamed(predictor.DefaultConfig(), DefaultComponents()...)
 	if err != nil {
 		panic(err) // unreachable: DefaultComponents are all known
-	}
-	return t
-}
-
-// NewPaperPair builds the two-way stride+CAP tournament that is
-// decision-identical to predictor.NewHybrid(DefaultHybridConfig()):
-// same component configurations, a load buffer of the hybrid's
-// geometry, counter ceiling 3, and the (1,2) initial vector whose
-// constant sum maps the counter pair 1:1 onto the hybrid's 2-bit
-// selector. FuzzTournamentSelector holds this equivalence down to
-// selector state and chosen component.
-func NewPaperPair() *Tournament {
-	hc := predictor.DefaultHybridConfig()
-	cfg := Config{
-		Entries:    hc.CAP.LBEntries,
-		Ways:       hc.CAP.LBWays,
-		CounterMax: 3,
-	}
-	t, err := NewNamed(cfg, "stride", "cap")
-	if err != nil {
-		panic(err) // unreachable
 	}
 	return t
 }

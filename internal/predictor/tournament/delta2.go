@@ -55,7 +55,7 @@ func (d *Delta2) ID() predictor.Component { return predictor.CompDelta2 }
 // Name returns the component's display name.
 func (d *Delta2) Name() string { return "delta2" }
 
-// Slots and Reset size and clear the per-load state (see Component).
+// Slots and Reset size and clear the per-load state (see predictor.Entrant).
 func (d *Delta2) Slots(n int)    { d.st = make([]delta2State, n) }
 func (d *Delta2) Reset(slot int) { d.st[slot] = delta2State{} }
 
@@ -92,7 +92,7 @@ func (d *Delta2) Predict(slot int, ref predictor.LoadRef) predictor.ComponentPre
 }
 
 // Resolve verifies the opinion and updates the difference chain.
-func (d *Delta2) Resolve(slot int, ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
+func (d *Delta2) Resolve(slot int, ref predictor.LoadRef, cp predictor.ComponentPrediction, _ predictor.Outcome, actual uint32) {
 	st := &d.st[slot]
 	if st.pending > 0 {
 		st.pending--

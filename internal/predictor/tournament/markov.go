@@ -110,7 +110,7 @@ func (m *Markov) ID() predictor.Component { return predictor.CompMarkov }
 // Name returns the component's display name.
 func (m *Markov) Name() string { return "markov" }
 
-// Slots and Reset size and clear the per-load state (see Component).
+// Slots and Reset size and clear the per-load state (see predictor.Entrant).
 func (m *Markov) Slots(n int)    { m.st = make([]markovState, n) }
 func (m *Markov) Reset(slot int) { m.st[slot] = markovState{} }
 
@@ -168,7 +168,7 @@ func (m *Markov) Predict(slot int, ref predictor.LoadRef) predictor.ComponentPre
 
 // Resolve verifies the opinion, trains the stride table at the
 // pre-update history, and advances the architectural state.
-func (m *Markov) Resolve(slot int, ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
+func (m *Markov) Resolve(slot int, ref predictor.LoadRef, cp predictor.ComponentPrediction, _ predictor.Outcome, actual uint32) {
 	st := &m.st[slot]
 	if st.pending > 0 {
 		st.pending--

@@ -13,11 +13,11 @@ import (
 // 64-entry load buffer picks the slot, and a newly allocated slot is
 // reset before use.
 type owned struct {
-	c  Component
+	c  predictor.Entrant
 	lb *predictor.LBTable[struct{}]
 }
 
-func own(c Component) *owned {
+func own(c predictor.Entrant) *owned {
 	o := &owned{c: c, lb: predictor.NewLBTable[struct{}](64, 2)}
 	c.Slots(o.lb.Entries())
 	return o
@@ -35,8 +35,8 @@ func (o *owned) Predict(ref predictor.LoadRef) predictor.ComponentPrediction {
 	return o.c.Predict(o.slot(ref.IP), ref)
 }
 
-func (o *owned) Resolve(ref predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, actual uint32) {
-	o.c.Resolve(o.slot(ref.IP), ref, cp, speculated, actual)
+func (o *owned) Resolve(ref predictor.LoadRef, cp predictor.ComponentPrediction, actual uint32) {
+	o.c.Resolve(o.slot(ref.IP), ref, cp, predictor.Outcome(0), actual)
 }
 
 // feed resolves one address through an owned component in immediate
@@ -44,7 +44,7 @@ func (o *owned) Resolve(ref predictor.LoadRef, cp predictor.ComponentPrediction,
 func feed(o *owned, ip, addr uint32) predictor.ComponentPrediction {
 	ref := predictor.LoadRef{IP: ip}
 	cp := o.Predict(ref)
-	o.Resolve(ref, cp, false, addr)
+	o.Resolve(ref, cp, addr)
 	return cp
 }
 
@@ -223,7 +223,7 @@ func TestDelta2SpeculativeCatchUp(t *testing.T) {
 	var q []predictor.ComponentPrediction
 	for n := uint32(0); n < 40; n++ {
 		if len(q) == gap {
-			d.Resolve(ref, q[0], false, addrAt(n-gap))
+			d.Resolve(ref, q[0], addrAt(n-gap))
 			q = q[1:]
 		}
 		cp := d.Predict(ref)
@@ -249,8 +249,8 @@ func TestCallPathContexts(t *testing.T) {
 		t.Fatalf("test paths collide (idx %d); pick different path values", idxA)
 	}
 	for i := 0; i < 4; i++ {
-		c.Resolve(0, refA, predictor.ComponentPrediction{}, false, 0xAAAA)
-		c.Resolve(0, refB, predictor.ComponentPrediction{}, false, 0xBBBB)
+		c.Resolve(0, refA, predictor.ComponentPrediction{}, predictor.Outcome(0), 0xAAAA)
+		c.Resolve(0, refB, predictor.ComponentPrediction{}, predictor.Outcome(0), 0xBBBB)
 	}
 	if cp := c.Predict(0, refA); !cp.Predicted || cp.Addr != 0xAAAA || !cp.Confident {
 		t.Fatalf("context A: %+v, want confident 0xAAAA", cp)
@@ -284,14 +284,14 @@ func TestCallPathHashCollisions(t *testing.T) {
 
 	// Train context A to confidence.
 	for i := 0; i < 4; i++ {
-		c.Resolve(0, refA, predictor.ComponentPrediction{}, false, 0xAAAA)
+		c.Resolve(0, refA, predictor.ComponentPrediction{}, predictor.Outcome(0), 0xAAAA)
 	}
 	// Context B collides on the index but not the tag: miss, not 0xAAAA.
 	if cp := c.Predict(0, refB); cp.Predicted {
 		t.Fatalf("tag failed to reject colliding context: %+v", cp)
 	}
 	// B resolves once: it takes the entry over with confidence reset...
-	c.Resolve(0, refB, predictor.ComponentPrediction{}, false, 0xBBBB)
+	c.Resolve(0, refB, predictor.ComponentPrediction{}, predictor.Outcome(0), 0xBBBB)
 	if cp := c.Predict(0, refB); !cp.Predicted || cp.Addr != 0xBBBB || cp.Confident {
 		t.Fatalf("takeover: %+v, want unconfident 0xBBBB", cp)
 	}
@@ -321,8 +321,8 @@ func (s *scripted) Predict(slot int, _ predictor.LoadRef) predictor.ComponentPre
 	s.predicted = append(s.predicted, slot)
 	return s.op
 }
-func (s *scripted) Resolve(_ int, _ predictor.LoadRef, cp predictor.ComponentPrediction, speculated bool, _ uint32) {
-	s.gotSpec = append(s.gotSpec, speculated)
+func (s *scripted) Resolve(_ int, _ predictor.LoadRef, _ predictor.ComponentPrediction, o predictor.Outcome, _ uint32) {
+	s.gotSpec = append(s.gotSpec, o.Speculated(s.id))
 }
 func (s *scripted) Squash(slot int) { s.squashed = append(s.squashed, slot) }
 
@@ -333,7 +333,7 @@ func TestChooserFallbackOrder(t *testing.T) {
 	a := &scripted{id: predictor.CompStride, op: predictor.ComponentPrediction{Addr: 1, Predicted: true}}
 	b := &scripted{id: predictor.CompMarkov, op: predictor.ComponentPrediction{Addr: 2, Predicted: true}}
 	c := &scripted{id: predictor.CompDelta2}
-	tour := New(Config{Entries: 16, Ways: 2, CounterMax: 7, Init: []uint8{1, 3, 2}}, a, b, c)
+	tour := predictor.New(predictor.Config{Entries: 16, Ways: 2, CounterMax: 7, Init: []uint8{1, 3, 2}}, a, b, c)
 
 	p := tour.Predict(predictor.LoadRef{IP: 0x10})
 	if p.Selected != predictor.CompMarkov || p.Addr != 2 || p.Speculate {
@@ -355,7 +355,7 @@ func TestChooserCounterArbitration(t *testing.T) {
 	// counters toward whichever is correct, and the pick follows.
 	a := &scripted{id: predictor.CompStride, op: predictor.ComponentPrediction{Addr: 1, Predicted: true, Confident: true}}
 	b := &scripted{id: predictor.CompCAP, op: predictor.ComponentPrediction{Addr: 2, Predicted: true, Confident: true}}
-	tour := New(Config{Entries: 16, Ways: 2, CounterMax: 3}, a, b)
+	tour := predictor.New(predictor.Config{Entries: 16, Ways: 2, CounterMax: 3}, a, b)
 	ref := predictor.LoadRef{IP: 0x10}
 
 	// Default init biases CAP (1,2): first pick is CAP.
@@ -397,7 +397,7 @@ func TestChooserAgreementFreezesCounters(t *testing.T) {
 	// counter vector must not move — same rule as the hybrid selector.
 	a := &scripted{id: predictor.CompStride, op: predictor.ComponentPrediction{Addr: 5, Predicted: true, Confident: true}}
 	b := &scripted{id: predictor.CompCAP, op: predictor.ComponentPrediction{Addr: 5, Predicted: true, Confident: true}}
-	tour := New(Config{Entries: 16, Ways: 2, CounterMax: 3}, a, b)
+	tour := predictor.New(predictor.Config{Entries: 16, Ways: 2, CounterMax: 3}, a, b)
 	ref := predictor.LoadRef{IP: 0x10}
 
 	for i := 0; i < 3; i++ { // both right
@@ -413,19 +413,19 @@ func TestChooserAgreementFreezesCounters(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	mk := func(id predictor.Component) Component { return &scripted{id: id} }
+	mk := func(id predictor.Component) predictor.Entrant { return &scripted{id: id} }
 	for name, fn := range map[string]func(){
-		"no components": func() { New(DefaultConfig()) },
+		"no components": func() { predictor.New(predictor.DefaultConfig()) },
 		"dup ids": func() {
-			New(DefaultConfig(), mk(predictor.CompStride), mk(predictor.CompStride))
+			predictor.New(predictor.DefaultConfig(), mk(predictor.CompStride), mk(predictor.CompStride))
 		},
-		"none id": func() { New(DefaultConfig(), mk(predictor.CompNone)) },
+		"none id": func() { predictor.New(predictor.DefaultConfig(), mk(predictor.CompNone)) },
 		"init len": func() {
-			New(Config{Entries: 16, Ways: 2, CounterMax: 3, Init: []uint8{1}},
+			predictor.New(predictor.Config{Entries: 16, Ways: 2, CounterMax: 3, Init: []uint8{1}},
 				mk(predictor.CompStride), mk(predictor.CompCAP))
 		},
 		"init above max": func() {
-			New(Config{Entries: 16, Ways: 2, CounterMax: 3, Init: []uint8{4, 1}},
+			predictor.New(predictor.Config{Entries: 16, Ways: 2, CounterMax: 3, Init: []uint8{4, 1}},
 				mk(predictor.CompStride), mk(predictor.CompCAP))
 		},
 	} {
@@ -474,7 +474,7 @@ func TestComponentNamesResolve(t *testing.T) {
 func TestSlotResetAndSquashAfterEviction(t *testing.T) {
 	a := &scripted{id: predictor.CompStride}
 	b := &scripted{id: predictor.CompCAP}
-	tour := New(Config{Entries: 2, Ways: 2, CounterMax: 3}, a, b)
+	tour := predictor.New(predictor.Config{Entries: 2, Ways: 2, CounterMax: 3}, a, b)
 	refA := predictor.LoadRef{IP: 0x0}
 	refB := predictor.LoadRef{IP: 0x4}
 	refC := predictor.LoadRef{IP: 0x8}
@@ -500,9 +500,15 @@ func TestSlotResetAndSquashAfterEviction(t *testing.T) {
 			t.Fatalf("%s: squashed slots %v, want %v (C then B, nothing for evicted A)", c.id, c.squashed, want)
 		}
 	}
-	if tour.n != 0 {
-		t.Fatalf("in-flight ring holds %d predictions after squashing all three", tour.n)
-	}
+	// The in-flight ring is empty: a Resolve with no Predict panics.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("in-flight ring still holds a prediction after squashing all three")
+			}
+		}()
+		tour.Resolve(refA, pa, 0)
+	}()
 	// The squash did not re-allocate A: predicting it again takes a
 	// fresh slot and resets it.
 	tour.Resolve(refA, tour.Predict(refA), 0)
@@ -515,10 +521,10 @@ func TestSlotResetAndSquashAfterEviction(t *testing.T) {
 // tournament over the same component configuration, both over an LB of
 // the given geometry. A one-way tournament maps the component's opinion
 // onto Addr/Predicted/Speculate exactly as Last does.
-func lastPair(entries, ways int) (*predictor.Last, *Tournament) {
+func lastPair(entries, ways int) (*predictor.Last, *predictor.Tournament) {
 	lc := predictor.DefaultLastConfig()
 	lc.Entries, lc.Ways = entries, ways
-	return predictor.NewLast(lc), New(Config{Entries: entries, Ways: ways}, predictor.NewLastComponent(lc))
+	return predictor.NewLast(lc), predictor.New(predictor.Config{Entries: entries, Ways: ways}, predictor.NewLastComponent(lc))
 }
 
 // TestLastImmediateMatchesStandalone: in a tournament the last-address

@@ -27,11 +27,3 @@ func satInc(c, max uint8) uint8 {
 	}
 	return c
 }
-
-// satDec decrements a saturating counter bounded below by zero.
-func satDec(c uint8) uint8 {
-	if c > 0 {
-		return c - 1
-	}
-	return c
-}

@@ -106,8 +106,8 @@ func (c SessionConfig) validate() error {
 				return fmt.Errorf("duplicate component %q", name)
 			}
 		}
-		if len(c.Components) > tournament.MaxComponents {
-			return fmt.Errorf("at most %d components, got %d", tournament.MaxComponents, len(c.Components))
+		if len(c.Components) > predictor.MaxComponents {
+			return fmt.Errorf("at most %d components, got %d", predictor.MaxComponents, len(c.Components))
 		}
 		if c.ChooserMax != nil && (*c.ChooserMax < 2 || *c.ChooserMax > 15) {
 			return fmt.Errorf("chooser_max must be in [2, 15], got %d", *c.ChooserMax)
@@ -176,7 +176,7 @@ func (c SessionConfig) build() (predictor.Predictor, error) {
 		if len(names) == 0 {
 			names = tournament.DefaultComponents()
 		}
-		cfg := tournament.DefaultConfig()
+		cfg := predictor.DefaultConfig()
 		if c.ChooserMax != nil {
 			cfg.CounterMax = *c.ChooserMax
 		}

@@ -24,17 +24,10 @@ import (
 	"time"
 
 	"capred/internal/metrics"
-	"capred/internal/predictor/tournament"
+	"capred/internal/predictor"
 	"capred/internal/sim"
 	"capred/internal/trace"
 )
-
-// componentStater is implemented by predictors that arbitrate between
-// named components (the tournament); sessions surface their selection
-// statistics on /metrics.
-type componentStater interface {
-	ComponentStats() []tournament.ComponentStat
-}
 
 // session is one live prediction session.
 type session struct {
@@ -52,7 +45,7 @@ type session struct {
 	// prevSel is the component-selection snapshot after the previous
 	// batch (tournament sessions only); ingest diffs against it to feed
 	// the per-component /metrics series.
-	prevSel []tournament.ComponentStat
+	prevSel []predictor.ComponentStat
 }
 
 // sessionSnapshot is a consistent view of a session's progress, taken
@@ -82,7 +75,7 @@ type ingestResult struct {
 	DLoads, DPredicted, DCorrect int64
 	// DSel is the batch's per-component selection delta (tournament
 	// sessions only; nil otherwise).
-	DSel []tournament.ComponentStat
+	DSel []predictor.ComponentStat
 }
 
 // sessionStore owns every live session and enforces the capacity,
@@ -275,9 +268,12 @@ func (s *session) ingest(st *sessionStore, body []byte) (ingestResult, error) {
 		DPredicted: s.st.C.Predicted - before.Predicted,
 		DCorrect:   s.st.C.Correct - before.Correct,
 	}
-	if cs, ok := s.st.Predictor().(componentStater); ok {
-		cur := cs.ComponentStats()
-		res.DSel = make([]tournament.ComponentStat, len(cur))
+	// Tournament sessions surface their per-component selections on
+	// /metrics. A hybrid is the same chooser, but its selections stay
+	// out of those series.
+	if s.Cfg.Predictor == "tournament" {
+		cur := s.st.Predictor().(*predictor.Tournament).ComponentStats()
+		res.DSel = make([]predictor.ComponentStat, len(cur))
 		copy(res.DSel, cur)
 		for i := range res.DSel {
 			if i < len(s.prevSel) {

@@ -143,3 +143,29 @@ func TestPredictorsEndpointListsTournament(t *testing.T) {
 		t.Fatalf("tournament missing from %v", kinds)
 	}
 }
+
+// TestHybridSessionLeavesComponentSeries pins that the per-component
+// /metrics series stay tournament-only. The hybrid is the same chooser
+// and keeps the same selection ledger, but a hybrid session must not
+// add to the tournament series.
+func TestHybridSessionLeavesComponentSeries(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	cfg := SessionConfig{Predictor: "hybrid"}
+	evs := collectEvents(t, 3, 8_000)
+	v := openSession(t, ts.URL, cfg)
+	final := streamSession(t, ts.URL, v.ID, encodeTrace(t, evs), 4096)
+	if final.Counters.Speculated == 0 {
+		t.Fatal("the hybrid session speculated nothing, so the check proves nothing")
+	}
+	for _, series := range []string{"capserve_tournament_selected_total", "capserve_tournament_selected_correct_total"} {
+		got := scrapeComponentCounters(t, ts.URL, series)
+		if len(got) == 0 {
+			t.Fatalf("%s: no series scraped", series)
+		}
+		for name, n := range got {
+			if n != 0 {
+				t.Errorf("%s{component=%q} = %d after a hybrid session, want 0", series, name, n)
+			}
+		}
+	}
+}

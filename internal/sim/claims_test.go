@@ -175,3 +175,80 @@ func TestClaimTournamentReproducesHybrid(t *testing.T) {
 		t.Errorf("5-way correct speculation %.4f below hybrid %.4f", full.CorrectSpecRate(), hybrid.CorrectSpecRate())
 	}
 }
+
+// TestClaimFig6: Fig. 6. The hybrid's prediction rate does not fall as
+// LB entries grow at fixed associativity, or as associativity grows at
+// fixed entries, in any suite or the Average row. The geometry reaches
+// the hybrid's chooser through CAP.LBEntries/LBWays; so that a
+// geometry the chooser ignored cannot pass as "no fall", the Average
+// rate must also rise strictly from the smallest to the largest
+// geometry of each dimension.
+func TestClaimFig6(t *testing.T) {
+	r := Fig6(goldenConfig(*goldenWorkers))
+	cleanRun(t, "fig6", r.Failed())
+	pairs := 0
+	for i, a := range r.Geometries {
+		for j, b := range r.Geometries {
+			sameWays := a.Ways == b.Ways && b.Entries > a.Entries
+			sameEntries := a.Entries == b.Entries && b.Ways > a.Ways
+			if !sameWays && !sameEntries {
+				continue
+			}
+			pairs++
+			for _, s := range suiteOrder() {
+				ra, rb := rowFor(r.Suites[i], r.Avgs[i], s), rowFor(r.Suites[j], r.Avgs[j], s)
+				measured(t, s+" "+a.String(), ra)
+				measured(t, s+" "+b.String(), rb)
+				if rb.PredRate() < ra.PredRate() {
+					t.Errorf("%s: rate fell from %.4f at LB %s to %.4f at LB %s",
+						s, ra.PredRate(), a, rb.PredRate(), b)
+				}
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("fig6 has no pair of geometries that differ in one dimension")
+	}
+	for _, ends := range [][2]LBGeometry{{{2048, 2}, {8192, 2}}, {{4096, 1}, {4096, 4}}} {
+		lo := r.Avgs[geometryIndex(t, r.Geometries, ends[0])].PredRate()
+		hi := r.Avgs[geometryIndex(t, r.Geometries, ends[1])].PredRate()
+		if hi <= lo {
+			t.Errorf("Average: rate %.4f at LB %s not above %.4f at LB %s", hi, ends[1], lo, ends[0])
+		}
+	}
+}
+
+// geometryIndex returns the position of g in gs, failing the test if
+// Fig. 6 no longer sweeps it.
+func geometryIndex(t *testing.T, gs []LBGeometry, g LBGeometry) int {
+	t.Helper()
+	for i, x := range gs {
+		if x == g {
+			return i
+		}
+	}
+	t.Fatalf("no LB geometry %s in %v", g, gs)
+	return -1
+}
+
+// TestClaimLTSize: §4.2. The hybrid's prediction rate does not fall as
+// the link table grows, and rises strictly from the smallest to the
+// largest table ("steadily increases from 1K-entry to 8K-entry"). LT
+// entries reach the hybrid through CAP.LTEntries.
+func TestClaimLTSize(t *testing.T) {
+	r := LTSize(goldenConfig(*goldenWorkers))
+	cleanRun(t, "lt-size", r.Failed())
+	for i, n := range r.Sizes {
+		measured(t, fmt.Sprintf("LT %d", n), r.Counters[i])
+	}
+	for i := 1; i < len(r.Sizes); i++ {
+		prev, cur := r.Counters[i-1].PredRate(), r.Counters[i].PredRate()
+		if cur < prev {
+			t.Errorf("rate fell from %.4f at LT %d to %.4f at LT %d", prev, r.Sizes[i-1], cur, r.Sizes[i])
+		}
+	}
+	last := len(r.Sizes) - 1
+	if lo, hi := r.Counters[0].PredRate(), r.Counters[last].PredRate(); hi <= lo {
+		t.Errorf("rate %.4f at LT %d not above %.4f at LT %d", hi, r.Sizes[last], lo, r.Sizes[0])
+	}
+}

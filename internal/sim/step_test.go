@@ -117,8 +117,12 @@ func TestSquashAtGapZeroLeavesNoTrace(t *testing.T) {
 		"stride": strideFactory,
 		"cap":    capFactory,
 		"hybrid": hybridFactory,
-		"paper pair": func() predictor.Predictor {
-			return tournament.NewPaperPair()
+		"stride+cap": func() predictor.Predictor {
+			tp, err := tournament.NewNamed(predictor.DefaultConfig(), "stride", "cap")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tp
 		},
 		"5-way": func() predictor.Predictor {
 			return tournament.NewFull(false)
@@ -126,7 +130,7 @@ func TestSquashAtGapZeroLeavesNoTrace(t *testing.T) {
 	}
 	for _, name := range tournament.ComponentNames() {
 		factories[name+" alone"] = func() predictor.Predictor {
-			tp, err := tournament.NewNamed(tournament.DefaultConfig(), name)
+			tp, err := tournament.NewNamed(predictor.DefaultConfig(), name)
 			if err != nil {
 				t.Fatal(err)
 			}

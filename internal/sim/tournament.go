@@ -41,19 +41,14 @@ func tournamentPredictor(row tournamentRow) (predictor.Predictor, error) {
 	if row.comps == nil {
 		return predictor.NewHybrid(predictor.DefaultHybridConfig()), nil
 	}
-	if len(row.comps) == 2 && row.comps[0] == "stride" && row.comps[1] == "cap" {
-		// The paper pair carries the chooser geometry and initial counter
-		// vector that make it decision-identical to the hybrid row.
-		return tournament.NewPaperPair(), nil
-	}
-	return tournament.NewNamed(tournament.DefaultConfig(), row.comps...)
+	return tournament.NewNamed(predictor.DefaultConfig(), row.comps...)
 }
 
 // tournamentTally is one trace's result: the standard counters plus the
 // tournament's per-component selection statistics.
 type tournamentTally struct {
 	C   metrics.Counters
-	Sel []tournament.ComponentStat
+	Sel []predictor.ComponentStat
 }
 
 // TournamentResult holds the ablation outcome: per-row aggregate rates
@@ -69,7 +64,7 @@ type TournamentResult struct {
 	Pooled []metrics.Counters
 	// Sel[row] sums the per-component selection stats across traces;
 	// empty for the hybrid reference row.
-	Sel [][]tournament.ComponentStat
+	Sel [][]predictor.ComponentStat
 }
 
 // Tournament runs the meta-predictor ablation across every trace: the
@@ -104,7 +99,9 @@ func Tournament(cfg Config) TournamentResult {
 				err := forEachBlock(ctx, open(), st.StepBlock)
 				st.Finish()
 				t = tournamentTally{C: st.C}
-				if tp, ok := st.Predictor().(*tournament.Tournament); ok {
+				// Only rows that name components report selection
+				// shares; the hybrid row keeps "—".
+				if tp, ok := st.Predictor().(*predictor.Tournament); ok && row.comps != nil {
 					t.Sel = tp.ComponentStats()
 				}
 				return err
@@ -122,7 +119,7 @@ func Tournament(cfg Config) TournamentResult {
 		Rows:   make([]string, len(rows)),
 		Avg:    make([]metrics.Mean, len(rows)),
 		Pooled: make([]metrics.Counters, len(rows)),
-		Sel:    make([][]tournament.ComponentStat, len(rows)),
+		Sel:    make([][]predictor.ComponentStat, len(rows)),
 	}
 	out.absorb(g.size(), fails)
 	for ri, row := range rows {
@@ -135,7 +132,7 @@ func Tournament(cfg Config) TournamentResult {
 			out.Pooled[ri].Merge(c.t.C)
 			if c.t.Sel != nil {
 				if out.Sel[ri] == nil {
-					out.Sel[ri] = make([]tournament.ComponentStat, len(c.t.Sel))
+					out.Sel[ri] = make([]predictor.ComponentStat, len(c.t.Sel))
 					for si := range c.t.Sel {
 						out.Sel[ri][si].Name = c.t.Sel[si].Name
 					}
@@ -153,7 +150,7 @@ func Tournament(cfg Config) TournamentResult {
 // selShares renders one row's per-component selection breakdown:
 // share of speculative accesses attributed to each component, with the
 // component's own accuracy on the loads it won.
-func selShares(stats []tournament.ComponentStat) string {
+func selShares(stats []predictor.ComponentStat) string {
 	if len(stats) == 0 {
 		return "—"
 	}

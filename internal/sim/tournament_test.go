@@ -44,8 +44,8 @@ func TestTournamentStepBlockEquivalence(t *testing.T) {
 		if stepSt.C != blockSt.C {
 			t.Errorf("gap %d: counters diverge:\n  step  %+v\n  block %+v", gap, stepSt.C, blockSt.C)
 		}
-		ss := stepSt.Predictor().(*tournament.Tournament).ComponentStats()
-		bs := blockSt.Predictor().(*tournament.Tournament).ComponentStats()
+		ss := stepSt.Predictor().(*predictor.Tournament).ComponentStats()
+		bs := blockSt.Predictor().(*predictor.Tournament).ComponentStats()
 		if !reflect.DeepEqual(ss, bs) {
 			t.Errorf("gap %d: component stats diverge:\n  step  %+v\n  block %+v", gap, ss, bs)
 		}
@@ -53,9 +53,10 @@ func TestTournamentStepBlockEquivalence(t *testing.T) {
 }
 
 // TestTournamentPairMatchesHybridOnTrace runs the two-way stride+CAP
-// tournament and the paper's hybrid over a real trace — immediate and
-// gap 8 — and requires identical counters: the experiment-level face of
-// the decision-identity that FuzzTournamentSelector pins per step.
+// tournament of the ablation's "tournament stride+cap" row and the
+// paper's hybrid over a real trace — immediate and gap 8 — and requires
+// identical counters: the registry's default chooser geometry and
+// initial vector are the ones NewHybrid uses.
 func TestTournamentPairMatchesHybridOnTrace(t *testing.T) {
 	spec, ok := workload.ByName("TPC_t23")
 	if !ok {
@@ -67,7 +68,11 @@ func TestTournamentPairMatchesHybridOnTrace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("gap %d: hybrid: %v", gap, err)
 		}
-		got, err := RunTrace(trace.NewLimit(spec.Open(), events), tournament.NewPaperPair(), gap)
+		pair, err := tournament.NewNamed(predictor.DefaultConfig(), "stride", "cap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunTrace(trace.NewLimit(spec.Open(), events), pair, gap)
 		if err != nil {
 			t.Fatalf("gap %d: tournament: %v", gap, err)
 		}
