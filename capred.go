@@ -93,13 +93,11 @@ type (
 
 // Predictor components and selector states.
 const (
-	CompNone     = predictor.CompNone
-	CompStride   = predictor.CompStride
-	CompCAP      = predictor.CompCAP
-	CompLast     = predictor.CompLast
-	CompMarkov   = predictor.CompMarkov
-	CompDelta2   = predictor.CompDelta2
-	CompCallPath = predictor.CompCallPath
+	CompNone   = predictor.CompNone
+	CompStride = predictor.CompStride
+	CompCAP    = predictor.CompCAP
+	CompLast   = predictor.CompLast
+	CompMarkov = predictor.CompMarkov
 
 	SelStrongStride = predictor.SelStrongStride
 	SelWeakStride   = predictor.SelWeakStride
@@ -137,9 +135,8 @@ var (
 
 // Tournament meta-predictor: N-way component arbitration behind the
 // standard Predictor interface. It is the same code as NewHybrid, which
-// builds the stride+CAP pair; the full lineup (NewFullTournament) adds
-// the Markov stride-history, delta-delta and call-path-context
-// components.
+// builds the stride+CAP pair; the default lineup (NewFullTournament)
+// adds the Markov stride-history component.
 type (
 	// Tournament is the N-way meta-predictor.
 	Tournament = predictor.Tournament
@@ -153,10 +150,6 @@ type (
 	ComponentStat = predictor.ComponentStat
 	// MarkovConfig configures the Markov stride-history component.
 	MarkovConfig = tournament.MarkovConfig
-	// Delta2Config configures the delta-delta (acceleration) component.
-	Delta2Config = tournament.Delta2Config
-	// CallPathConfig configures the call-path-context component.
-	CallPathConfig = tournament.CallPathConfig
 )
 
 // Tournament constructors.
@@ -171,11 +164,7 @@ var (
 	NewCAPComponent          = predictor.NewCAPComponent
 	NewLastComponent         = predictor.NewLastComponent
 	NewMarkov                = tournament.NewMarkov
-	NewDelta2                = tournament.NewDelta2
-	NewCallPath              = tournament.NewCallPath
 	DefaultMarkovConfig      = tournament.DefaultMarkovConfig
-	DefaultDelta2Config      = tournament.DefaultDelta2Config
-	DefaultCallPathConfig    = tournament.DefaultCallPathConfig
 )
 
 // Trace model.

@@ -21,11 +21,11 @@
 //	benchsweep [-events n] [-traces n] [-o file]
 //	benchsweep -gate BENCH_sweep.json [-gate-drop 0.10]
 //
-// Gate mode reruns the drain and prediction benchmarks and compares the
-// fresh warm-cursor throughput and tournament/hybrid ratio against the
-// committed baseline's: a drop beyond the tolerance exits nonzero, which
-// is how CI makes the perf trajectory an enforced invariant rather than
-// an uploaded artifact.
+// Gate mode reruns the drain and prediction benchmarks and compares two
+// same-run ratios, the warm cursor over the live generator and the
+// tournament over the hybrid, against the committed baseline's: a drop
+// beyond the tolerance exits nonzero, which is how CI makes the perf
+// trajectory an enforced invariant rather than an uploaded artifact.
 package main
 
 import (
@@ -75,7 +75,8 @@ type sweepReport struct {
 }
 
 // predictReport measures end-to-end prediction throughput (RunTrace
-// over a warm replay cursor) for the hybrid and the 5-way tournament.
+// over a warm replay cursor) for the hybrid and the default tournament
+// (stride, CAP and Markov).
 // The tournament/hybrid ratio is gated: it is the price of the
 // meta-predictor abstraction, measured in one run on one host, and a
 // regression here means the component fan-out or the chooser grew a
@@ -86,7 +87,7 @@ type predictReport struct {
 	HybridMEvS     float64 `json:"hybrid_mev_per_s"`
 	TournamentMEvS float64 `json:"tournament_mev_per_s"`
 	// TournamentVsHybrid is the throughput ratio — the slowdown of
-	// arbitrating five components instead of two hard-wired ones.
+	// arbitrating three components instead of the hybrid's two.
 	TournamentVsHybrid float64 `json:"tournament_vs_hybrid"`
 }
 
@@ -101,8 +102,8 @@ func main() {
 	events := fs.Int64("events", 400_000, "events per trace")
 	nTraces := fs.Int("traces", 8, "traces to drain-benchmark (0 = full roster)")
 	out := fs.String("o", "BENCH_sweep.json", "output file (- for stdout)")
-	gate := fs.String("gate", "", "baseline BENCH_sweep.json to gate against: rerun the drain benchmark and exit nonzero when warm-cursor throughput regresses past -gate-drop")
-	gateDrop := fs.Float64("gate-drop", 0.10, "fractional regression of the warm-cursor drain and the tournament/hybrid ratio tolerated by -gate")
+	gate := fs.String("gate", "", "baseline BENCH_sweep.json to gate against: rerun the drain and prediction benchmarks and exit nonzero when the cursor/generator or tournament/hybrid ratio regresses past -gate-drop")
+	gateDrop := fs.Float64("gate-drop", 0.10, "fractional regression of the cursor/generator and tournament/hybrid ratios tolerated by -gate")
 	fs.Parse(os.Args[1:])
 
 	if *gate != "" {
@@ -137,14 +138,13 @@ func main() {
 
 // gateDrain is the CI regression gate: it reruns the drain and
 // prediction benchmarks (best of three, to shave scheduler noise) and
-// fails when a fresh number lands more than drop below the committed
-// baseline's. Two figures gate: the warm-cursor drain (the rate the
-// sweeps actually run at, which the SoA pipeline exists to protect) and
-// the tournament/hybrid throughput ratio (the meta-predictor's hot-path
-// cost). The ratio divides two throughputs from the same run, so a
-// faster or slower host moves both alike and leaves it in place. The
-// generator and cold figures move with workload-generation cost, which
-// is not a regression of either.
+// fails when a fresh ratio lands more than drop below the committed
+// baseline's. Two ratios gate: the warm cursor over the live generator
+// (what the replay cache buys every sweep, which the SoA pipeline
+// exists to protect) and the tournament over the hybrid (the
+// meta-predictor's hot-path cost). Each divides two throughputs from
+// the same run, so a faster or slower host moves both alike and leaves
+// the ratio in place; no absolute rate from the baseline's host gates.
 func gateDrain(baselinePath string, drop float64, events int64, nTraces int) int {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -156,24 +156,24 @@ func gateDrain(baselinePath string, drop float64, events int64, nTraces int) int
 		fmt.Fprintf(os.Stderr, "benchsweep: gate: %s: %v\n", baselinePath, err)
 		return 2
 	}
-	if base.Drain.WarmCursorMEvS <= 0 {
-		fmt.Fprintf(os.Stderr, "benchsweep: gate: %s has no warm_cursor_mev_per_s baseline\n", baselinePath)
+	if base.Drain.CursorVsGenerator <= 0 {
+		fmt.Fprintf(os.Stderr, "benchsweep: gate: %s has no cursor_vs_generator baseline\n", baselinePath)
 		return 2
 	}
 	var fresh float64
 	for i := 0; i < 3; i++ {
-		if r := drainBench(events, nTraces).WarmCursorMEvS; r > fresh {
+		if r := drainBench(events, nTraces).CursorVsGenerator; r > fresh {
 			fresh = r
 		}
 	}
-	floor := base.Drain.WarmCursorMEvS * (1 - drop)
+	floor := base.Drain.CursorVsGenerator * (1 - drop)
 	if fresh < floor {
-		fmt.Fprintf(os.Stderr, "benchsweep: gate FAIL: warm-cursor drain %.1f Mev/s is below %.1f (baseline %.1f - %.0f%%)\n",
-			fresh, floor, base.Drain.WarmCursorMEvS, drop*100)
+		fmt.Fprintf(os.Stderr, "benchsweep: gate FAIL: cursor/generator drain %.1fx is below %.1fx (baseline %.1fx - %.0f%%)\n",
+			fresh, floor, base.Drain.CursorVsGenerator, drop*100)
 		return 1
 	}
-	fmt.Printf("benchsweep: gate ok: warm-cursor drain %.1f Mev/s vs baseline %.1f (floor %.1f)\n",
-		fresh, base.Drain.WarmCursorMEvS, floor)
+	fmt.Printf("benchsweep: gate ok: cursor/generator drain %.1fx vs baseline %.1fx (floor %.1fx)\n",
+		fresh, base.Drain.CursorVsGenerator, floor)
 
 	// Baselines written before the prediction benchmark existed have no
 	// ratio; they gate on drain alone.
@@ -197,7 +197,7 @@ func gateDrain(baselinePath string, drop float64, events int64, nTraces int) int
 }
 
 // predictBench measures RunTrace throughput over warm replay cursors:
-// the hybrid (the paper's configuration) and the full 5-way tournament.
+// the hybrid (the paper's configuration) and the default tournament.
 func predictBench(events int64, nTraces int) predictReport {
 	specs := capred.Traces()
 	if nTraces > 0 && nTraces < len(specs) {

@@ -245,10 +245,10 @@ func main() {
 	}
 	fmt.Println("served counters are bit-identical to offline RunTrace")
 
-	// Same protocol, bigger predictor: a tournament session puts all five
-	// components (stride, CAP, Markov, delta-delta, call-path) behind one
-	// meta-chooser. The wire contract is unchanged — and so is the
-	// bit-for-bit guarantee against the offline path.
+	// Same protocol, bigger predictor: a tournament session puts the
+	// default components (stride, CAP, Markov) behind one meta-chooser.
+	// The wire contract is unchanged — and so is the bit-for-bit
+	// guarantee against the offline path.
 	body, _ = json.Marshal(map[string]any{"predictor": "tournament"})
 	var tsess sessionView
 	if err := c.call("POST", base+"/v1/sessions", body, &tsess); err != nil {

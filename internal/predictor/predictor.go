@@ -10,7 +10,7 @@
 // whose entry holds a saturating counter per entrant. NewHybrid builds
 // it over the stride and CAP components, where the counter pair is the
 // paper's 2-bit selector (§3.7); internal/predictor/tournament adds
-// further entrants and builds tournaments by component name.
+// the Markov entrant and builds tournaments by component name.
 //
 // All predictors implement the Predictor interface, and there is one
 // resolution discipline: Predict always advances speculative state, and
@@ -45,8 +45,6 @@ const (
 	CompCAP
 	CompLast
 	CompMarkov
-	CompDelta2
-	CompCallPath
 	numComponents // sentinel; keep last
 )
 
@@ -55,13 +53,11 @@ const (
 // from here (via the component's own ID) rather than a closed stride/cap
 // switch, so new entrants render correctly.
 var componentNames = [numComponents]string{
-	CompNone:     "none",
-	CompStride:   "stride",
-	CompCAP:      "cap",
-	CompLast:     "last",
-	CompMarkov:   "markov",
-	CompDelta2:   "delta2",
-	CompCallPath: "callpath",
+	CompNone:   "none",
+	CompStride: "stride",
+	CompCAP:    "cap",
+	CompLast:   "last",
+	CompMarkov: "markov",
 }
 
 // String returns the component name.

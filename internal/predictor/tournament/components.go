@@ -1,15 +1,13 @@
-// Package tournament holds the entrants of the N-way meta-predictor
+// Package tournament holds the entrant of the N-way meta-predictor
 // beyond the paper's pair, and the name registry that builds
 // tournaments from component names. The chooser itself is
 // predictor.Tournament, the same code that runs the paper's hybrid
 // (predictor.NewHybrid).
 //
-// The three entrants are a Markov-N stride-history predictor, a
-// delta-delta (acceleration) predictor, and a call-path-context
-// predictor — the latter re-casting §3.6's negative result as a
-// specialist that only has to win the loads it is good at, not the
-// whole trace. Each implements predictor.Entrant: per-load state in an
-// array indexed by a slot of the tournament's one load buffer.
+// The entrant is a Markov-N stride-history predictor, which learns the
+// short repeating stride patterns that neither stride nor CAP captures.
+// It implements predictor.Entrant: per-load state in an array indexed
+// by a slot of the tournament's one load buffer.
 //
 // The registry (NewComponent, NewNamed, NewFull) names every buildable
 // entrant, package predictor's stride, CAP and last-address components
@@ -26,13 +24,13 @@ import (
 // canonical order. capserve validates session configs against this
 // list and pre-registers /metrics series from it.
 func ComponentNames() []string {
-	return []string{"stride", "cap", "last", "markov", "delta2", "callpath"}
+	return []string{"stride", "cap", "last", "markov"}
 }
 
-// DefaultComponents is the full production lineup: the paper's hybrid
-// pair plus the three new entrants.
+// DefaultComponents is the production lineup: the paper's hybrid pair
+// plus the Markov entrant.
 func DefaultComponents() []string {
-	return []string{"stride", "cap", "markov", "delta2", "callpath"}
+	return []string{"stride", "cap", "markov"}
 }
 
 // NewComponent builds the named component with its default
@@ -49,10 +47,6 @@ func NewComponent(name string) (predictor.Entrant, error) {
 		return predictor.NewLastComponent(predictor.DefaultLastConfig()), nil
 	case "markov":
 		return NewMarkov(DefaultMarkovConfig()), nil
-	case "delta2":
-		return NewDelta2(DefaultDelta2Config()), nil
-	case "callpath":
-		return NewCallPath(DefaultCallPathConfig()), nil
 	}
 	return nil, fmt.Errorf("tournament: unknown component %q", name)
 }
@@ -71,8 +65,8 @@ func NewNamed(cfg predictor.Config, names ...string) (*predictor.Tournament, err
 	return predictor.New(cfg, comps...), nil
 }
 
-// NewFull builds the default 5-way tournament (DefaultComponents over
-// the default chooser).
+// NewFull builds the default tournament: stride, CAP and Markov
+// (DefaultComponents) over the default chooser.
 //
 // Deprecated: the bool is ignored. The prediction gap the tournament is
 // driven under is the only input that picks the resolution discipline.

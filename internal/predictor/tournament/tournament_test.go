@@ -175,132 +175,6 @@ outer:
 	}
 }
 
-func TestDelta2Quadratic(t *testing.T) {
-	d := own(NewDelta2(DefaultDelta2Config()))
-
-	// addr(n) = 4n² + 100: first difference 4(2n-1), second difference
-	// constant 8. A stride predictor never converges on this stream; the
-	// acceleration predictor is exact from the third occurrence on.
-	addrAt := func(n uint32) uint32 { return 4*n*n + 100 }
-	for n := uint32(0); n < 20; n++ {
-		cp := feed(d, 0x80, addrAt(n))
-		switch {
-		case n < 3:
-			if cp.Predicted {
-				t.Fatalf("n=%d: predicted during warm-up: %+v", n, cp)
-			}
-		default:
-			if !cp.Predicted || cp.Addr != addrAt(n) {
-				t.Fatalf("n=%d: got %+v, want exact %#x", n, cp, addrAt(n))
-			}
-		}
-		if n == 19 && !cp.Confident {
-			t.Fatalf("n=%d: still not confident on exact stream", n)
-		}
-	}
-
-	// A discontinuity resets the difference chain; two further
-	// occurrences re-establish Δ and ΔΔ and the fourth is exact again.
-	jump := []uint32{0x9000_0000, 0x9000_0010, 0x9000_0030, 0x9000_0060, 0x9000_00a0}
-	for i, a := range jump {
-		cp := feed(d, 0x80, a)
-		if i == len(jump)-1 && (!cp.Predicted || cp.Addr != a) {
-			t.Fatalf("post-jump occurrence %d: got %+v, want exact %#x", i, cp, a)
-		}
-	}
-}
-
-// TestDelta2SpeculativeCatchUp drives the speculative discipline by
-// hand: predictions run GAP ahead of resolutions, and after the window
-// fills every prediction of the quadratic stream must still be exact —
-// the closed-form catch-up, not re-warm-up, keeps the chain aligned.
-func TestDelta2SpeculativeCatchUp(t *testing.T) {
-	d := own(NewDelta2(DefaultDelta2Config()))
-	ref := predictor.LoadRef{IP: 0x80}
-	addrAt := func(n uint32) uint32 { return 8*n*n + 3*n }
-
-	const gap = 4
-	var q []predictor.ComponentPrediction
-	for n := uint32(0); n < 40; n++ {
-		if len(q) == gap {
-			d.Resolve(ref, q[0], addrAt(n-gap))
-			q = q[1:]
-		}
-		cp := d.Predict(ref)
-		if n >= 3+gap && (!cp.Predicted || cp.Addr != addrAt(n)) {
-			t.Fatalf("n=%d: speculative prediction %+v, want exact %#x", n, cp, addrAt(n))
-		}
-		q = append(q, cp)
-	}
-}
-
-func TestCallPathContexts(t *testing.T) {
-	cfg := CallPathConfig{TableEntries: 64, TagBits: 8, PathBits: 12, ConfMax: 3, ConfThreshold: 2}
-	c := NewCallPath(cfg)
-
-	// One static load reached through two call paths returns two
-	// different addresses; the context keeps the entries apart (the
-	// §3.6 win case), provided the two hashes land on distinct indices.
-	refA := predictor.LoadRef{IP: 0x40, Path: 0x111}
-	refB := predictor.LoadRef{IP: 0x40, Path: 0x222}
-	idxA, _ := c.split(c.hash(refA))
-	idxB, _ := c.split(c.hash(refB))
-	if idxA == idxB {
-		t.Fatalf("test paths collide (idx %d); pick different path values", idxA)
-	}
-	for i := 0; i < 4; i++ {
-		c.Resolve(0, refA, predictor.ComponentPrediction{}, predictor.Outcome(0), 0xAAAA)
-		c.Resolve(0, refB, predictor.ComponentPrediction{}, predictor.Outcome(0), 0xBBBB)
-	}
-	if cp := c.Predict(0, refA); !cp.Predicted || cp.Addr != 0xAAAA || !cp.Confident {
-		t.Fatalf("context A: %+v, want confident 0xAAAA", cp)
-	}
-	if cp := c.Predict(0, refB); !cp.Predicted || cp.Addr != 0xBBBB || !cp.Confident {
-		t.Fatalf("context B: %+v, want confident 0xBBBB", cp)
-	}
-}
-
-// TestCallPathHashCollisions constructs two contexts that share a table
-// index and checks both tag behaviors: distinct tags → miss, equal full
-// hash after takeover → confidence restarts from zero.
-func TestCallPathHashCollisions(t *testing.T) {
-	cfg := CallPathConfig{TableEntries: 16, TagBits: 8, PathBits: 12, ConfMax: 3, ConfThreshold: 2}
-	c := NewCallPath(cfg)
-
-	refA := predictor.LoadRef{IP: 0x40, Path: 0}
-	idxA, tagA := c.split(c.hash(refA))
-	var refB predictor.LoadRef
-	found := false
-	for p := uint32(1); p < 1<<uint(cfg.PathBits); p++ {
-		r := predictor.LoadRef{IP: 0x40, Path: p}
-		if idx, tag := c.split(c.hash(r)); idx == idxA && tag != tagA {
-			refB, found = r, true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no tag-distinct index collision in path space; geometry changed?")
-	}
-
-	// Train context A to confidence.
-	for i := 0; i < 4; i++ {
-		c.Resolve(0, refA, predictor.ComponentPrediction{}, predictor.Outcome(0), 0xAAAA)
-	}
-	// Context B collides on the index but not the tag: miss, not 0xAAAA.
-	if cp := c.Predict(0, refB); cp.Predicted {
-		t.Fatalf("tag failed to reject colliding context: %+v", cp)
-	}
-	// B resolves once: it takes the entry over with confidence reset...
-	c.Resolve(0, refB, predictor.ComponentPrediction{}, predictor.Outcome(0), 0xBBBB)
-	if cp := c.Predict(0, refB); !cp.Predicted || cp.Addr != 0xBBBB || cp.Confident {
-		t.Fatalf("takeover: %+v, want unconfident 0xBBBB", cp)
-	}
-	// ...and A is now the one missing on the tag.
-	if cp := c.Predict(0, refA); cp.Predicted {
-		t.Fatalf("evicted context A still predicting: %+v", cp)
-	}
-}
-
 // scripted is a stub component for chooser unit tests: it replays a
 // fixed opinion and records the slots it was driven with and what
 // Resolve told it.
@@ -332,7 +206,7 @@ func TestChooserFallbackOrder(t *testing.T) {
 	// others), and the prediction must not speculate.
 	a := &scripted{id: predictor.CompStride, op: predictor.ComponentPrediction{Addr: 1, Predicted: true}}
 	b := &scripted{id: predictor.CompMarkov, op: predictor.ComponentPrediction{Addr: 2, Predicted: true}}
-	c := &scripted{id: predictor.CompDelta2}
+	c := &scripted{id: predictor.CompLast}
 	tour := predictor.New(predictor.Config{Entries: 16, Ways: 2, CounterMax: 7, Init: []uint8{1, 3, 2}}, a, b, c)
 
 	p := tour.Predict(predictor.LoadRef{IP: 0x10})

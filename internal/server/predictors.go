@@ -33,7 +33,8 @@ type SessionConfig struct {
 	UpdatePolicy string `json:"update_policy,omitempty"`
 
 	// Components names the tournament's entrants, in preference order
-	// (tournament sessions only); empty selects the default 5-way lineup.
+	// (tournament sessions only); empty selects the default lineup:
+	// stride, cap and markov.
 	Components []string `json:"components,omitempty"`
 	// ChooserMax overrides the tournament chooser's saturating-counter
 	// ceiling (tournament sessions only).
@@ -65,9 +66,6 @@ func (c SessionConfig) validate() error {
 	}
 	if c.Gap < 0 || c.Gap > 256 {
 		return fmt.Errorf("gap must be in [0, 256], got %d", c.Gap)
-	}
-	if c.Gap > 0 && c.Predictor == "last" {
-		return fmt.Errorf("predictor %q has no pipelined (gap) mode", c.Predictor)
 	}
 	if c.HistoryLen != nil && (*c.HistoryLen < 1 || *c.HistoryLen > 16) {
 		return fmt.Errorf("history_len must be in [1, 16], got %d", *c.HistoryLen)

@@ -118,7 +118,8 @@ func TestSessionStreamMatchesOffline(t *testing.T) {
 		{Predictor: "tournament"},
 		{Predictor: "tournament", Gap: 8},
 		{Predictor: "tournament", Components: []string{"stride", "cap"}},
-		{Predictor: "tournament", Components: []string{"markov", "delta2", "callpath"}, Gap: 8},
+		{Predictor: "tournament", Components: []string{"markov", "last"}, Gap: 8},
+		{Predictor: "last", Gap: 8},
 	}
 	for i, cfg := range cases {
 		name := fmt.Sprintf("%s-gap%d", cfg.Predictor, cfg.Gap)
@@ -335,7 +336,7 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"unknown predictor", "POST", "/v1/sessions", `{"predictor":"oracle"}`, 400},
 		{"missing predictor", "POST", "/v1/sessions", `{}`, 400},
-		{"gap on last", "POST", "/v1/sessions", `{"predictor":"last","gap":8}`, 400},
+		{"gap out of range", "POST", "/v1/sessions", `{"predictor":"stride","gap":300}`, 400},
 		{"cap knob on stride", "POST", "/v1/sessions", `{"predictor":"stride","history_len":4}`, 400},
 		{"update policy on cap", "POST", "/v1/sessions", `{"predictor":"cap","update_policy":"always"}`, 400},
 		{"bad json", "POST", "/v1/sessions", `{`, 400},

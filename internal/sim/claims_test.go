@@ -158,21 +158,68 @@ func TestClaimUpdateAlwaysBest(t *testing.T) {
 }
 
 // TestClaimTournamentReproducesHybrid: the 2-way CAP+stride tournament
-// is the paper's hybrid, and adding components never costs correct
-// speculations.
+// is the paper's hybrid, and the default tournament, which adds the
+// Markov component, never costs correct speculations.
 func TestClaimTournamentReproducesHybrid(t *testing.T) {
 	r := Tournament(goldenConfig(*goldenWorkers))
 	cleanRun(t, "tournament", r.Failed())
 	hybrid := r.Avg[rowIndex(t, r.Rows, "hybrid (§3.7)")]
 	pair := r.Avg[rowIndex(t, r.Rows, "tournament stride+cap")]
-	full := r.Avg[rowIndex(t, r.Rows, "tournament 5-way")]
+	full := r.Avg[rowIndex(t, r.Rows, "tournament 3-way")]
 	measured(t, "hybrid", hybrid)
-	measured(t, "5-way", full)
+	measured(t, "default tournament", full)
 	if pair != hybrid {
 		t.Errorf("2-way row differs from hybrid row:\n pair   %v\n hybrid %v", pair, hybrid)
 	}
 	if full.CorrectSpecRate() < hybrid.CorrectSpecRate() {
-		t.Errorf("5-way correct speculation %.4f below hybrid %.4f", full.CorrectSpecRate(), hybrid.CorrectSpecRate())
+		t.Errorf("default tournament correct speculation %.4f below hybrid %.4f", full.CorrectSpecRate(), hybrid.CorrectSpecRate())
+	}
+}
+
+// TestClaimFig12: Fig. 12. A prediction gap of 8 never speeds a suite
+// up: for stride and for the hybrid, the gap-8 speedup is at most the
+// immediate-update one in every suite and in the Average row. Ties are
+// allowed; stride gains too little for the gap to show in some suites.
+func TestClaimFig12(t *testing.T) {
+	r := Fig12(goldenConfig(*goldenWorkers))
+	cleanRun(t, "fig12", r.Failed())
+	if len(r.Rows) != len(suiteOrder()) {
+		t.Fatalf("fig12 has %d rows, want %d", len(r.Rows), len(suiteOrder()))
+	}
+	for _, row := range r.Rows {
+		for _, fam := range []struct {
+			name     string
+			imm, gap float64
+		}{{"stride", row.StrideImm, row.StrideGap8}, {"hybrid", row.HybridImm, row.HybridGap8}} {
+			if fam.imm == 0 || fam.gap == 0 {
+				t.Fatalf("%s %s: no cycles measured", row.Suite, fam.name)
+			}
+			if fam.gap > fam.imm {
+				t.Errorf("%s %s: gap-8 speedup %.4f above immediate %.4f", row.Suite, fam.name, fam.gap, fam.imm)
+			}
+		}
+	}
+}
+
+// TestClaimWrongPath: §5.4. Wrong-path loads cost correct speculations,
+// and squash recovery keeps more of them than destructive updates do:
+// correct of loads orders no wrong path ≥ squash ≥ destructive.
+func TestClaimWrongPath(t *testing.T) {
+	r := WrongPath(goldenConfig(*goldenWorkers))
+	cleanRun(t, "wrong-path", r.Failed())
+	correct := func(mode WrongPathMode) float64 {
+		for i, m := range r.Modes {
+			if m == mode {
+				measured(t, m.String(), r.Counters[i])
+				return r.Counters[i].CorrectSpecRate()
+			}
+		}
+		t.Fatalf("wrong-path has no %s row", mode)
+		return 0
+	}
+	none, squash, destructive := correct(WrongPathNone), correct(WrongPathSquash), correct(WrongPathDestructive)
+	if !(none >= squash && squash >= destructive) {
+		t.Errorf("correct of loads: want no wrong path %.4f ≥ squash %.4f ≥ destructive %.4f", none, squash, destructive)
 	}
 }
 

@@ -124,7 +124,7 @@ func TestSquashAtGapZeroLeavesNoTrace(t *testing.T) {
 			}
 			return tp
 		},
-		"5-way": func() predictor.Predictor {
+		"default tournament": func() predictor.Predictor {
 			return tournament.NewFull(false)
 		},
 	}

@@ -22,17 +22,15 @@ type tournamentRow struct {
 }
 
 // tournamentRows fixes the ablation ladder: the paper's hybrid, the
-// two-way tournament that must reproduce it exactly, each new component
-// on its own (a 1-way tournament is the component plus confidence
-// gating), and the full 5-way lineup.
+// two-way tournament that must reproduce it exactly, the Markov
+// component on its own (a 1-way tournament is the component plus
+// confidence gating), and the default 3-way lineup.
 func tournamentRows() []tournamentRow {
 	return []tournamentRow{
 		{"hybrid (§3.7)", nil},
 		{"tournament stride+cap", []string{"stride", "cap"}},
 		{"markov alone", []string{"markov"}},
-		{"delta2 alone", []string{"delta2"}},
-		{"callpath alone", []string{"callpath"}},
-		{"tournament 5-way", tournament.DefaultComponents()},
+		{"tournament 3-way", tournament.DefaultComponents()},
 	}
 }
 
@@ -69,8 +67,8 @@ type TournamentResult struct {
 
 // Tournament runs the meta-predictor ablation across every trace: the
 // paper's hybrid against the two-way tournament that provably equals it,
-// the three new component predictors alone, and the full 5-way
-// tournament. Immediate mode (§4), like Fig. 5.
+// the Markov component alone, and the default 3-way tournament.
+// Immediate mode (§4), like Fig. 5.
 func Tournament(cfg Config) TournamentResult {
 	rows := tournamentRows()
 	specs := workload.Traces()
