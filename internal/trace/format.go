@@ -48,6 +48,21 @@ var (
 
 const formatVersion = 3
 
+// headerLen is the size of the file header: magic and version.
+const headerLen = len(magic) + 1
+
+// checkHeader validates the file header at the start of hdr, which
+// holds at least headerLen bytes.
+func checkHeader(hdr []byte) error {
+	if [4]byte(hdr[:4]) != magic {
+		return ErrBadMagic
+	}
+	if hdr[4] != formatVersion {
+		return fmt.Errorf("%w: %d", ErrBadVersion, hdr[4])
+	}
+	return nil
+}
+
 // takenBit flags a taken branch inside the kind byte.
 const takenBit = 0x80
 
@@ -222,33 +237,26 @@ func (r *Reader) fill() {
 // start consumes and validates the file header.
 func (r *Reader) start() {
 	r.started = true
-	for r.filled-r.pos < 5 && !r.eof && r.err == nil {
+	for r.filled-r.pos < headerLen && !r.eof && r.err == nil {
 		r.fill()
 	}
 	if r.err != nil {
 		return
 	}
-	if r.filled-r.pos < 5 {
+	if r.filled-r.pos < headerLen {
 		r.err = ErrBadMagic
 		return
 	}
-	hdr := r.buf[r.pos : r.pos+5]
-	if [4]byte(hdr[:4]) != magic {
-		r.err = ErrBadMagic
-		return
+	if r.err = checkHeader(r.buf[r.pos:]); r.err == nil {
+		r.pos += headerLen
 	}
-	if hdr[4] != formatVersion {
-		r.err = fmt.Errorf("%w: %d", ErrBadVersion, hdr[4])
-		return
-	}
-	r.pos += 5
 }
 
 // NextBlock implements BlockSource. Mid-stream it decodes only up to
 // decodeMargin short of the buffered bytes (so no event parse can leave
 // the window), refilling as the window drains; after EOF it decodes to
-// the logical end over the zero padding, where an overrun means a
-// truncated final event.
+// the logical end over the zero padding with decodeToEnd, where an
+// incomplete event left over means a truncated final event.
 func (r *Reader) NextBlock(b *Block, max int) (int, bool) {
 	if max <= 0 {
 		b.Resize(0)
@@ -278,33 +286,17 @@ func (r *Reader) NextBlock(b *Block, max int) (int, bool) {
 			return 0, false
 		}
 	}
-	for {
-		end := r.filled - decodeMargin
-		if r.eof {
-			end = r.filled // logical end; buf extends replayPad past it
-		}
-		if r.pos < end {
+	for !r.eof {
+		if end := r.filled - decodeMargin; r.pos < end {
 			n, pos, err := decodeColumns(b, max, r.buf, r.pos, end, &r.st)
 			r.pos = pos
 			if err != nil {
 				r.err = err
 				return n, false
 			}
-			if r.eof && pos >= end {
-				// Clean EOF lands exactly on end; an overrun means the
-				// final event's fields ran into the padding.
-				if pos > end {
-					r.err = errTruncatedEvent
-				}
-				return n, false
-			}
 			if n > 0 {
 				return n, true
 			}
-		}
-		if r.eof {
-			b.Resize(0)
-			return 0, false
 		}
 		r.fill()
 		if r.err != nil {
@@ -312,6 +304,16 @@ func (r *Reader) NextBlock(b *Block, max int) (int, bool) {
 			return 0, false
 		}
 	}
+	n, pos, err := decodeToEnd(b, max, r.buf, r.pos, r.filled, &r.st)
+	r.pos = pos
+	if err == nil && pos < r.filled {
+		if n == max {
+			return n, true
+		}
+		err = errTruncatedEvent
+	}
+	r.err = err
+	return n, false
 }
 
 // viewBlock points b at n events of src starting at off, as a shared
