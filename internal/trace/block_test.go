@@ -440,9 +440,9 @@ func TestWarmBlockDrainZeroAlloc(t *testing.T) {
 
 // TestFeedBlocksMatchesReference runs the streaming decoder against the
 // frozen per-event reference decoder over every chunking of the same
-// bytes — including chunks smaller than the columnar safety margin,
-// which force the bounds-checked sweep to do all the work — and
-// requires identical events, counts and a clean close.
+// bytes — including chunks smaller than decodeMargin, which the padded
+// end-of-chunk decode handles alone, with events pending across chunks
+// — and requires identical events, counts and a clean close.
 func TestFeedBlocksMatchesReference(t *testing.T) {
 	evs := randomEvents(11, 5_000)
 	data := encodeEvents(t, evs)

@@ -4,8 +4,8 @@ import "fmt"
 
 // The frozen reference decoder: a straightforward per-event v3 decoder
 // over a zero-padded byte slice, kept only as the oracle the production
-// decoders (FeedBlocks' columnar core and margin sweep) are
-// differentially tested against. It shares no decoding code with them —
+// decoder (the columnar core behind FeedBlocks and Reader) is
+// differentially tested against. It shares no decoding code with it —
 // its varint reader included — so a bug in the production helpers
 // cannot hide by appearing on both sides. Do not optimise it.
 
