@@ -12,8 +12,6 @@ type Rates interface {
 	MispredRate() float64
 	CorrectSpecRate() float64
 	MispredOfLoads() float64
-	SelStateShare(state uint8) float64
-	CorrectSelectionRate() float64
 }
 
 var (
@@ -46,10 +44,6 @@ type Mean struct {
 	nSpec          int // traces with Speculated > 0
 	sumAccuracy    float64
 	sumMispredRate float64
-
-	nDual         int // traces with DualConfident > 0
-	sumSelState   [4]float64
-	sumCorrectSel float64
 }
 
 // Add folds one trace's counters into the mean as a single equal-weight
@@ -67,13 +61,6 @@ func (m *Mean) Add(c Counters) {
 		m.nSpec++
 		m.sumAccuracy += c.Accuracy()
 		m.sumMispredRate += c.MispredRate()
-	}
-	if c.DualConfident > 0 {
-		m.nDual++
-		for s := range m.sumSelState {
-			m.sumSelState[s] += c.SelStateShare(uint8(s))
-		}
-		m.sumCorrectSel += c.CorrectSelectionRate()
 	}
 }
 
@@ -104,25 +91,6 @@ func (m Mean) CorrectSpecRate() float64 { return mean(m.sumCorrectSpec, m.nLoads
 // MispredOfLoads is the equal-weight mean of the per-trace shares of
 // loads suffering a wrong speculative access.
 func (m Mean) MispredOfLoads() float64 { return mean(m.sumMispredLoads, m.nLoads) }
-
-// SelStateShare is the equal-weight mean of the per-trace selector-state
-// shares.
-func (m Mean) SelStateShare(state uint8) float64 {
-	if int(state) >= len(m.sumSelState) {
-		return 0
-	}
-	return mean(m.sumSelState[state], m.nDual)
-}
-
-// CorrectSelectionRate is the equal-weight mean of the per-trace
-// selection-quality metric; with no dual-confident trace it is 1, like
-// the per-trace convention.
-func (m Mean) CorrectSelectionRate() float64 {
-	if m.nDual == 0 {
-		return 1
-	}
-	return mean(m.sumCorrectSel, m.nDual)
-}
 
 // String renders a one-line summary in the Counters format, with the
 // trace count in place of the load count.

@@ -21,13 +21,6 @@ func randCounters(r *rand.Rand, loads int64) Counters {
 	c.Speculated = r.Int63n(c.Predicted + 1)
 	c.SpecCorrect = r.Int63n(c.Speculated + 1)
 	c.Mispred = c.Speculated - c.SpecCorrect
-	c.DualConfident = r.Int63n(loads + 1)
-	rem := c.DualConfident
-	for i := range c.SelStates {
-		c.SelStates[i] = r.Int63n(rem + 1)
-		rem -= c.SelStates[i]
-	}
-	c.MisSelected = r.Int63n(c.DualConfident + 1)
 	return c
 }
 
@@ -48,18 +41,11 @@ func TestMeanEqualsPooledOnUniformBudgets(t *testing.T) {
 		const loads = 10_000
 		for i := 0; i < n; i++ {
 			c := randCounters(r, loads)
-			// Uniform denominators across the board: same Loads,
-			// Speculated and DualConfident per trace.
+			// Uniform denominators across the board: same Loads and
+			// Speculated per trace.
 			c.Speculated = loads / 2
 			c.SpecCorrect = r.Int63n(c.Speculated + 1)
 			c.Mispred = c.Speculated - c.SpecCorrect
-			c.DualConfident = loads / 4
-			rem := c.DualConfident
-			for s := range c.SelStates {
-				c.SelStates[s] = r.Int63n(rem + 1)
-				rem -= c.SelStates[s]
-			}
-			c.MisSelected = r.Int63n(c.DualConfident + 1)
 			m.Add(c)
 			pool.Merge(c)
 		}
@@ -72,9 +58,6 @@ func TestMeanEqualsPooledOnUniformBudgets(t *testing.T) {
 			{"MispredOfLoads", m.MispredOfLoads(), pool.MispredOfLoads()},
 			{"Accuracy", m.Accuracy(), pool.Accuracy()},
 			{"MispredRate", m.MispredRate(), pool.MispredRate()},
-			{"SelStateShare(0)", m.SelStateShare(0), pool.SelStateShare(0)},
-			{"SelStateShare(3)", m.SelStateShare(3), pool.SelStateShare(3)},
-			{"CorrectSelectionRate", m.CorrectSelectionRate(), pool.CorrectSelectionRate()},
 		}
 		for _, c := range checks {
 			if !close(c.mean, c.pooled) {
@@ -99,8 +82,7 @@ func TestMeanZeroLoadTraces(t *testing.T) {
 	}
 	if withZeros.PredRate() != withoutZeros.PredRate() ||
 		withZeros.Accuracy() != withoutZeros.Accuracy() ||
-		withZeros.CorrectSpecRate() != withoutZeros.CorrectSpecRate() ||
-		withZeros.CorrectSelectionRate() != withoutZeros.CorrectSelectionRate() {
+		withZeros.CorrectSpecRate() != withoutZeros.CorrectSpecRate() {
 		t.Fatalf("zero-load traces moved the mean: with=%v without=%v", withZeros, withoutZeros)
 	}
 	if withZeros.Traces != withoutZeros.Traces+5 {
@@ -115,11 +97,6 @@ func TestMeanZeroLoadTraces(t *testing.T) {
 	}
 	if onlyZeros.PredRate() != 0 || onlyZeros.Accuracy() != 0 {
 		t.Fatalf("empty mean rates should be 0: %v", onlyZeros)
-	}
-	if onlyZeros.CorrectSelectionRate() != 1 {
-		// The per-trace convention: nothing dual-confident means no
-		// mis-selections.
-		t.Fatalf("empty CorrectSelectionRate should be 1, got %v", onlyZeros.CorrectSelectionRate())
 	}
 }
 
@@ -156,9 +133,6 @@ func TestMeanPartialFailureSubset(t *testing.T) {
 		for _, v := range []float64{
 			got.PredRate(), got.Accuracy(), got.MispredRate(),
 			got.CorrectSpecRate(), got.MispredOfLoads(),
-			got.SelStateShare(0), got.SelStateShare(1),
-			got.SelStateShare(2), got.SelStateShare(3),
-			got.CorrectSelectionRate(),
 		} {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				t.Fatalf("trial %d: rate out of [0,1]: %v (%v)", trial, v, got)

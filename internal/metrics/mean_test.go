@@ -39,7 +39,6 @@ func TestMeanMatchesSingleTrace(t *testing.T) {
 	c := Counters{
 		Loads: 200, Predicted: 120, Correct: 100,
 		Speculated: 110, SpecCorrect: 95, Mispred: 15,
-		DualConfident: 40, SelStates: [4]int64{10, 5, 5, 20}, MisSelected: 4,
 	}
 	var m Mean
 	m.Add(c)
@@ -52,8 +51,6 @@ func TestMeanMatchesSingleTrace(t *testing.T) {
 		{"MispredRate", m.MispredRate(), c.MispredRate()},
 		{"CorrectSpecRate", m.CorrectSpecRate(), c.CorrectSpecRate()},
 		{"MispredOfLoads", m.MispredOfLoads(), c.MispredOfLoads()},
-		{"SelStateShare3", m.SelStateShare(3), c.SelStateShare(3)},
-		{"CorrectSelectionRate", m.CorrectSelectionRate(), c.CorrectSelectionRate()},
 	}
 	for _, ck := range checks {
 		if !approx(ck.got, ck.want) {
@@ -66,9 +63,6 @@ func TestMeanEmptyAndDefaults(t *testing.T) {
 	var m Mean
 	if !m.Empty() {
 		t.Error("zero Mean should be Empty")
-	}
-	if got := m.CorrectSelectionRate(); got != 1 {
-		t.Errorf("CorrectSelectionRate with no samples = %v, want 1", got)
 	}
 	m.Add(Counters{}) // a trace that saw nothing
 	if !m.Empty() {

@@ -1,8 +1,9 @@
 // Package metrics accumulates the prediction statistics reported in the
 // paper's evaluation: prediction rate (speculative accesses out of all
 // dynamic loads), accuracy (correct predictions out of speculative
-// accesses), misprediction rate, correct-speculative rate, and the hybrid
-// selector statistics of Fig. 8.
+// accesses), misprediction rate and correct-speculative rate. It reads
+// only what every predictor produces; the hybrid selector statistics of
+// Fig. 8 are the chooser's own ledger (predictor.SelectorStats).
 package metrics
 
 import (
@@ -19,12 +20,6 @@ type Counters struct {
 	Speculated  int64 // loads for which a speculative access was launched
 	SpecCorrect int64 // correct among Speculated
 	Mispred     int64 // wrong among Speculated
-
-	// Hybrid selector statistics (Fig. 8), collected over loads where
-	// both components were confident.
-	DualConfident int64
-	SelStates     [4]int64
-	MisSelected   int64 // mispredictions the other component had right
 }
 
 // Record tallies one resolved load.
@@ -44,21 +39,6 @@ func (c *Counters) Record(p predictor.Prediction, actual uint32) {
 			c.Mispred++
 		}
 	}
-	if p.Stride.Confident && p.CAP.Confident {
-		c.DualConfident++
-		if int(p.SelState) < len(c.SelStates) {
-			c.SelStates[p.SelState]++
-		}
-		if p.Speculate && p.Addr != actual {
-			other := p.Stride
-			if p.Selected == predictor.CompStride {
-				other = p.CAP
-			}
-			if other.Addr == actual {
-				c.MisSelected++
-			}
-		}
-	}
 }
 
 // Merge adds other into c.
@@ -69,11 +49,6 @@ func (c *Counters) Merge(other Counters) {
 	c.Speculated += other.Speculated
 	c.SpecCorrect += other.SpecCorrect
 	c.Mispred += other.Mispred
-	c.DualConfident += other.DualConfident
-	for i := range c.SelStates {
-		c.SelStates[i] += other.SelStates[i]
-	}
-	c.MisSelected += other.MisSelected
 }
 
 func ratio(num, den int64) float64 {
@@ -106,24 +81,6 @@ func (c Counters) CorrectSpecRate() float64 { return ratio(c.SpecCorrect, c.Load
 // MispredOfLoads is the share of all dynamic loads that suffered a wrong
 // speculative access.
 func (c Counters) MispredOfLoads() float64 { return ratio(c.Mispred, c.Loads) }
-
-// SelStateShare returns the fraction of dual-confident loads predicted in
-// the given selector state.
-func (c Counters) SelStateShare(state uint8) float64 {
-	if int(state) >= len(c.SelStates) {
-		return 0
-	}
-	return ratio(c.SelStates[state], c.DualConfident)
-}
-
-// CorrectSelectionRate is 1 − (mis-selections / dual-confident loads): the
-// Fig. 8 selection-quality metric.
-func (c Counters) CorrectSelectionRate() float64 {
-	if c.DualConfident == 0 {
-		return 1
-	}
-	return 1 - ratio(c.MisSelected, c.DualConfident)
-}
 
 // String renders a one-line summary.
 func (c Counters) String() string {

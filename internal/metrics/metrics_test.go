@@ -44,50 +44,6 @@ func TestCountersEmptyRates(t *testing.T) {
 	if c.PredRate() != 0 || c.Accuracy() != 0 || c.CorrectSpecRate() != 0 {
 		t.Error("empty counters must report zero rates")
 	}
-	if c.CorrectSelectionRate() != 1 {
-		t.Error("empty selection rate should be 1 (no mis-selections)")
-	}
-}
-
-func TestCountersSelectorStats(t *testing.T) {
-	var c Counters
-	dual := predictor.Prediction{
-		Addr: 10, Predicted: true, Speculate: true,
-		Selected: predictor.CompCAP,
-		SelState: predictor.SelStrongCAP,
-		Stride:   predictor.ComponentPrediction{Addr: 99, Predicted: true, Confident: true},
-		CAP:      predictor.ComponentPrediction{Addr: 10, Predicted: true, Confident: true},
-	}
-	c.Record(dual, 10) // correct, CAP selected
-	if c.DualConfident != 1 || c.SelStates[predictor.SelStrongCAP] != 1 {
-		t.Fatalf("selector stats wrong: %+v", c)
-	}
-	if c.SelStateShare(predictor.SelStrongCAP) != 1 {
-		t.Error("SelStateShare wrong")
-	}
-
-	// Mis-selection: selected CAP, wrong, stride had it right.
-	miss := dual
-	miss.Addr = 50
-	miss.CAP.Addr = 50
-	miss.Stride.Addr = 77
-	c.Record(miss, 77)
-	if c.MisSelected != 1 {
-		t.Fatalf("MisSelected = %d, want 1", c.MisSelected)
-	}
-	if got := c.CorrectSelectionRate(); got != 0.5 {
-		t.Errorf("CorrectSelectionRate = %v, want 0.5", got)
-	}
-
-	// Both wrong: not a mis-selection.
-	bothWrong := dual
-	bothWrong.Addr = 1
-	bothWrong.CAP.Addr = 1
-	bothWrong.Stride.Addr = 2
-	c.Record(bothWrong, 3)
-	if c.MisSelected != 1 {
-		t.Error("both-wrong must not count as mis-selection")
-	}
 }
 
 func TestCountersMerge(t *testing.T) {
@@ -106,12 +62,5 @@ func TestCountersString(t *testing.T) {
 	c.Record(predictor.Prediction{Addr: 1, Predicted: true, Speculate: true}, 1)
 	if !strings.Contains(c.String(), "loads=1") {
 		t.Errorf("String() = %q", c.String())
-	}
-}
-
-func TestSelStateShareOutOfRange(t *testing.T) {
-	var c Counters
-	if c.SelStateShare(200) != 0 {
-		t.Error("out-of-range selector state must report 0")
 	}
 }

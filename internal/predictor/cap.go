@@ -381,18 +381,12 @@ func (c *CAP) Name() string { return "cap" }
 // Predict implements Predictor.
 func (c *CAP) Predict(ref LoadRef) Prediction {
 	cp := c.comp.Predict(slotFor(c.lb, c.comp, ref.IP), ref)
-	return Prediction{
-		Addr:      cp.Addr,
-		Predicted: cp.Predicted,
-		Speculate: cp.Confident,
-		Selected:  CompCAP,
-		CAP:       cp,
-	}
+	return Prediction{Addr: cp.Addr, Predicted: cp.Predicted, Speculate: cp.Confident, Selected: CompCAP}
 }
 
 // Resolve implements Predictor.
 func (c *CAP) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	c.comp.Resolve(slotFor(c.lb, c.comp, ref.IP), ref, p.CAP, soloOutcome(CompCAP, p, actual), actual)
+	c.comp.Resolve(slotFor(c.lb, c.comp, ref.IP), ref, p.solo(), soloOutcome(CompCAP, p, actual), actual)
 }
 
 // Squash implements Squasher: the prediction was made on a wrong path and

@@ -170,11 +170,12 @@ func FuzzHybridSelector(f *testing.F) {
 				selBefore = h.lb.At(slot).ctr[h.cap]
 			}
 			p := h.Predict(ref)
+			op := h.NewestOpinions()
 			if p.Speculate && !p.Predicted {
 				t.Fatal("speculated without predicting")
 			}
-			if p.SelState > SelStrongCAP {
-				t.Fatalf("selector state out of range: %d", p.SelState)
+			if op.SelState > SelStrongCAP {
+				t.Fatalf("selector state out of range: %d", op.SelState)
 			}
 			h.Resolve(ref, p, addr)
 
@@ -190,7 +191,7 @@ func FuzzHybridSelector(f *testing.F) {
 			if diff < -1 || diff > 1 {
 				t.Fatalf("selector moved more than one state: %d -> %d", selBefore, sel)
 			}
-			if diff != 0 && !(p.Stride.Predicted && p.CAP.Predicted) {
+			if diff != 0 && !(op.Stride.Predicted && op.CAP.Predicted) {
 				t.Fatalf("selector moved without both components predicting: %d -> %d", selBefore, sel)
 			}
 			strc, capc := hybridParts(h)

@@ -51,7 +51,8 @@ type HybridConfig struct {
 	// StaticSelector, when not CompNone, names the component that wins
 	// whenever it is confident, whatever the counters say: CAP for
 	// CompCAP, stride for any other value. The counters keep training,
-	// so SelState still reports the dynamic selector.
+	// so the selector ledger (SelectorStats) still reports the dynamic
+	// selector.
 	StaticSelector Component
 	UpdatePolicy   UpdatePolicy
 

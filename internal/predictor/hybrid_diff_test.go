@@ -23,19 +23,42 @@ func hybridConfigs() []predictor.HybridConfig {
 	return out
 }
 
+// opinionated is what the differential tests drive on each side: a
+// predictor that reports its youngest load's stride and CAP opinions
+// and keeps the Fig. 8 ledger.
+type opinionated interface {
+	predictor.Predictor
+	predictor.Squasher
+	NewestOpinions() predictor.Opinions
+	SelectorStats() predictor.SelectorStats
+}
+
+// spy records each load's opinions right after Predict, before the
+// pipeline resolves it.
+type spy struct {
+	opinionated
+	last predictor.Opinions
+}
+
+func (s *spy) Predict(ref predictor.LoadRef) predictor.Prediction {
+	p := s.opinionated.Predict(ref)
+	s.last = s.NewestOpinions()
+	return p
+}
+
 // smallPair builds NewHybrid and the frozen reference over deliberately
 // tiny tables, so fuzzed streams exercise collisions, evictions and
 // selector saturation quickly. The load buffer has 8 entries in 4 sets
 // of 2 ways, so the 16 static loads of the fuzzer (and the 32 of
 // TestHybridMatchesReference) evict one another constantly; the LT has
 // 64 entries with 4-bit tags.
-func smallPair(cfg predictor.HybridConfig) (*predictor.Hybrid, *predictor.Tournament) {
+func smallPair(cfg predictor.HybridConfig) (ref, tour *spy) {
 	cfg.CAP.LBEntries = 8
 	cfg.CAP.LBWays = 2
 	cfg.CAP.LTEntries = 64
 	cfg.CAP.TagBits = 4
 	cfg.CAP.PFTableEntries = 256
-	return predictor.NewReferenceHybrid(cfg), predictor.NewHybrid(cfg)
+	return &spy{opinionated: predictor.NewReferenceHybrid(cfg)}, &spy{opinionated: predictor.NewHybrid(cfg)}
 }
 
 func configName(cfg predictor.HybridConfig) string {
@@ -92,18 +115,34 @@ func confidentSeed() []byte {
 	return seed
 }
 
-// diffStep compares two predictions field for field.
-func diffStep(t *testing.T, name string, step int, ph, pt predictor.Prediction) {
+// diffStep compares the step's two predictions field for field, the
+// stride and CAP opinions and selector state they were made from, and
+// the two Fig. 8 ledgers so far.
+func diffStep(t *testing.T, name string, step int, h, tour *spy, ph, pt predictor.Prediction) {
 	t.Helper()
 	if ph != pt {
 		t.Fatalf("%s step %d: NewHybrid diverged from the reference:\nreference %+v\nNewHybrid %+v", name, step, ph, pt)
+	}
+	if h.last != tour.last {
+		t.Fatalf("%s step %d: opinions diverged:\nreference %+v\nNewHybrid %+v", name, step, h.last, tour.last)
+	}
+	diffLedger(t, name, step, h, tour)
+}
+
+// diffLedger requires NewHybrid's selector ledger to equal the one the
+// reference tallies by the frozen Fig. 8 rule.
+func diffLedger(t *testing.T, name string, step int, h, tour *spy) {
+	t.Helper()
+	if sh, st := h.SelectorStats(), tour.SelectorStats(); sh != st {
+		t.Fatalf("%s step %d: selector ledger diverged:\nreference %+v\nNewHybrid %+v", name, step, sh, st)
 	}
 }
 
 // FuzzTournamentSelector is the differential fuzzer of the hybrid:
 // NewHybrid's chooser makes the same decisions as the frozen reference
-// selector — same chosen component, same selector state, same
-// confidence gating, same link-table updates — in immediate mode and
+// selector — same chosen component, same stride and CAP opinions, same
+// selector state, same confidence gating, same link-table updates, and
+// the same Fig. 8 ledger — in immediate mode and
 // under a prediction gap with wrong-path squashes mixed in. The first
 // input byte picks the selector and update-policy configuration; every
 // seed stream is added once per configuration.
@@ -154,7 +193,7 @@ func FuzzTournamentSelector(f *testing.F) {
 				in = in[4:]
 
 				ref := predictor.LoadRef{IP: ip, Offset: offset, GHR: ghr.Value(), Path: path.Value()}
-				diffStep(t, name, step, gh.Process(ref, addr), gt.Process(ref, addr))
+				diffStep(t, name, step, h, tour, gh.Process(ref, addr), gt.Process(ref, addr))
 				if squash {
 					if nh, nt := gh.SquashNewest(1), gt.SquashNewest(1); nh != nt {
 						t.Fatalf("%s step %d: squashed %d vs %d", name, step, nh, nt)
@@ -163,11 +202,12 @@ func FuzzTournamentSelector(f *testing.F) {
 			}
 			gh.Drain()
 			gt.Drain()
+			diffLedger(t, name, -1, h, tour)
 			// The drained state must agree too: one more prediction per
 			// static load compares the post-drain tables.
 			for ip := uint32(0); ip < 16; ip++ {
 				ref := predictor.LoadRef{IP: ip * 4, GHR: ghr.Value(), Path: path.Value()}
-				diffStep(t, name, -1, gh.Process(ref, 0x1234), gt.Process(ref, 0x1234))
+				diffStep(t, name, -1, h, tour, gh.Process(ref, 0x1234), gt.Process(ref, 0x1234))
 			}
 		}
 	})
@@ -180,10 +220,13 @@ func FuzzTournamentSelector(f *testing.F) {
 // periodic squashes. The first quarter of the stream keeps to four
 // static loads in four LB sets, so both components grow confident and
 // the selector decides; the rest spreads 32 static loads over the
-// 8-entry LB.
+// 8-entry LB. Besides each load's prediction, opinions and selector
+// state, the two Fig. 8 ledgers must agree after every step.
 func TestHybridMatchesReference(t *testing.T) {
+	var total predictor.SelectorStats
 	for _, cfg := range hybridConfigs() {
 		for _, gap := range []int{0, 4, 40} {
+			name := fmt.Sprintf("%s gap=%d", configName(cfg), gap)
 			h, tour := smallPair(cfg)
 			gh := pipeline.New(h, gap)
 			gt := pipeline.New(tour, gap)
@@ -228,10 +271,7 @@ func TestHybridMatchesReference(t *testing.T) {
 					path.Push(ip)
 				}
 				ref := predictor.LoadRef{IP: ip, Offset: offset, GHR: ghr.Value(), Path: path.Value()}
-				ph, pt := gh.Process(ref, addr), gt.Process(ref, addr)
-				if ph != pt {
-					t.Fatalf("%s gap %d step %d: reference %+v NewHybrid %+v", configName(cfg), gap, step, ph, pt)
-				}
+				diffStep(t, name, step, h, tour, gh.Process(ref, addr), gt.Process(ref, addr))
 				if gap > 0 && r&0xF000 == 0xF000 {
 					gh.SquashNewest(2)
 					gt.SquashNewest(2)
@@ -239,6 +279,13 @@ func TestHybridMatchesReference(t *testing.T) {
 			}
 			gh.Drain()
 			gt.Drain()
+			diffLedger(t, name, -1, h, tour)
+			total.Merge(h.SelectorStats())
 		}
+	}
+	// The ledger comparison must not be vacuous: the stream has to reach
+	// dual-confident loads and mis-selections.
+	if total.DualConfident == 0 || total.MisSelected == 0 {
+		t.Fatalf("ledger went untested: %+v", total)
 	}
 }

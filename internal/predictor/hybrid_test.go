@@ -141,12 +141,13 @@ func TestHybridReportsComponentOpinions(t *testing.T) {
 		pr := p.Predict(ref)
 		p.Resolve(ref, pr, 0x7008)
 	}
-	pr := p.Predict(ref)
-	if !pr.Stride.Predicted || !pr.CAP.Predicted {
-		t.Errorf("both components should report predictions on a constant load: %+v", pr)
+	p.Predict(ref)
+	op := p.NewestOpinions()
+	if !op.Stride.Predicted || !op.CAP.Predicted {
+		t.Errorf("both components should report predictions on a constant load: %+v", op)
 	}
-	if !pr.Stride.Confident || !pr.CAP.Confident {
-		t.Errorf("both components should be confident on a constant load: %+v", pr)
+	if !op.Stride.Confident || !op.CAP.Confident {
+		t.Errorf("both components should be confident on a constant load: %+v", op)
 	}
 }
 
@@ -165,4 +166,73 @@ func selector(t *testing.T, h *Tournament, ip uint32) uint8 {
 		t.Fatal("LB entry missing")
 	}
 	return h.lb.At(slot).ctr[h.cap]
+}
+
+// TestSelectorStatsRecordRule pins the Fig. 8 tally: only loads on
+// which both stride and CAP were confident count, each under its
+// selector state, and a mis-selection is a wrong speculative access
+// the other component had right.
+func TestSelectorStatsRecordRule(t *testing.T) {
+	var s SelectorStats
+	conf := func(addr uint32) ComponentPrediction {
+		return ComponentPrediction{Addr: addr, Predicted: true, Confident: true}
+	}
+	capSel := Prediction{Addr: 10, Predicted: true, Speculate: true, Selected: CompCAP}
+
+	// Only stride confident: not a dual-confident load.
+	s.record(conf(10), ComponentPrediction{Addr: 10, Predicted: true}, SelStrongCAP, capSel, 10)
+	if s != (SelectorStats{}) {
+		t.Fatalf("a one-confident load was tallied: %+v", s)
+	}
+
+	s.record(conf(99), conf(10), SelStrongCAP, capSel, 10) // correct, CAP selected
+	if s.DualConfident != 1 || s.States[SelStrongCAP] != 1 {
+		t.Fatalf("selector stats wrong: %+v", s)
+	}
+
+	// Mis-selection: selected CAP, wrong, stride had it right.
+	miss := capSel
+	miss.Addr = 50
+	s.record(conf(77), conf(50), SelStrongCAP, miss, 77)
+	if s.MisSelected != 1 || s.DualConfident != 2 {
+		t.Fatalf("mis-selection not counted: %+v", s)
+	}
+
+	// Selected stride, wrong, CAP had it right: the other side is CAP.
+	strideMiss := Prediction{Addr: 5, Predicted: true, Speculate: true, Selected: CompStride}
+	s.record(conf(5), conf(6), SelWeakStride, strideMiss, 6)
+	if s.MisSelected != 2 || s.States[SelWeakStride] != 1 {
+		t.Fatalf("stride mis-selection not counted: %+v", s)
+	}
+
+	// Both wrong: not a mis-selection.
+	bothWrong := capSel
+	bothWrong.Addr = 1
+	s.record(conf(2), conf(1), SelStrongCAP, bothWrong, 3)
+	if s.MisSelected != 2 || s.DualConfident != 4 {
+		t.Errorf("both-wrong must count as dual-confident but not as mis-selection: %+v", s)
+	}
+}
+
+// TestSelectorStatsStateOutOfRange pins the guard for states beyond the
+// 2-bit range, which an N-way tournament's winner counter can reach:
+// the load is dual-confident but filed under no state.
+func TestSelectorStatsStateOutOfRange(t *testing.T) {
+	var s SelectorStats
+	conf := ComponentPrediction{Addr: 1, Predicted: true, Confident: true}
+	for _, state := range []uint8{5, 200} {
+		s.record(conf, conf, state, Prediction{Addr: 1, Predicted: true, Speculate: true, Selected: CompCAP}, 1)
+	}
+	if s.DualConfident != 2 || s.States != [4]int64{} {
+		t.Fatalf("out-of-range state: %+v", s)
+	}
+}
+
+func TestSelectorStatsMerge(t *testing.T) {
+	a := SelectorStats{DualConfident: 3, States: [4]int64{1, 0, 2, 0}, MisSelected: 1}
+	b := SelectorStats{DualConfident: 2, States: [4]int64{0, 1, 0, 1}, MisSelected: 0}
+	a.Merge(b)
+	if want := (SelectorStats{DualConfident: 5, States: [4]int64{1, 1, 2, 1}, MisSelected: 1}); a != want {
+		t.Errorf("merge = %+v, want %+v", a, want)
+	}
 }

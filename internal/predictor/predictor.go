@@ -68,29 +68,36 @@ func (c Component) String() string {
 	return "invalid"
 }
 
-// ComponentPrediction is one side's opinion inside a hybrid prediction.
+// ComponentPrediction is one component's opinion on a load.
 type ComponentPrediction struct {
 	Addr      uint32
 	Predicted bool // the component produced an address
 	Confident bool // ... with enough confidence for a speculative access
 }
 
-// Prediction is the outcome of Predict for one dynamic load.
+// Prediction is the outcome of Predict for one dynamic load: what every
+// predictor produces.
 //
 // Predicted means an address was produced (the paper: "on a LB hit, a
 // load-address prediction is always performed"). Speculate means the
 // confidence mechanisms all agreed, so a speculative cache access would be
 // launched; only speculated predictions can cost a misprediction.
+// Selected names the component whose address was reported. Chooser
+// detail — each entrant's opinion, the selector state — stays with the
+// Tournament, which tallies it into its own ledgers (ComponentStats,
+// SelectorStats).
 type Prediction struct {
 	Addr      uint32
 	Predicted bool
 	Speculate bool
+	Selected  Component
+}
 
-	// Hybrid detail, used by the selector-performance experiment (Fig. 8).
-	Selected Component
-	SelState uint8 // selector counter state at prediction time
-	Stride   ComponentPrediction
-	CAP      ComponentPrediction
+// solo is the one-component opinion a stand-alone predictor reported in
+// p: its address, predicted or not, with its confidence as the
+// speculate flag.
+func (p Prediction) solo() ComponentPrediction {
+	return ComponentPrediction{Addr: p.Addr, Predicted: p.Predicted, Confident: p.Speculate}
 }
 
 // Correct reports whether the prediction produced the actual address.

@@ -212,18 +212,12 @@ func (s *Stride) Name() string { return s.comp.Name() }
 // Predict implements Predictor.
 func (s *Stride) Predict(ref LoadRef) Prediction {
 	cp := s.comp.Predict(slotFor(s.lb, s.comp, ref.IP), ref)
-	return Prediction{
-		Addr:      cp.Addr,
-		Predicted: cp.Predicted,
-		Speculate: cp.Confident,
-		Selected:  CompStride,
-		Stride:    cp,
-	}
+	return Prediction{Addr: cp.Addr, Predicted: cp.Predicted, Speculate: cp.Confident, Selected: CompStride}
 }
 
 // Resolve implements Predictor.
 func (s *Stride) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	s.comp.Resolve(slotFor(s.lb, s.comp, ref.IP), ref, p.Stride, soloOutcome(CompStride, p, actual), actual)
+	s.comp.Resolve(slotFor(s.lb, s.comp, ref.IP), ref, p.solo(), soloOutcome(CompStride, p, actual), actual)
 }
 
 // Squash implements Squasher: the prediction was made on a wrong path and

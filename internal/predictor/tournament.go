@@ -113,8 +113,13 @@ type chooserEntry struct {
 	ctr [MaxComponents]uint8
 }
 
-// opinions is one in-flight load's per-entrant predictions.
-type opinions [MaxComponents]ComponentPrediction
+// flight is one in-flight load's record: every entrant's opinion and
+// the selector state at prediction time, which the Fig. 8 ledger files
+// the load under when it resolves.
+type flight struct {
+	ops [MaxComponents]ComponentPrediction
+	sel uint8
+}
 
 // ComponentStat is one entrant's selection ledger: how often its
 // address was the one launched speculatively, and how often that
@@ -123,6 +128,50 @@ type ComponentStat struct {
 	Name     string `json:"name"`
 	Selected int64  `json:"selected"`
 	Correct  int64  `json:"correct"`
+}
+
+// SelectorStats is the ledger of the stride/CAP selector's performance
+// (§3.7, Fig. 8), kept over the dual-confident loads: those on which
+// both the stride and the CAP entrant were confident. States files
+// them by the selector state at prediction time; MisSelected counts the
+// wrong speculative accesses whose address the other of the two had
+// right.
+type SelectorStats struct {
+	DualConfident int64
+	States        [4]int64
+	MisSelected   int64
+}
+
+// record tallies one resolved load from its stride and CAP opinions
+// and the selector state they were made under. A state beyond the
+// 2-bit range — an N-way tournament files a load under its winner's
+// counter — counts as dual-confident but in no state.
+func (s *SelectorStats) record(stride, cap ComponentPrediction, state uint8, p Prediction, actual uint32) {
+	if !stride.Confident || !cap.Confident {
+		return
+	}
+	s.DualConfident++
+	if int(state) < len(s.States) {
+		s.States[state]++
+	}
+	if p.Speculate && p.Addr != actual {
+		other := stride
+		if p.Selected == CompStride {
+			other = cap
+		}
+		if other.Addr == actual {
+			s.MisSelected++
+		}
+	}
+}
+
+// Merge adds other into s.
+func (s *SelectorStats) Merge(other SelectorStats) {
+	s.DualConfident += other.DualConfident
+	for i := range s.States {
+		s.States[i] += other.States[i]
+	}
+	s.MisSelected += other.MisSelected
 }
 
 // Tournament is the N-way meta-predictor, the paper's hybrid (§3.7)
@@ -140,8 +189,8 @@ type Tournament struct {
 	init   [MaxComponents]uint8
 	pref   []int // entrant indices in preference order
 
-	// stride and cap are the indices of the entrants whose opinions
-	// Prediction.Stride and Prediction.CAP report, -1 when absent.
+	// stride and cap are the indices of the entrants the selector
+	// ledger compares, -1 when absent.
 	stride, cap int
 	// preferred, when not -1, is the entrant that wins whenever it is
 	// confident (the hybrid's static-selector ablation). The counters
@@ -152,11 +201,12 @@ type Tournament struct {
 	// Resolutions pop the head (they arrive in prediction order);
 	// squashes pop the tail (they arrive youngest first). The hot path
 	// does not allocate.
-	ring []opinions
+	ring []flight
 	head int
 	n    int
 
 	stats []ComponentStat
+	sel   SelectorStats
 	index [1 << 8]int8 // entrant index + 1 by ID, 0 for none
 }
 
@@ -189,7 +239,7 @@ func New(cfg Config, comps ...Entrant) *Tournament {
 		stride:    -1,
 		cap:       -1,
 		preferred: -1,
-		ring:      make([]opinions, 16),
+		ring:      make([]flight, 16),
 	}
 	for i, c := range comps {
 		id := c.ID()
@@ -255,28 +305,33 @@ func (t *Tournament) ComponentStats() []ComponentStat {
 	return out
 }
 
+// SelectorStats returns the Fig. 8 ledger of the stride/CAP selector.
+// It stays empty unless the tournament has both a stride and a CAP
+// entrant.
+func (t *Tournament) SelectorStats() SelectorStats { return t.sel }
+
 // pushFlight appends a record to the in-flight ring, doubling the ring
-// when it is full, and returns the entrants' part of it.
-func (t *Tournament) pushFlight() []ComponentPrediction {
+// when it is full, and returns it.
+func (t *Tournament) pushFlight() *flight {
 	if t.n == len(t.ring) {
-		grown := make([]opinions, 2*len(t.ring))
+		grown := make([]flight, 2*len(t.ring))
 		for i := 0; i < t.n; i++ {
 			grown[i] = t.ring[(t.head+i)&(len(t.ring)-1)]
 		}
 		t.ring, t.head = grown, 0
 	}
-	ops := &t.ring[(t.head+t.n)&(len(t.ring)-1)]
+	f := &t.ring[(t.head+t.n)&(len(t.ring)-1)]
 	t.n++
-	return ops[:len(t.comps)]
+	return f
 }
 
-// popOldest removes the oldest in-flight record and returns the
-// entrants' part of it, valid until the next pushFlight.
-func (t *Tournament) popOldest() []ComponentPrediction {
-	ops := &t.ring[t.head]
+// popOldest removes the oldest in-flight record and returns it, valid
+// until the next pushFlight.
+func (t *Tournament) popOldest() *flight {
+	f := &t.ring[t.head]
 	t.head = (t.head + 1) & (len(t.ring) - 1)
 	t.n--
-	return ops[:len(t.comps)]
+	return f
 }
 
 // slot probes the load buffer for ip. A newly allocated entry starts
@@ -303,19 +358,10 @@ func (t *Tournament) slot(ip uint32) (int, *chooserEntry) {
 // counts are exact under a prediction gap.
 func (t *Tournament) Predict(ref LoadRef) Prediction {
 	slot, e := t.slot(ref.IP)
-	ops := t.pushFlight()
-	var p Prediction
-	// Stride and CAP are copied from the call's result, not read back
-	// from the ring: a wide load of the fields just stored stalls.
+	f := t.pushFlight()
+	ops := f.ops[:len(t.comps)]
 	for i, c := range t.comps {
-		cp := c.Predict(slot, ref)
-		ops[i] = cp
-		switch i {
-		case t.stride:
-			p.Stride = cp
-		case t.cap:
-			p.CAP = cp
-		}
+		ops[i] = c.Predict(slot, ref)
 	}
 
 	// One pass in preference order: the confident entrant with the
@@ -339,17 +385,18 @@ func (t *Tournament) Predict(ref LoadRef) Prediction {
 	if !speculate {
 		chosen = fallback
 	}
-	p.Predicted, p.Speculate = chosen >= 0, speculate
+	p := Prediction{Predicted: chosen >= 0, Speculate: speculate}
 	if chosen >= 0 {
-		p.Addr, p.Selected, p.SelState = ops[chosen].Addr, t.ids[chosen], e.ctr[chosen]
+		p.Addr, p.Selected = ops[chosen].Addr, t.ids[chosen]
 	}
-	// SelState: for a two-way tournament the second entrant's counter
-	// is the full relative 2-bit state (the counter vector keeps a
-	// constant sum, so it is the paper's selector — see NewHybrid); for
-	// N-way it reports the winner's counter, which is what breakdowns
-	// want to see.
-	if len(t.comps) == 2 {
-		p.SelState = e.ctr[1]
+	// The selector state: for a two-way tournament the second entrant's
+	// counter is the full relative 2-bit state (the counter vector keeps
+	// a constant sum, so it is the paper's selector — see NewHybrid);
+	// for N-way it is the winner's counter. Without a winner no entrant
+	// is confident, so the ledger never reads it.
+	f.sel = e.ctr[1]
+	if len(t.comps) > 2 && chosen >= 0 {
+		f.sel = e.ctr[chosen]
 	}
 	return p
 }
@@ -363,7 +410,8 @@ func (t *Tournament) Resolve(ref LoadRef, p Prediction, actual uint32) {
 	if t.n == 0 {
 		panic("tournament: Resolve without a matching Predict")
 	}
-	ops := t.popOldest()
+	f := t.popOldest()
+	ops := f.ops[:len(t.comps)]
 	slot, e := t.slot(ref.IP)
 
 	// predicted and correct are masks by entrant index, o's by ID.
@@ -397,6 +445,9 @@ func (t *Tournament) Resolve(ref LoadRef, p Prediction, actual uint32) {
 		if p.Addr == actual {
 			t.stats[chosen].Correct++
 		}
+	}
+	if t.stride >= 0 && t.cap >= 0 {
+		t.sel.record(ops[t.stride], ops[t.cap], f.sel, p, actual)
 	}
 }
 

@@ -280,10 +280,36 @@ func TestChooserAgreementFreezesCounters(t *testing.T) {
 	for i := 0; i < 3; i++ { // both wrong
 		tour.Resolve(ref, tour.Predict(ref), 6)
 	}
-	if p := tour.Predict(ref); p.SelState != predictor.SelWeakCAP {
-		t.Fatalf("SelState = %d, want untouched init %d", p.SelState, predictor.SelWeakCAP)
-	}
 	tour.Resolve(ref, tour.Predict(ref), 5)
+	// Every load was dual-confident, so the selector ledger filed each
+	// under the selector state it was predicted in: the untouched init.
+	want := predictor.SelectorStats{DualConfident: 7}
+	want.States[predictor.SelWeakCAP] = 7
+	if got := tour.SelectorStats(); got != want {
+		t.Fatalf("selector ledger = %+v, want every load at the untouched init %+v", got, want)
+	}
+}
+
+// TestSelectorLedgerUsesPredictionTimeState: the ledger files a load
+// under the selector state it was predicted in, even when an earlier
+// resolution of the same static load moves the selector before its own.
+func TestSelectorLedgerUsesPredictionTimeState(t *testing.T) {
+	a := &scripted{id: predictor.CompStride, op: predictor.ComponentPrediction{Addr: 5, Predicted: true, Confident: true}}
+	b := &scripted{id: predictor.CompCAP, op: predictor.ComponentPrediction{Addr: 6, Predicted: true, Confident: true}}
+	tour := predictor.New(predictor.Config{Entries: 16, Ways: 2, CounterMax: 3}, a, b)
+	ref := predictor.LoadRef{IP: 0x10}
+
+	// Two instances in flight, both predicted at the initial weak-CAP
+	// state, so both select CAP. Stride is right each time: each
+	// resolution moves the selector stride-ward and is a mis-selection.
+	p1, p2 := tour.Predict(ref), tour.Predict(ref)
+	tour.Resolve(ref, p1, 5)
+	tour.Resolve(ref, p2, 5)
+	want := predictor.SelectorStats{DualConfident: 2, MisSelected: 2}
+	want.States[predictor.SelWeakCAP] = 2
+	if got := tour.SelectorStats(); got != want {
+		t.Fatalf("selector ledger = %+v, want %+v", got, want)
+	}
 }
 
 func TestNewValidation(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"capred/internal/metrics"
 	"capred/internal/predictor"
+	"capred/internal/workload"
 )
 
 // The paper's qualitative claims, asserted on the typed driver results
@@ -83,6 +84,32 @@ func TestClaimFig5HybridDominates(t *testing.T) {
 		if hy < st || hy < cp {
 			t.Errorf("%s: hybrid rate %.4f below max(stride %.4f, cap %.4f)", s, hy, st, cp)
 		}
+	}
+}
+
+// TestClaimFig8: Fig. 8, read from the hybrid's selector ledger. The
+// 2-bit selector is near perfect (the paper: >99% correct selection)
+// in every suite and on average, and most dual-confident loads sit in
+// the CAP-selecting states on average (the paper: almost 90%; here the
+// majority, which two suites miss — see EXPERIMENTS.md).
+func TestClaimFig8(t *testing.T) {
+	r := Fig8(goldenConfig(*goldenWorkers))
+	cleanRun(t, "fig8", r.Failed())
+	for _, s := range workload.SuiteNames() {
+		l, ok := r.Suites[s]
+		if !ok || l.DualConfident == 0 {
+			t.Fatalf("%s: no dual-confident loads measured", s)
+		}
+		if got := fig8Row(l).CorrectSel; got < 0.985 {
+			t.Errorf("%s: correct selection %.4f, want near-perfect", s, got)
+		}
+	}
+	avg := r.Average()
+	if avg.CorrectSel < 0.985 {
+		t.Errorf("Average: correct selection %.4f, want near-perfect", avg.CorrectSel)
+	}
+	if capShare := avg.Share[predictor.SelWeakCAP] + avg.Share[predictor.SelStrongCAP]; capShare <= 0.5 {
+		t.Errorf("Average: CAP-selecting share %.3f, want the majority", capShare)
 	}
 }
 

@@ -288,34 +288,94 @@ func (r Fig7Result) Table() *report.Table {
 
 // --- Figure 8: selector performance ---
 
-// Fig8Result holds per-suite hybrid counters (the selector statistics).
+// Fig8Result holds the hybrid's selector ledger (§3.7) per suite,
+// pooled over the suite's surviving traces, and per surviving trace.
 type Fig8Result struct {
 	FailureSet
-	Suites map[string]metrics.Counters
-	Avg    metrics.Mean
+	Suites map[string]predictor.SelectorStats
+	Traces []predictor.SelectorStats // in roster order
+}
+
+// Fig8Row is one row of Figure 8: the share of dual-confident loads in
+// each selector state (SelStrongStride … SelStrongCAP) and the
+// correct-selection rate, 1 − mis-selections / dual-confident loads.
+type Fig8Row struct {
+	Share      [4]float64
+	CorrectSel float64
+}
+
+// fig8Row computes a ledger's row; an empty ledger has no shares and no
+// mis-selections.
+func fig8Row(s predictor.SelectorStats) Fig8Row {
+	row := Fig8Row{CorrectSel: 1 - safeDiv(float64(s.MisSelected), float64(s.DualConfident))}
+	for st, n := range s.States {
+		row.Share[st] = safeDiv(float64(n), float64(s.DualConfident))
+	}
+	return row
+}
+
+// Average is the "Average" row: the equal-weight mean of the per-trace
+// rows over the traces that had dual-confident loads, as the paper's
+// Average bars weigh every trace alike.
+func (r Fig8Result) Average() Fig8Row {
+	var sum Fig8Row
+	n := 0
+	for _, s := range r.Traces {
+		if s.DualConfident == 0 {
+			continue
+		}
+		n++
+		row := fig8Row(s)
+		for st := range sum.Share {
+			sum.Share[st] += row.Share[st]
+		}
+		sum.CorrectSel += row.CorrectSel
+	}
+	if n == 0 {
+		return fig8Row(predictor.SelectorStats{})
+	}
+	for st := range sum.Share {
+		sum.Share[st] /= float64(n)
+	}
+	sum.CorrectSel /= float64(n)
+	return sum
 }
 
 // Fig8 reproduces Figure 8: the distribution of selector-counter states
-// over dual-confident loads and the correct-selection rate.
+// over dual-confident loads and the correct-selection rate, read from
+// the ledger each trace's hybrid keeps (immediate mode, like Fig. 5).
 func Fig8(cfg Config) Fig8Result {
-	suites, avg, fails := runSuites(cfg, "hybrid", hybridFactory, 0)
-	r := Fig8Result{Suites: suites, Avg: avg}
-	r.absorb(len(workload.Traces()), fails)
+	g := newGrid(cfg)
+	sp := g.addSuitePass("hybrid", hybridFactory, 0)
+	r := Fig8Result{Suites: make(map[string]predictor.SelectorStats)}
+	r.absorb(g.size(), g.run())
+	for _, run := range sp.runs {
+		if run.ok {
+			s := r.Suites[run.Spec.Suite]
+			s.Merge(run.Sel)
+			r.Suites[run.Spec.Suite] = s
+			r.Traces = append(r.Traces, run.Sel)
+		}
+	}
 	return r
 }
 
-// Table renders the Figure 8 rows.
+// Table renders the Figure 8 rows; a row no trace survived reads "n/a".
 func (r Fig8Result) Table() *report.Table {
 	t := report.New("Figure 8: selector performance",
 		"suite", "strong-stride", "weak-stride", "weak-cap", "strong-cap", "correct-sel")
 	for _, s := range suiteOrder() {
-		c := rowFor(r.Suites, r.Avg, s)
-		t.Add(s,
-			naPct(c, c.SelStateShare(predictor.SelStrongStride)),
-			naPct(c, c.SelStateShare(predictor.SelWeakStride)),
-			naPct(c, c.SelStateShare(predictor.SelWeakCAP)),
-			naPct(c, c.SelStateShare(predictor.SelStrongCAP)),
-			naPct2(c, c.CorrectSelectionRate()))
+		l, ok := r.Suites[s]
+		row := fig8Row(l)
+		if s == "Average" {
+			row, ok = r.Average(), len(r.Traces) > 0
+		}
+		if !ok {
+			t.Add(s, "n/a", "n/a", "n/a", "n/a", "n/a")
+			continue
+		}
+		t.Add(s, report.Pct(row.Share[0]), report.Pct(row.Share[1]),
+			report.Pct(row.Share[2]), report.Pct(row.Share[3]), report.Pct2(row.CorrectSel))
 	}
 	t.SetFooter(r.Footer())
 	return t

@@ -92,7 +92,7 @@ func TestRunAllIsolatesDecodeError(t *testing.T) {
 		EventsPerTrace: 10_000,
 		WrapSource:     failSourceFor("INT_go", 2_000),
 	}
-	runs, fails := runAll(cfg, workload.Traces(), "test", hybridFactory, 0)
+	runs, fails := hybridPass(cfg, "test")
 	if len(fails) != 1 {
 		t.Fatalf("failures = %v, want exactly the injected one", fails)
 	}
@@ -121,7 +121,7 @@ func TestPanickingFactoryFailsOnlyItsTrace(t *testing.T) {
 		EventsPerTrace: 5_000,
 		WrapFactory:    panicFactoryFor("CAD_cat"),
 	}
-	runs, fails := runAll(cfg, workload.Traces(), "test", hybridFactory, 0)
+	runs, fails := hybridPass(cfg, "test")
 	if len(fails) != 1 || fails[0].Trace != "CAD_cat" {
 		t.Fatalf("failures = %v, want exactly CAD_cat", fails)
 	}
@@ -160,7 +160,7 @@ func TestTransientSourceErrorIsRetried(t *testing.T) {
 	}
 
 	cfg := Config{EventsPerTrace: 5_000, WrapSource: wrap, SourceRetries: 1}
-	_, fails := runAll(cfg, workload.Traces(), "test", hybridFactory, 0)
+	_, fails := hybridPass(cfg, "test")
 	if len(fails) != 0 {
 		t.Fatalf("transient failure not retried: %v", fails)
 	}
@@ -170,7 +170,7 @@ func TestTransientSourceErrorIsRetried(t *testing.T) {
 	failed = false
 	mu.Unlock()
 	cfg.SourceRetries = 0
-	_, fails = runAll(cfg, workload.Traces(), "test", hybridFactory, 0)
+	_, fails = hybridPass(cfg, "test")
 	if len(fails) != 1 || fails[0].Trace != "INT_go" {
 		t.Fatalf("failures = %v, want INT_go without retries", fails)
 	}
@@ -195,7 +195,7 @@ func TestTraceTimeoutFailsSlowTraceOnly(t *testing.T) {
 		}
 		return src
 	}
-	runs, fails := runAll(cfg, workload.Traces(), "test", hybridFactory, 0)
+	runs, fails := hybridPass(cfg, "test")
 	if len(fails) != 1 || fails[0].Trace != "JAV_aud" {
 		t.Fatalf("failures = %v, want exactly JAV_aud", fails)
 	}

@@ -96,7 +96,7 @@ func TestCachedParallelReplay(t *testing.T) {
 	cfg := cachedCfg(Config{EventsPerTrace: 10_000, Workers: 8}, 0)
 	// Two passes: the first materialises, the second replays concurrently.
 	for pass := 0; pass < 2; pass++ {
-		runs, fails := runAll(cfg, workload.Traces(), "replay", hybridFactory, 0)
+		runs, fails := hybridPass(cfg, "replay")
 		if len(fails) != 0 {
 			t.Fatalf("pass %d failures: %v", pass, fails)
 		}

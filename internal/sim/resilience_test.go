@@ -10,8 +10,8 @@ import (
 	"capred/internal/trace"
 )
 
-// The PR 1 resilience knobs (TraceTimeout, SourceRetries, ctx polling)
-// originally applied only on the runAll path; the custom drain loops in
+// The resilience knobs (TraceTimeout, SourceRetries, ctx polling) once
+// applied only on the standard figure pass; the custom drain loops in
 // classes.go, profile.go, value.go and wrongpath.go ignored them. These
 // tests drive the same fault matrix through every one of those drivers.
 

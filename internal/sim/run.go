@@ -157,10 +157,12 @@ func forEachBlock(ctx context.Context, src trace.Source, fn func(*trace.Block)) 
 	return nil
 }
 
-// traceRun pairs a trace with its counters.
+// traceRun pairs a trace with its counters and, when its predictor is
+// a tournament, the selector ledger Fig. 8 reads.
 type traceRun struct {
 	Spec workload.TraceSpec
 	C    metrics.Counters
+	Sel  predictor.SelectorStats
 	ok   bool
 }
 
@@ -188,34 +190,6 @@ func (c Config) perTrace(spec workload.TraceSpec, body func(ctx context.Context,
 	})
 }
 
-// runAll simulates every trace in specs with a fresh predictor from the
-// factory, sharded across the config's workers, preserving spec order in
-// the result. A failing trace — source error, panic anywhere in its
-// predictor or factory, cancellation, deadline — is isolated into a
-// TraceFailure; transient source errors are retried up to
-// cfg.SourceRetries times.
-func runAll(cfg Config, specs []workload.TraceSpec, stage string, f Factory, gapDepth int) ([]traceRun, []TraceFailure) {
-	out := make([]traceRun, len(specs))
-	g := newGrid(cfg)
-	g.addPass(stage, specs, func(i int) error {
-		spec := specs[i]
-		// Record the spec up front so even a panic mid-run leaves the slot
-		// attributed to its trace.
-		out[i] = traceRun{Spec: spec}
-		var c metrics.Counters
-		err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) (err error) {
-			c, err = RunTraceContext(ctx, open(), cfg.factoryFor(spec, f)(), gapDepth)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		out[i] = traceRun{Spec: spec, C: c, ok: true}
-		return nil
-	})
-	return out, g.run()
-}
-
 // bySuite groups trace runs into per-suite merged counters plus the
 // overall aggregate ("Average" in the paper's figures). Per-suite rows
 // pool counters (every trace in a suite runs the same event budget);
@@ -235,12 +209,4 @@ func bySuite(runs []traceRun) (suites map[string]metrics.Counters, avg metrics.M
 		avg.Add(r.C)
 	}
 	return suites, avg
-}
-
-// runSuites is the common per-figure helper: every trace, one factory.
-// The stage label attributes any failures to the pass that hit them.
-func runSuites(cfg Config, stage string, f Factory, gapDepth int) (map[string]metrics.Counters, metrics.Mean, []TraceFailure) {
-	runs, fails := runAll(cfg, workload.Traces(), stage, f, gapDepth)
-	suites, avg := bySuite(runs)
-	return suites, avg, fails
 }

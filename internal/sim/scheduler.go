@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 
 	"capred/internal/metrics"
+	"capred/internal/predictor"
 	"capred/internal/trace"
 	"capred/internal/workload"
 )
@@ -88,14 +89,19 @@ func (g *grid) addSuitePass(stage string, f Factory, gapDepth int) *suitePass {
 		// slot attributed to its trace.
 		sp.runs[i] = traceRun{Spec: spec}
 		var c metrics.Counters
+		var sel predictor.SelectorStats
 		err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) (err error) {
-			c, err = RunTraceContext(ctx, open(), cfg.factoryFor(spec, f)(), gapDepth)
+			p := cfg.factoryFor(spec, f)()
+			c, err = RunTraceContext(ctx, open(), p, gapDepth)
+			if t, ok := p.(*predictor.Tournament); ok {
+				sel = t.SelectorStats()
+			}
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		sp.runs[i] = traceRun{Spec: spec, C: c, ok: true}
+		sp.runs[i] = traceRun{Spec: spec, C: c, Sel: sel, ok: true}
 		return nil
 	})
 	return sp

@@ -12,6 +12,16 @@ import (
 	"capred/internal/workload"
 )
 
+// hybridPass runs the standard figure pass — every trace through the
+// hybrid, immediate mode — on a grid of its own and returns the
+// per-trace runs with the failures.
+func hybridPass(cfg Config, stage string) ([]traceRun, []TraceFailure) {
+	g := newGrid(cfg)
+	sp := g.addSuitePass(stage, hybridFactory, 0)
+	fails := g.run()
+	return sp.runs, fails
+}
+
 // TestSchedulerShardAttributionUnderWorkers injects two unrelated faults
 // into a parallel run: each must be attributed to exactly its own shard,
 // with every sibling surviving, no matter which worker hit it.
@@ -22,7 +32,7 @@ func TestSchedulerShardAttributionUnderWorkers(t *testing.T) {
 		WrapSource:     failSourceFor("INT_go", 2_000),
 		WrapFactory:    panicFactoryFor("CAD_cat"),
 	}
-	runs, fails := runAll(cfg, workload.Traces(), "test", hybridFactory, 0)
+	runs, fails := hybridPass(cfg, "test")
 	if len(fails) != 2 {
 		t.Fatalf("failures = %v, want exactly the two injected ones", fails)
 	}
@@ -75,7 +85,7 @@ func TestSchedulerNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := Config{EventsPerTrace: 2_000, Workers: 8}
 	for i := 0; i < 3; i++ {
-		if _, fails := runAll(cfg, workload.Traces(), "leak", hybridFactory, 0); len(fails) != 0 {
+		if _, fails := hybridPass(cfg, "leak"); len(fails) != 0 {
 			t.Fatalf("clean run failed: %v", fails)
 		}
 	}
@@ -108,7 +118,7 @@ func TestSchedulerPromptCancellation(t *testing.T) {
 	}
 	time.AfterFunc(50*time.Millisecond, cancel)
 	start := time.Now()
-	runs, fails := runAll(cfg, workload.Traces(), "hang", hybridFactory, 0)
+	runs, fails := hybridPass(cfg, "hang")
 	elapsed := time.Since(start)
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v; hung workers were not unblocked promptly", elapsed)
@@ -144,7 +154,7 @@ func TestSchedulerFlakyOpenRetryUnderWorkers(t *testing.T) {
 	}
 
 	cfg := Config{EventsPerTrace: 5_000, Workers: 4, WrapSource: wrap, SourceRetries: 1}
-	runs, fails := runAll(cfg, workload.Traces(), "flaky", hybridFactory, 0)
+	runs, fails := hybridPass(cfg, "flaky")
 	if len(fails) != 0 {
 		t.Fatalf("transient opens not retried under workers: %v", fails)
 	}
@@ -160,7 +170,7 @@ func TestSchedulerFlakyOpenRetryUnderWorkers(t *testing.T) {
 	openers = map[string]func() trace.Source{}
 	mu.Unlock()
 	cfg.SourceRetries = 0
-	_, fails = runAll(cfg, workload.Traces(), "flaky", hybridFactory, 0)
+	_, fails = hybridPass(cfg, "flaky")
 	if len(fails) != len(workload.Traces()) {
 		t.Fatalf("failures = %d, want every trace without retries", len(fails))
 	}
@@ -172,14 +182,14 @@ func TestSchedulerFlakyOpenRetryUnderWorkers(t *testing.T) {
 // per-trace counters.
 func TestSchedulerDeterministicAcrossWorkerCounts(t *testing.T) {
 	base := Config{EventsPerTrace: 5_000}
-	ref, fails := runAll(base, workload.Traces(), "det", hybridFactory, 0)
+	ref, fails := hybridPass(base, "det")
 	if len(fails) != 0 {
 		t.Fatalf("serial reference failed: %v", fails)
 	}
 	for _, workers := range []int{2, 5, 64} {
 		cfg := base
 		cfg.Workers = workers
-		runs, fails := runAll(cfg, workload.Traces(), "det", hybridFactory, 0)
+		runs, fails := hybridPass(cfg, "det")
 		if len(fails) != 0 {
 			t.Fatalf("workers=%d failed: %v", workers, fails)
 		}

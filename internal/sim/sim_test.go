@@ -108,24 +108,6 @@ func TestFig6Shape(t *testing.T) {
 	}
 }
 
-func TestFig8Shape(t *testing.T) {
-	r := Fig8(testCfg())
-	c := r.Avg
-	if c.Pooled.DualConfident == 0 {
-		t.Fatal("no dual-confident loads")
-	}
-	// Most dual-confident loads sit in the CAP-selecting states (§4.4:
-	// almost 90%).
-	capShare := c.SelStateShare(predictor.SelWeakCAP) + c.SelStateShare(predictor.SelStrongCAP)
-	if capShare < 0.5 {
-		t.Errorf("CAP-side selector share %.3f, want the majority", capShare)
-	}
-	// The 2-bit selector is close to perfect (paper: >99%).
-	if c.CorrectSelectionRate() < 0.985 {
-		t.Errorf("correct selection rate %.4f, want near-perfect", c.CorrectSelectionRate())
-	}
-}
-
 func TestFig9Shape(t *testing.T) {
 	r := Fig9(Config{EventsPerTrace: 60_000})
 	// Global correlation helps (the paper estimates ≈10% of loads; accept

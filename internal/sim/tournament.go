@@ -57,9 +57,6 @@ type TournamentResult struct {
 	// Avg is the equal-weight per-trace mean of each row's rates — the
 	// same aggregation as the figures' "Average" rows.
 	Avg []metrics.Mean
-	// Pooled sums each row's counters across traces (for the selector
-	// statistics, which are counts, not rates).
-	Pooled []metrics.Counters
 	// Sel[row] sums the per-component selection stats across traces;
 	// empty for the hybrid reference row.
 	Sel [][]predictor.ComponentStat
@@ -114,10 +111,9 @@ func Tournament(cfg Config) TournamentResult {
 	fails := g.run()
 
 	out := TournamentResult{
-		Rows:   make([]string, len(rows)),
-		Avg:    make([]metrics.Mean, len(rows)),
-		Pooled: make([]metrics.Counters, len(rows)),
-		Sel:    make([][]predictor.ComponentStat, len(rows)),
+		Rows: make([]string, len(rows)),
+		Avg:  make([]metrics.Mean, len(rows)),
+		Sel:  make([][]predictor.ComponentStat, len(rows)),
 	}
 	out.absorb(g.size(), fails)
 	for ri, row := range rows {
@@ -127,7 +123,6 @@ func Tournament(cfg Config) TournamentResult {
 				continue
 			}
 			out.Avg[ri].Add(c.t.C)
-			out.Pooled[ri].Merge(c.t.C)
 			if c.t.Sel != nil {
 				if out.Sel[ri] == nil {
 					out.Sel[ri] = make([]predictor.ComponentStat, len(c.t.Sel))
