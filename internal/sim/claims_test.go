@@ -118,9 +118,10 @@ func TestClaimFig8(t *testing.T) {
 func TestClaimFig10TagsCutMispredictions(t *testing.T) {
 	r := Fig10(goldenConfig(*goldenWorkers))
 	cleanRun(t, "fig10", r.Failed())
+	variants := Fig10Variants()
 	var base metrics.Mean
 	found := false
-	for i, v := range r.Variants {
+	for i, v := range variants {
 		if v.TagBits == 0 && !v.Path {
 			base, found = r.Counters[i], true
 		}
@@ -128,7 +129,7 @@ func TestClaimFig10TagsCutMispredictions(t *testing.T) {
 	if !found {
 		t.Fatal("fig10 has no untagged variant")
 	}
-	for i, v := range r.Variants {
+	for i, v := range variants {
 		measured(t, v.Name, r.Counters[i])
 		if v.TagBits == 0 {
 			continue
@@ -167,17 +168,9 @@ func TestClaimFig11GapNeverHelps(t *testing.T) {
 func TestClaimUpdateAlwaysBest(t *testing.T) {
 	r := UpdatePolicy(goldenConfig(*goldenWorkers))
 	cleanRun(t, "update-policy", r.Failed())
-	always := -1
-	for i, p := range r.Policies {
-		if p == predictor.UpdateAlways {
-			always = i
-		}
-	}
-	if always < 0 {
-		t.Fatal("update-policy has no always row")
-	}
-	for i, p := range r.Policies {
-		measured(t, p.String(), r.Counters[i])
+	always := rowIndex(t, r.Names, predictor.UpdateAlways.String())
+	for i, p := range r.Names {
+		measured(t, p, r.Counters[i])
 		if got, best := r.Counters[i].PredRate(), r.Counters[always].PredRate(); got > best {
 			t.Errorf("%s: rate %.4f above always %.4f", p, got, best)
 		}
@@ -190,9 +183,9 @@ func TestClaimUpdateAlwaysBest(t *testing.T) {
 func TestClaimTournamentReproducesHybrid(t *testing.T) {
 	r := Tournament(goldenConfig(*goldenWorkers))
 	cleanRun(t, "tournament", r.Failed())
-	hybrid := r.Avg[rowIndex(t, r.Rows, "hybrid (§3.7)")]
-	pair := r.Avg[rowIndex(t, r.Rows, "tournament stride+cap")]
-	full := r.Avg[rowIndex(t, r.Rows, "tournament 3-way")]
+	hybrid := r.Counters[rowIndex(t, r.Names, "hybrid (§3.7)")]
+	pair := r.Counters[rowIndex(t, r.Names, "tournament stride+cap")]
+	full := r.Counters[rowIndex(t, r.Names, "tournament 3-way")]
 	measured(t, "hybrid", hybrid)
 	measured(t, "default tournament", full)
 	if pair != hybrid {
@@ -312,17 +305,17 @@ func geometryIndex(t *testing.T, gs []LBGeometry, g LBGeometry) int {
 func TestClaimLTSize(t *testing.T) {
 	r := LTSize(goldenConfig(*goldenWorkers))
 	cleanRun(t, "lt-size", r.Failed())
-	for i, n := range r.Sizes {
-		measured(t, fmt.Sprintf("LT %d", n), r.Counters[i])
+	for i, n := range r.Names {
+		measured(t, "LT "+n, r.Counters[i])
 	}
-	for i := 1; i < len(r.Sizes); i++ {
+	for i := 1; i < len(r.Names); i++ {
 		prev, cur := r.Counters[i-1].PredRate(), r.Counters[i].PredRate()
 		if cur < prev {
-			t.Errorf("rate fell from %.4f at LT %d to %.4f at LT %d", prev, r.Sizes[i-1], cur, r.Sizes[i])
+			t.Errorf("rate fell from %.4f at LT %s to %.4f at LT %s", prev, r.Names[i-1], cur, r.Names[i])
 		}
 	}
-	last := len(r.Sizes) - 1
+	last := len(r.Names) - 1
 	if lo, hi := r.Counters[0].PredRate(), r.Counters[last].PredRate(); hi <= lo {
-		t.Errorf("rate %.4f at LT %d not above %.4f at LT %d", hi, r.Sizes[last], lo, r.Sizes[0])
+		t.Errorf("rate %.4f at LT %s not above %.4f at LT %s", hi, r.Names[last], lo, r.Names[0])
 	}
 }

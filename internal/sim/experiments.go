@@ -103,14 +103,14 @@ type Fig5Result struct {
 // All three passes shard across one worker pool.
 func Fig5(cfg Config) Fig5Result {
 	var r Fig5Result
-	g := newGrid(cfg)
-	ps := g.addSuitePass("stride", strideFactory, 0)
-	pc := g.addSuitePass("cap", capFactory, 0)
-	ph := g.addSuitePass("hybrid", hybridFactory, 0)
-	r.absorb(g.size(), g.run())
-	r.Stride, r.AvgS = ps.merge()
-	r.CAP, r.AvgC = pc.merge()
-	r.Hybrid, r.AvgH = ph.merge()
+	p := sweep(cfg, &r.FailureSet, []row{
+		{"stride", strideFactory, 0},
+		{"cap", capFactory, 0},
+		{"hybrid", hybridFactory, 0},
+	})
+	r.Stride, r.AvgS = p[0].merge()
+	r.CAP, r.AvgC = p[1].merge()
+	r.Hybrid, r.AvgH = p[2].merge()
 	return r
 }
 
@@ -160,20 +160,14 @@ type Fig6Result struct {
 // number of LB entries and associativity.
 func Fig6(cfg Config) Fig6Result {
 	r := Fig6Result{Geometries: Fig6Geometries()}
-	g := newGrid(cfg)
-	passes := make([]*suitePass, len(r.Geometries))
-	for i, geom := range r.Geometries {
-		geom := geom
-		f := func() predictor.Predictor {
-			hc := predictor.DefaultHybridConfig()
+	var rows []row
+	for _, geom := range r.Geometries {
+		rows = append(rows, row{"LB " + geom.String(), hybridWith(func(hc *predictor.HybridConfig) {
 			hc.CAP.LBEntries = geom.Entries
 			hc.CAP.LBWays = geom.Ways
-			return predictor.NewHybrid(hc)
-		}
-		passes[i] = g.addSuitePass("LB "+geom.String(), f, 0)
+		}), 0})
 	}
-	r.absorb(g.size(), g.run())
-	for _, p := range passes {
+	for _, p := range sweep(cfg, &r.FailureSet, rows) {
 		suites, avg := p.merge()
 		r.Suites = append(r.Suites, suites)
 		r.Avgs = append(r.Avgs, avg)
@@ -345,11 +339,9 @@ func (r Fig8Result) Average() Fig8Row {
 // over dual-confident loads and the correct-selection rate, read from
 // the ledger each trace's hybrid keeps (immediate mode, like Fig. 5).
 func Fig8(cfg Config) Fig8Result {
-	g := newGrid(cfg)
-	sp := g.addSuitePass("hybrid", hybridFactory, 0)
 	r := Fig8Result{Suites: make(map[string]predictor.SelectorStats)}
-	r.absorb(g.size(), g.run())
-	for _, run := range sp.runs {
+	p := sweep(cfg, &r.FailureSet, []row{{"hybrid", hybridFactory, 0}})
+	for _, run := range p[0].runs {
 		if run.ok {
 			s := r.Suites[run.Spec.Suite]
 			s.Merge(run.Sel)
@@ -400,33 +392,22 @@ type Fig9Result struct {
 // is used (every prediction is a speculative access).
 func Fig9(cfg Config) Fig9Result {
 	r := Fig9Result{Lengths: Fig9Lengths()}
-	g := newGrid(cfg)
-	type pass struct {
-		sp *suitePass
-		gc bool
-	}
-	var passes []pass
+	var rows []row
 	for _, gc := range []bool{true, false} {
 		for _, hl := range r.Lengths {
-			hl := hl
-			gc := gc
-			f := func() predictor.Predictor {
-				cc := predictor.DefaultCAPConfig()
+			rows = append(rows, row{fmt.Sprintf("hist %d gc=%v", hl, gc), capWith(func(cc *predictor.CAPConfig) {
 				cc.HistoryLen = hl
 				cc.GlobalCorrelation = gc
 				cc.ConfThreshold = 0 // no confidence mechanism
 				cc.TagBits = 0
 				cc.CF = predictor.NoCF()
-				return predictor.NewCAP(cc)
-			}
-			stage := fmt.Sprintf("hist %d gc=%v", hl, gc)
-			passes = append(passes, pass{g.addSuitePass(stage, f, 0), gc})
+			}), 0})
 		}
 	}
-	r.absorb(g.size(), g.run())
-	for _, p := range passes {
-		_, avg := p.sp.merge()
-		if p.gc {
+	// Rows run with global correlation first, then without.
+	for i, p := range sweep(cfg, &r.FailureSet, rows) {
+		_, avg := p.merge()
+		if i < len(r.Lengths) {
 			r.With = append(r.With, avg.CorrectSpecRate())
 		} else {
 			r.Without = append(r.Without, avg.CorrectSpecRate())
@@ -482,49 +463,24 @@ func Fig10Variants() []Fig10Variant {
 	}
 }
 
-// Fig10Result holds prediction and misprediction rates per variant.
-type Fig10Result struct {
-	FailureSet
-	Variants []Fig10Variant
-	Counters []metrics.Mean
-}
-
 // Fig10 reproduces Figure 10: the influence of LT tags (and control-flow
-// indications) on the stand-alone CAP predictor.
-func Fig10(cfg Config) Fig10Result {
-	r := Fig10Result{Variants: Fig10Variants()}
-	g := newGrid(cfg)
-	passes := make([]*suitePass, len(r.Variants))
-	for i, v := range r.Variants {
-		v := v
-		f := func() predictor.Predictor {
-			cc := predictor.DefaultCAPConfig()
+// indications) on the stand-alone CAP predictor. Its rows are
+// Fig10Variants, in order.
+func Fig10(cfg Config) SweepResult {
+	var rows []row
+	for _, v := range Fig10Variants() {
+		rows = append(rows, row{v.Name, capWith(func(cc *predictor.CAPConfig) {
 			cc.TagBits = v.TagBits
 			if !v.Path {
 				cc.CF = predictor.NoCF()
 			}
-			return predictor.NewCAP(cc)
-		}
-		passes[i] = g.addSuitePass(v.Name, f, 0)
+		}), 0})
 	}
-	r.absorb(g.size(), g.run())
-	for _, p := range passes {
-		_, avg := p.merge()
-		r.Counters = append(r.Counters, avg)
-	}
+	r, _ := sweepRows(cfg, "Figure 10: influence of LT tags on the CAP predictor", "variant", []column{
+		pct("prediction rate", metrics.Mean.PredRate),
+		pct2("misprediction rate", metrics.Mean.MispredRate),
+	}, rows)
 	return r
-}
-
-// Table renders the Figure 10 rows.
-func (r Fig10Result) Table() *report.Table {
-	t := report.New("Figure 10: influence of LT tags on the CAP predictor",
-		"variant", "prediction rate", "misprediction rate")
-	for i, v := range r.Variants {
-		c := r.Counters[i]
-		t.Add(v.Name, naPct(c, c.PredRate()), naPct2(c, c.MispredRate()))
-	}
-	t.SetFooter(r.Footer())
-	return t
 }
 
 // --- Figure 11: prediction gap ---
@@ -545,17 +501,16 @@ type Fig11Result struct {
 // predictors.
 func Fig11(cfg Config) Fig11Result {
 	r := Fig11Result{Gaps: Fig11Gaps()}
-	g := newGrid(cfg)
-	sPasses := make([]*suitePass, len(r.Gaps))
-	hPasses := make([]*suitePass, len(r.Gaps))
-	for gi, gap := range r.Gaps {
-		sPasses[gi] = g.addSuitePass(fmt.Sprintf("stride gap %d", gap), strideFactory, gap)
-		hPasses[gi] = g.addSuitePass(fmt.Sprintf("hybrid gap %d", gap), hybridFactory, gap)
+	var rows []row
+	for _, gap := range r.Gaps {
+		rows = append(rows,
+			row{fmt.Sprintf("stride gap %d", gap), strideFactory, gap},
+			row{fmt.Sprintf("hybrid gap %d", gap), hybridFactory, gap})
 	}
-	r.absorb(g.size(), g.run())
+	p := sweep(cfg, &r.FailureSet, rows)
 	for gi := range r.Gaps {
-		_, avgS := sPasses[gi].merge()
-		_, avgH := hPasses[gi].merge()
+		_, avgS := p[2*gi].merge()
+		_, avgH := p[2*gi+1].merge()
 		r.Stride = append(r.Stride, avgS)
 		r.Hybrid = append(r.Hybrid, avgH)
 	}

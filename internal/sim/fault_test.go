@@ -87,7 +87,7 @@ func TestRunTraceHangingSourceUnblocksOnCancel(t *testing.T) {
 	}
 }
 
-func TestRunAllIsolatesDecodeError(t *testing.T) {
+func TestSweepIsolatesDecodeError(t *testing.T) {
 	cfg := Config{
 		EventsPerTrace: 10_000,
 		WrapSource:     failSourceFor("INT_go", 2_000),
@@ -316,5 +316,79 @@ func TestFooterAccounting(t *testing.T) {
 	}
 	if !strings.Contains(f, "INT_go [stride]") {
 		t.Errorf("footer should attribute the failure: %q", f)
+	}
+}
+
+// TestSweepSkipsFailedTraceInEveryRow: a factory that panics on one
+// trace fails it once per row, under the row's stage, and every row's
+// counters, and the tournament's pooled selections, aggregate exactly
+// the other traces: adding the victim's own run back gives the clean
+// result.
+func TestSweepSkipsFailedTraceInEveryRow(t *testing.T) {
+	const victim = "INT_go"
+	spec, _ := workload.ByName(victim)
+	for _, tc := range []struct {
+		name   string
+		run    func(Config) SweepResult
+		stages []string
+	}{
+		{"tournament", Tournament, []string{"hybrid (§3.7)", "tournament stride+cap", "markov alone", "tournament 3-way"}},
+		{"lt-size", LTSize, []string{"LT 1024", "LT 2048", "LT 4096", "LT 8192"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{EventsPerTrace: 5_000}
+			// The clean run records the victim's factory of each row,
+			// in row order (the serial path runs shards in order).
+			var victimRows []Factory
+			cfg.WrapFactory = func(name string, f Factory) Factory {
+				if name == victim {
+					victimRows = append(victimRows, f)
+				}
+				return f
+			}
+			clean := tc.run(cfg)
+			cfg.Workers, cfg.WrapFactory = 4, panicFactoryFor(victim)
+			r := tc.run(cfg)
+
+			rows := len(tc.stages)
+			if r.Attempted != rows*len(workload.Traces()) {
+				t.Errorf("attempted %d, want %d", r.Attempted, rows*len(workload.Traces()))
+			}
+			if len(r.Failures) != rows || len(victimRows) != rows {
+				t.Fatalf("%d failures and %d victim rows, want %d each: %v", len(r.Failures), len(victimRows), rows, r.Failures)
+			}
+			for i, f := range r.Failures {
+				var pe *PanicError
+				if f.Trace != victim || f.Stage != tc.stages[i] || !errors.As(f.Err, &pe) {
+					t.Errorf("failure %d = %v, want a panic of %s [%s]", i, f, victim, tc.stages[i])
+				}
+			}
+			if tc.name == "tournament" && (r.Sel == nil || r.Sel[0] != nil) {
+				t.Errorf("selection shares %v: want the hybrid row's to stay empty", r.Sel)
+			}
+			for i, f := range victimRows {
+				p := f()
+				c, err := RunTrace(cfg.open(spec), p, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := r.Counters[i]
+				got.Pooled.Merge(c)
+				if want := clean.Counters[i]; got.Traces+1 != want.Traces || got.Pooled != want.Pooled {
+					t.Errorf("%s: survivors plus %s = %d traces %+v, want the clean %d traces %+v",
+						tc.stages[i], victim, got.Traces+1, got.Pooled, want.Traces, want.Pooled)
+				}
+				if r.Sel == nil || r.Sel[i] == nil {
+					continue
+				}
+				for k, s := range p.(*predictor.Tournament).ComponentStats() {
+					got, want := r.Sel[i][k], clean.Sel[i][k]
+					if got.Selected+s.Selected != want.Selected || got.Correct+s.Correct != want.Correct {
+						t.Errorf("%s: %s selections %+v plus %s's %+v, want the clean %+v",
+							tc.stages[i], s.Name, got, victim, s, want)
+					}
+				}
+			}
+		})
 	}
 }

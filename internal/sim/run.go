@@ -158,12 +158,14 @@ func forEachBlock(ctx context.Context, src trace.Source, fn func(*trace.Block)) 
 }
 
 // traceRun pairs a trace with its counters and, when its predictor is
-// a tournament, the selector ledger Fig. 8 reads.
+// a tournament, the selector ledger Fig. 8 reads and the per-entrant
+// selections the tournament ablation reads.
 type traceRun struct {
-	Spec workload.TraceSpec
-	C    metrics.Counters
-	Sel  predictor.SelectorStats
-	ok   bool
+	Spec  workload.TraceSpec
+	C     metrics.Counters
+	Sel   predictor.SelectorStats
+	Comps []predictor.ComponentStat
+	ok    bool
 }
 
 // perTrace is the single per-trace run policy: it installs the config's

@@ -76,6 +76,28 @@ type suitePass struct {
 	runs []traceRun
 }
 
+// row is one configuration of a predictor sweep: the stage its
+// failures report, the factory that builds its predictor per trace, and
+// the prediction gap it runs at.
+type row struct {
+	stage string
+	f     Factory
+	gap   int
+}
+
+// sweep is the figure pass every predictor sweep shares: it registers
+// one suite pass per row on one grid, runs the grid, records the
+// attempts and failures in fs, and returns the passes in row order.
+func sweep(cfg Config, fs *FailureSet, rows []row) []*suitePass {
+	g := newGrid(cfg)
+	passes := make([]*suitePass, len(rows))
+	for i, r := range rows {
+		passes[i] = g.addSuitePass(r.stage, r.f, r.gap)
+	}
+	fs.absorb(g.size(), g.run())
+	return passes
+}
+
 // addSuitePass registers the standard figure pass — every trace of the
 // roster through one predictor factory — and returns the handle to merge
 // its rows after run.
@@ -88,20 +110,21 @@ func (g *grid) addSuitePass(stage string, f Factory, gapDepth int) *suitePass {
 		// Record the spec up front so even a panic mid-run leaves the
 		// slot attributed to its trace.
 		sp.runs[i] = traceRun{Spec: spec}
-		var c metrics.Counters
-		var sel predictor.SelectorStats
+		var run traceRun
 		err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) (err error) {
 			p := cfg.factoryFor(spec, f)()
-			c, err = RunTraceContext(ctx, open(), p, gapDepth)
+			run = traceRun{Spec: spec}
+			run.C, err = RunTraceContext(ctx, open(), p, gapDepth)
 			if t, ok := p.(*predictor.Tournament); ok {
-				sel = t.SelectorStats()
+				run.Sel, run.Comps = t.SelectorStats(), t.ComponentStats()
 			}
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		sp.runs[i] = traceRun{Spec: spec, C: c, Sel: sel, ok: true}
+		run.ok = true
+		sp.runs[i] = run
 		return nil
 	})
 	return sp

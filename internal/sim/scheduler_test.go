@@ -12,14 +12,12 @@ import (
 	"capred/internal/workload"
 )
 
-// hybridPass runs the standard figure pass — every trace through the
-// hybrid, immediate mode — on a grid of its own and returns the
-// per-trace runs with the failures.
+// hybridPass sweeps one row — every trace through the hybrid,
+// immediate mode — and returns the per-trace runs with the failures.
 func hybridPass(cfg Config, stage string) ([]traceRun, []TraceFailure) {
-	g := newGrid(cfg)
-	sp := g.addSuitePass(stage, hybridFactory, 0)
-	fails := g.run()
-	return sp.runs, fails
+	var fs FailureSet
+	p := sweep(cfg, &fs, []row{{stage, hybridFactory, 0}})
+	return p[0].runs, fs.Failures
 }
 
 // TestSchedulerShardAttributionUnderWorkers injects two unrelated faults

@@ -261,7 +261,7 @@ func TestUpdatePolicyAlwaysCompetitive(t *testing.T) {
 	for i := 1; i < len(r.Counters); i++ {
 		if r.Counters[i].CorrectSpecRate() > always+0.01 {
 			t.Errorf("policy %s (%.3f) clearly beats always (%.3f); the paper found the opposite",
-				r.Policies[i], r.Counters[i].CorrectSpecRate(), always)
+				r.Names[i], r.Counters[i].CorrectSpecRate(), always)
 		}
 	}
 }

@@ -30,9 +30,8 @@ func NewStepper(p predictor.Predictor, gapDepth int) *Stepper {
 }
 
 // Predictor returns the wrapped predictor instance. The serving layer
-// and the tournament ablation use it to pull predictor-specific
-// statistics (e.g. per-component selection counts) after — or, under
-// the session lock, during — a run.
+// uses it to pull predictor-specific statistics (e.g. per-component
+// selection counts) after — or, under the session lock, during — a run.
 func (s *Stepper) Predictor() predictor.Predictor { return s.p }
 
 // load predicts one dynamic load under the current history registers,

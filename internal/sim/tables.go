@@ -8,255 +8,191 @@ import (
 	"capred/internal/report"
 )
 
-// --- §4.3: link-table update policy ---
-
-// UpdatePolicyResult holds hybrid counters per LT update policy.
-type UpdatePolicyResult struct {
+// SweepResult is the result of every experiment that reports one row
+// per predictor configuration: each row's equal-weight mean over the
+// traces that survived, in row order.
+type SweepResult struct {
 	FailureSet
-	Policies []predictor.UpdatePolicy
+	Names    []string
 	Counters []metrics.Mean
+	// Sel, when non-nil, adds the tournament ablation's selection
+	// column: Sel[i] pools row i's per-entrant selections over the
+	// surviving traces, and a nil Sel[i] renders "—".
+	Sel [][]predictor.ComponentStat
+
+	title, first string
+	cols         []column
 }
 
-// UpdatePolicy reproduces the §4.3 study: the three LT update policies.
-// The paper finds "update always" slightly better on almost all traces.
-func UpdatePolicy(cfg Config) UpdatePolicyResult {
-	r := UpdatePolicyResult{Policies: []predictor.UpdatePolicy{
-		predictor.UpdateAlways,
-		predictor.UpdateUnlessStrideCorrect,
-		predictor.UpdateUnlessStrideSelected,
-	}}
-	g := newGrid(cfg)
-	passes := make([]*suitePass, len(r.Policies))
-	for i, pol := range r.Policies {
-		pol := pol
-		f := func() predictor.Predictor {
-			hc := predictor.DefaultHybridConfig()
-			hc.UpdatePolicy = pol
-			return predictor.NewHybrid(hc)
-		}
-		passes[i] = g.addSuitePass(pol.String(), f, 0)
-	}
-	r.absorb(g.size(), g.run())
-	for _, p := range passes {
+// column is one rate column of a SweepResult table.
+type column struct {
+	header string
+	cell   func(metrics.Mean) string
+}
+
+// pct and pct2 are rate columns rendered with one and two decimals; a
+// row no trace survived reads "n/a".
+func pct(header string, rate func(metrics.Mean) float64) column {
+	return column{header, func(c metrics.Mean) string { return naPct(c, rate(c)) }}
+}
+
+func pct2(header string, rate func(metrics.Mean) float64) column {
+	return column{header, func(c metrics.Mean) string { return naPct2(c, rate(c)) }}
+}
+
+// sweepRows runs one suite pass per row and averages each over its
+// surviving traces. A row is labelled by its stage; the caller may
+// relabel it. The passes are returned for readings beyond the counters.
+func sweepRows(cfg Config, title, first string, cols []column, rows []row) (SweepResult, []*suitePass) {
+	r := SweepResult{title: title, first: first, cols: cols}
+	passes := sweep(cfg, &r.FailureSet, rows)
+	for i, p := range passes {
 		_, avg := p.merge()
+		r.Names = append(r.Names, rows[i].stage)
 		r.Counters = append(r.Counters, avg)
 	}
-	return r
+	return r, passes
 }
 
-// Table renders the update-policy comparison.
-func (r UpdatePolicyResult) Table() *report.Table {
-	t := report.New("§4.3: LT update policy (hybrid, average over all traces)",
-		"policy", "prediction rate", "accuracy")
-	for i, pol := range r.Policies {
-		c := r.Counters[i]
-		t.Add(pol.String(), naPct(c, c.PredRate()), naPct2(c, c.Accuracy()))
+// Table renders one line per row.
+func (r SweepResult) Table() *report.Table {
+	headers := []string{r.first}
+	for _, c := range r.cols {
+		headers = append(headers, c.header)
+	}
+	if r.Sel != nil {
+		headers = append(headers, "selection share@accuracy")
+	}
+	t := report.New(r.title, headers...)
+	for i, name := range r.Names {
+		cells := []string{name}
+		for _, c := range r.cols {
+			cells = append(cells, c.cell(r.Counters[i]))
+		}
+		if r.Sel != nil {
+			cells = append(cells, selShares(r.Sel[i]))
+		}
+		t.Add(cells...)
 	}
 	t.SetFooter(r.Footer())
 	return t
+}
+
+// hybridWith is the hybrid factory with one change to its default
+// configuration.
+func hybridWith(edit func(*predictor.HybridConfig)) Factory {
+	return func() predictor.Predictor {
+		hc := predictor.DefaultHybridConfig()
+		edit(&hc)
+		return predictor.NewHybrid(hc)
+	}
+}
+
+// capWith is the stand-alone CAP factory with one change to its default
+// configuration.
+func capWith(edit func(*predictor.CAPConfig)) Factory {
+	return func() predictor.Predictor {
+		cc := predictor.DefaultCAPConfig()
+		edit(&cc)
+		return predictor.NewCAP(cc)
+	}
+}
+
+// --- §4.3: link-table update policy ---
+
+// UpdatePolicy reproduces the §4.3 study: the three LT update policies.
+// The paper finds "update always" slightly better on almost all traces.
+func UpdatePolicy(cfg Config) SweepResult {
+	var rows []row
+	for _, pol := range []predictor.UpdatePolicy{
+		predictor.UpdateAlways,
+		predictor.UpdateUnlessStrideCorrect,
+		predictor.UpdateUnlessStrideSelected,
+	} {
+		rows = append(rows, row{pol.String(), hybridWith(func(hc *predictor.HybridConfig) { hc.UpdatePolicy = pol }), 0})
+	}
+	r, _ := sweepRows(cfg, "§4.3: LT update policy (hybrid, average over all traces)", "policy",
+		[]column{pct("prediction rate", metrics.Mean.PredRate), pct2("accuracy", metrics.Mean.Accuracy)}, rows)
+	return r
 }
 
 // --- §4.2 text: LT size sweep ---
 
-// LTSizeResult holds hybrid counters per LT entry count.
-type LTSizeResult struct {
-	FailureSet
-	Sizes    []int
-	Counters []metrics.Mean
-}
-
 // LTSize reproduces the §4.2 sensitivity claim: the hybrid prediction rate
-// steadily increases from 1K-entry to 8K-entry link tables.
-func LTSize(cfg Config) LTSizeResult {
-	r := LTSizeResult{Sizes: []int{1024, 2048, 4096, 8192}}
-	g := newGrid(cfg)
-	passes := make([]*suitePass, len(r.Sizes))
-	for i, n := range r.Sizes {
-		n := n
-		f := func() predictor.Predictor {
-			hc := predictor.DefaultHybridConfig()
-			hc.CAP.LTEntries = n
-			return predictor.NewHybrid(hc)
-		}
-		passes[i] = g.addSuitePass(fmt.Sprintf("LT %d", n), f, 0)
+// steadily increases from 1K-entry to 8K-entry link tables. Rows are
+// labelled in K entries ("1K"); their stage is "LT 1024".
+func LTSize(cfg Config) SweepResult {
+	sizes := []int{1024, 2048, 4096, 8192}
+	var rows []row
+	for _, n := range sizes {
+		rows = append(rows, row{fmt.Sprintf("LT %d", n), hybridWith(func(hc *predictor.HybridConfig) { hc.CAP.LTEntries = n }), 0})
 	}
-	r.absorb(g.size(), g.run())
-	for _, p := range passes {
-		_, avg := p.merge()
-		r.Counters = append(r.Counters, avg)
+	r, _ := sweepRows(cfg, "§4.2: hybrid prediction rate vs LT entries", "LT entries",
+		[]column{pct("prediction rate", metrics.Mean.PredRate), pct2("accuracy", metrics.Mean.Accuracy)}, rows)
+	for i, n := range sizes {
+		r.Names[i] = fmt.Sprintf("%dK", n/1024)
 	}
 	return r
 }
 
-// Table renders the LT size sweep.
-func (r LTSizeResult) Table() *report.Table {
-	t := report.New("§4.2: hybrid prediction rate vs LT entries",
-		"LT entries", "prediction rate", "accuracy")
-	for i, n := range r.Sizes {
-		c := r.Counters[i]
-		t.Add(fmt.Sprintf("%dK", n/1024), naPct(c, c.PredRate()), naPct2(c, c.Accuracy()))
+// ladderColumns are the columns of the §1 and §3.6 predictor
+// comparisons.
+func ladderColumns() []column {
+	return []column{
+		pct("prediction rate", metrics.Mean.PredRate),
+		pct("correct of loads", metrics.Mean.CorrectSpecRate),
+		pct2("accuracy", metrics.Mean.Accuracy),
 	}
-	t.SetFooter(r.Footer())
-	return t
 }
 
 // --- §1 text: baseline predictor comparison ---
 
-// BaselinesResult compares all predictor families on the same traces.
-type BaselinesResult struct {
-	FailureSet
-	Names    []string
-	Counters []metrics.Mean
-}
-
 // Baselines reproduces the §1 ladder: last-address predictors handle ≈40%
 // of loads, stride adds ≈13%, CAP and the hybrid sit above.
-func Baselines(cfg Config) BaselinesResult {
-	r := BaselinesResult{}
-	g := newGrid(cfg)
-	var passes []*suitePass
-	add := func(name string, f Factory) {
-		r.Names = append(r.Names, name)
-		passes = append(passes, g.addSuitePass(name, f, 0))
-	}
-	add("last", func() predictor.Predictor { return predictor.NewLast(predictor.DefaultLastConfig()) })
-	add("stride", func() predictor.Predictor { return predictor.NewStride(predictor.BasicStrideConfig()) })
-	add("stride+", strideFactory)
-	add("cap", capFactory)
-	add("hybrid", hybridFactory)
-	r.absorb(g.size(), g.run())
-	for _, p := range passes {
-		_, avg := p.merge()
-		r.Counters = append(r.Counters, avg)
-	}
+func Baselines(cfg Config) SweepResult {
+	r, _ := sweepRows(cfg, "§1: predictor family ladder (average over all traces)", "predictor", ladderColumns(), []row{
+		{"last", func() predictor.Predictor { return predictor.NewLast(predictor.DefaultLastConfig()) }, 0},
+		{"stride", func() predictor.Predictor { return predictor.NewStride(predictor.BasicStrideConfig()) }, 0},
+		{"stride+", strideFactory, 0},
+		{"cap", capFactory, 0},
+		{"hybrid", hybridFactory, 0},
+	})
 	return r
-}
-
-// Table renders the baseline ladder.
-func (r BaselinesResult) Table() *report.Table {
-	t := report.New("§1: predictor family ladder (average over all traces)",
-		"predictor", "prediction rate", "correct of loads", "accuracy")
-	for i, n := range r.Names {
-		c := r.Counters[i]
-		t.Add(n, naPct(c, c.PredRate()), naPct(c, c.CorrectSpecRate()), naPct2(c, c.Accuracy()))
-	}
-	t.SetFooter(r.Footer())
-	return t
 }
 
 // --- §3.6: control-based address predictors ---
 
-// ControlBasedResult compares control-based predictors to CAP.
-type ControlBasedResult struct {
-	FailureSet
-	Names    []string
-	Counters []metrics.Mean
-}
-
 // ControlBased reproduces the §3.6 negative result: g-share-style and
 // call-path address predictors are no substitute for CAP.
-func ControlBased(cfg Config) ControlBasedResult {
-	r := ControlBasedResult{}
-	g := newGrid(cfg)
-	var passes []*suitePass
-	add := func(name string, f Factory) {
-		r.Names = append(r.Names, name)
-		passes = append(passes, g.addSuitePass(name, f, 0))
-	}
-	add("gshare-addr", func() predictor.Predictor {
-		return predictor.NewControl(predictor.DefaultControlConfig(false))
+func ControlBased(cfg Config) SweepResult {
+	r, _ := sweepRows(cfg, "§3.6: control-based address predictors vs CAP", "predictor", ladderColumns(), []row{
+		{"gshare-addr", func() predictor.Predictor { return predictor.NewControl(predictor.DefaultControlConfig(false)) }, 0},
+		{"path-addr", func() predictor.Predictor { return predictor.NewControl(predictor.DefaultControlConfig(true)) }, 0},
+		{"cap", capFactory, 0},
 	})
-	add("path-addr", func() predictor.Predictor {
-		return predictor.NewControl(predictor.DefaultControlConfig(true))
-	})
-	add("cap", capFactory)
-	r.absorb(g.size(), g.run())
-	for _, p := range passes {
-		_, avg := p.merge()
-		r.Counters = append(r.Counters, avg)
-	}
 	return r
-}
-
-// Table renders the control-based comparison.
-func (r ControlBasedResult) Table() *report.Table {
-	t := report.New("§3.6: control-based address predictors vs CAP",
-		"predictor", "prediction rate", "correct of loads", "accuracy")
-	for i, n := range r.Names {
-		c := r.Counters[i]
-		t.Add(n, naPct(c, c.PredRate()), naPct(c, c.CorrectSpecRate()), naPct2(c, c.Accuracy()))
-	}
-	t.SetFooter(r.Footer())
-	return t
 }
 
 // --- Ablations beyond the paper's figures (DESIGN.md §6) ---
 
-// AblationsResult holds named configuration deltas of the CAP/hybrid.
-type AblationsResult struct {
-	FailureSet
-	Names    []string
-	Counters []metrics.Mean
-}
-
 // Ablations measures the design choices DESIGN.md calls out: PF bits
 // on/off/external, static vs dynamic selector, and shift(m) variations.
-func Ablations(cfg Config) AblationsResult {
-	r := AblationsResult{}
-	g := newGrid(cfg)
-	var passes []*suitePass
-	add := func(name string, f Factory) {
-		r.Names = append(r.Names, name)
-		passes = append(passes, g.addSuitePass(name, f, 0))
-	}
-	add("hybrid (baseline)", hybridFactory)
-	add("hybrid, no PF bits", func() predictor.Predictor {
-		hc := predictor.DefaultHybridConfig()
-		hc.CAP.PFBits = 0
-		hc.CAP.PFTableEntries = 0
-		return predictor.NewHybrid(hc)
+func Ablations(cfg Config) SweepResult {
+	r, _ := sweepRows(cfg, "Ablations (average over all traces)", "configuration", []column{
+		pct("prediction rate", metrics.Mean.PredRate),
+		pct2("accuracy", metrics.Mean.Accuracy),
+		pct2("mispred of loads", metrics.Mean.MispredOfLoads),
+	}, []row{
+		{"hybrid (baseline)", hybridFactory, 0},
+		{"hybrid, no PF bits", hybridWith(func(hc *predictor.HybridConfig) {
+			hc.CAP.PFBits = 0
+			hc.CAP.PFTableEntries = 0
+		}), 0},
+		{"hybrid, in-LT PF bits", hybridWith(func(hc *predictor.HybridConfig) { hc.CAP.PFTableEntries = 0 }), 0},
+		{"hybrid, static selector=stride", hybridWith(func(hc *predictor.HybridConfig) { hc.StaticSelector = predictor.CompStride }), 0},
+		{"hybrid, static selector=cap", hybridWith(func(hc *predictor.HybridConfig) { hc.StaticSelector = predictor.CompCAP }), 0},
+		{"cap, history len 2", capWith(func(cc *predictor.CAPConfig) { cc.HistoryLen = 2 }), 0},
+		{"cap, 2-way LT", capWith(func(cc *predictor.CAPConfig) { cc.LTWays = 2 }), 0},
 	})
-	add("hybrid, in-LT PF bits", func() predictor.Predictor {
-		hc := predictor.DefaultHybridConfig()
-		hc.CAP.PFTableEntries = 0
-		return predictor.NewHybrid(hc)
-	})
-	add("hybrid, static selector=stride", func() predictor.Predictor {
-		hc := predictor.DefaultHybridConfig()
-		hc.StaticSelector = predictor.CompStride
-		return predictor.NewHybrid(hc)
-	})
-	add("hybrid, static selector=cap", func() predictor.Predictor {
-		hc := predictor.DefaultHybridConfig()
-		hc.StaticSelector = predictor.CompCAP
-		return predictor.NewHybrid(hc)
-	})
-	add("cap, history len 2", func() predictor.Predictor {
-		cc := predictor.DefaultCAPConfig()
-		cc.HistoryLen = 2
-		return predictor.NewCAP(cc)
-	})
-	add("cap, 2-way LT", func() predictor.Predictor {
-		cc := predictor.DefaultCAPConfig()
-		cc.LTWays = 2
-		return predictor.NewCAP(cc)
-	})
-	r.absorb(g.size(), g.run())
-	for _, p := range passes {
-		_, avg := p.merge()
-		r.Counters = append(r.Counters, avg)
-	}
 	return r
-}
-
-// Table renders the ablation rows.
-func (r AblationsResult) Table() *report.Table {
-	t := report.New("Ablations (average over all traces)",
-		"configuration", "prediction rate", "accuracy", "mispred of loads")
-	for i, n := range r.Names {
-		c := r.Counters[i]
-		t.Add(n, naPct(c, c.PredRate()), naPct2(c, c.Accuracy()), naPct2(c, c.MispredOfLoads()))
-	}
-	t.SetFooter(r.Footer())
-	return t
 }

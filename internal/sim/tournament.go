@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -9,132 +8,61 @@ import (
 	"capred/internal/predictor"
 	"capred/internal/predictor/tournament"
 	"capred/internal/report"
-	"capred/internal/trace"
-	"capred/internal/workload"
 )
 
-// tournamentRow names one configuration of the ablation. A nil
-// component list selects the paper's hybrid (§3.7) as the reference;
-// otherwise the row runs a tournament over the named components.
-type tournamentRow struct {
-	name  string
-	comps []string
-}
-
-// tournamentRows fixes the ablation ladder: the paper's hybrid, the
-// two-way tournament that must reproduce it exactly, the Markov
-// component on its own (a 1-way tournament is the component plus
-// confidence gating), and the default 3-way lineup.
-func tournamentRows() []tournamentRow {
-	return []tournamentRow{
-		{"hybrid (§3.7)", nil},
-		{"tournament stride+cap", []string{"stride", "cap"}},
-		{"markov alone", []string{"markov"}},
-		{"tournament 3-way", tournament.DefaultComponents()},
+// namedTournament builds a tournament over the named entrants.
+func namedTournament(comps ...string) Factory {
+	return func() predictor.Predictor {
+		p, err := tournament.NewNamed(predictor.DefaultConfig(), comps...)
+		if err != nil {
+			panic(err) // unreachable: rows name known components only
+		}
+		return p
 	}
-}
-
-// tournamentPredictor builds the predictor for one ablation row.
-func tournamentPredictor(row tournamentRow) (predictor.Predictor, error) {
-	if row.comps == nil {
-		return predictor.NewHybrid(predictor.DefaultHybridConfig()), nil
-	}
-	return tournament.NewNamed(predictor.DefaultConfig(), row.comps...)
-}
-
-// tournamentTally is one trace's result: the standard counters plus the
-// tournament's per-component selection statistics.
-type tournamentTally struct {
-	C   metrics.Counters
-	Sel []predictor.ComponentStat
-}
-
-// TournamentResult holds the ablation outcome: per-row aggregate rates
-// over all traces plus per-component selection statistics.
-type TournamentResult struct {
-	FailureSet
-	Rows []string
-	// Avg is the equal-weight per-trace mean of each row's rates — the
-	// same aggregation as the figures' "Average" rows.
-	Avg []metrics.Mean
-	// Sel[row] sums the per-component selection stats across traces;
-	// empty for the hybrid reference row.
-	Sel [][]predictor.ComponentStat
 }
 
 // Tournament runs the meta-predictor ablation across every trace: the
-// paper's hybrid against the two-way tournament that provably equals it,
-// the Markov component alone, and the default 3-way tournament.
-// Immediate mode (§4), like Fig. 5.
-func Tournament(cfg Config) TournamentResult {
-	rows := tournamentRows()
-	specs := workload.Traces()
-
-	type cell struct {
-		t    tournamentTally
-		done bool
-	}
-	cells := make([][]cell, len(rows))
-	g := newGrid(cfg)
-	for ri, row := range rows {
-		row := row
-		cells[ri] = make([]cell, len(specs))
-		g.addPass(row.name, specs, func(i int) error {
-			spec := specs[i]
-			var t tournamentTally
-			err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) error {
-				f := cfg.factoryFor(spec, func() predictor.Predictor {
-					p, err := tournamentPredictor(row)
-					if err != nil {
-						panic(err) // unreachable: rows name known components only
-					}
-					return p
-				})
-				st := NewStepper(f(), 0)
-				err := forEachBlock(ctx, open(), st.StepBlock)
-				st.Finish()
-				t = tournamentTally{C: st.C}
-				// Only rows that name components report selection
-				// shares; the hybrid row keeps "—".
-				if tp, ok := st.Predictor().(*predictor.Tournament); ok && row.comps != nil {
-					t.Sel = tp.ComponentStats()
-				}
-				return err
-			})
-			if err != nil {
-				return err
-			}
-			cells[ri][i] = cell{t: t, done: true}
-			return nil
+// paper's hybrid (§3.7) as the reference, the two-way stride+CAP
+// tournament that must reproduce it exactly, the Markov component on its
+// own (a 1-way tournament is the component plus confidence gating), and
+// the default 3-way lineup. Immediate mode (§4), like Fig. 5.
+func Tournament(cfg Config) SweepResult {
+	r, passes := sweepRows(cfg, "tournament meta-predictor vs the paper's hybrid (average over traces)",
+		"configuration", []column{
+			pct("pred rate", metrics.Mean.PredRate),
+			pct("accuracy", metrics.Mean.Accuracy),
+			pct("correct spec", metrics.Mean.CorrectSpecRate),
+			pct2("mispred/loads", metrics.Mean.MispredOfLoads),
+		}, []row{
+			{"hybrid (§3.7)", hybridFactory, 0},
+			{"tournament stride+cap", namedTournament("stride", "cap"), 0},
+			{"markov alone", namedTournament("markov"), 0},
+			{"tournament 3-way", namedTournament(tournament.DefaultComponents()...), 0},
 		})
+	// Only the rows that name components report selection shares; the
+	// hybrid row keeps "—".
+	r.Sel = make([][]predictor.ComponentStat, len(passes))
+	for i := 1; i < len(passes); i++ {
+		r.Sel[i] = pooledSelections(passes[i].runs)
 	}
-	fails := g.run()
+	return r
+}
 
-	out := TournamentResult{
-		Rows: make([]string, len(rows)),
-		Avg:  make([]metrics.Mean, len(rows)),
-		Sel:  make([][]predictor.ComponentStat, len(rows)),
-	}
-	out.absorb(g.size(), fails)
-	for ri, row := range rows {
-		out.Rows[ri] = row.name
-		for _, c := range cells[ri] {
-			if !c.done {
-				continue
-			}
-			out.Avg[ri].Add(c.t.C)
-			if c.t.Sel != nil {
-				if out.Sel[ri] == nil {
-					out.Sel[ri] = make([]predictor.ComponentStat, len(c.t.Sel))
-					for si := range c.t.Sel {
-						out.Sel[ri][si].Name = c.t.Sel[si].Name
-					}
-				}
-				for si := range c.t.Sel {
-					out.Sel[ri][si].Selected += c.t.Sel[si].Selected
-					out.Sel[ri][si].Correct += c.t.Sel[si].Correct
-				}
-			}
+// pooledSelections sums each entrant's selections over the surviving
+// runs; nil when no run kept a ledger.
+func pooledSelections(runs []traceRun) []predictor.ComponentStat {
+	var out []predictor.ComponentStat
+	for _, run := range runs {
+		if !run.ok || run.Comps == nil {
+			continue
+		}
+		if out == nil {
+			out = make([]predictor.ComponentStat, len(run.Comps))
+		}
+		for i, s := range run.Comps {
+			out[i].Name = s.Name
+			out[i].Selected += s.Selected
+			out[i].Correct += s.Correct
 		}
 	}
 	return out
@@ -162,22 +90,4 @@ func selShares(stats []predictor.ComponentStat) string {
 			report.Pct(safeDiv(float64(s.Correct), float64(s.Selected)))))
 	}
 	return strings.Join(parts, " ")
-}
-
-// Table renders the ablation.
-func (r TournamentResult) Table() *report.Table {
-	t := report.New("tournament meta-predictor vs the paper's hybrid (average over traces)",
-		"configuration", "pred rate", "accuracy", "correct spec", "mispred/loads",
-		"selection share@accuracy")
-	for i, name := range r.Rows {
-		a := r.Avg[i]
-		t.Add(name,
-			naPct(a, a.PredRate()),
-			naPct(a, a.Accuracy()),
-			naPct(a, a.CorrectSpecRate()),
-			naPct2(a, a.MispredOfLoads()),
-			selShares(r.Sel[i]))
-	}
-	t.SetFooter(r.Footer())
-	return t
 }
