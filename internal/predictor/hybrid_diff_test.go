@@ -213,16 +213,37 @@ func FuzzTournamentSelector(f *testing.F) {
 	})
 }
 
+// runAddr is the address offset of a walk's n-th instance: stride-8
+// runs that restart at 0, with run lengths taken in turn from lens.
+func runAddr(n uint32, lens []uint32) uint32 {
+	for i := 0; n >= lens[i%len(lens)]; i++ {
+		n -= lens[i%len(lens)]
+	}
+	return n * 8
+}
+
 // TestHybridMatchesReference pins the equivalence deterministically on
 // a longer structured stream than fuzzing reaches, for every selector
 // and update-policy configuration, including a gap deeper than the
 // chooser's initial in-flight ring (so ring growth is exercised) and
-// periodic squashes. The first quarter of the stream keeps to four
-// static loads in four LB sets, so both components grow confident and
-// the selector decides; the rest spreads 32 static loads over the
-// 8-entry LB. Besides each load's prediction, opinions and selector
-// state, the two Fig. 8 ledgers must agree after every step.
+// periodic squashes. Besides each load's prediction, opinions and
+// selector state, the two Fig. 8 ledgers must agree after every step.
+// The stream has three phases:
+//   - four static loads in four LB sets, so both components grow
+//     confident;
+//   - four walks of stride-8 runs, three of length 6, then two of
+//     length 12, each walk recurring only every 44 loads (four
+//     constant fillers take the other ways of the LB sets), so that
+//     even at gap 40 no instance is in flight when the next is
+//     predicted. Both components grow confident on a run and disagree
+//     where it ends: stride continues the run, CAP repeats what
+//     followed the same history last time. The selector moves both ways,
+//     and every configuration files dual-confident loads under at
+//     least two selector states;
+//   - 32 static loads spread over the 8-entry LB.
 func TestHybridMatchesReference(t *testing.T) {
+	walkBase := []uint32{0x2000, 0x2a14, 0x3528, 0x4f3c} // no LT index aliasing
+	walkLens := []uint32{6, 6, 6, 12, 12}
 	var total predictor.SelectorStats
 	for _, cfg := range hybridConfigs() {
 		for _, gap := range []int{0, 4, 40} {
@@ -239,12 +260,14 @@ func TestHybridMatchesReference(t *testing.T) {
 				rng ^= rng << 5
 				return rng
 			}
-			var hot [4]uint32 // per-load instance counts of the first phase
-			for step := 0; step < 20_000; step++ {
+			var hot [4]uint32   // per-load instance counts of the first phase
+			var walks [4]uint32 // per-walk instance counts of the second
+			for step := 0; step < 25_000; step++ {
 				r := next()
 				ip := (r & 0x1F) * 4
 				offset := int32(r >> 8 & 0x3F)
 				var addr uint32
+				steady := false // no history updates, so the CF path stays put
 				switch {
 				case step < 5_000:
 					load := r & 3
@@ -259,6 +282,15 @@ func TestHybridMatchesReference(t *testing.T) {
 					case 2: // stride
 						addr = 0x1000 + n*8
 					}
+				case step < 15_000:
+					steady, offset = true, 0
+					if w := uint32(step/11) & 3; step%11 == 0 {
+						ip, addr = w*4, walkBase[w]+runAddr(walks[w], walkLens)
+						walks[w]++
+					} else {
+						f := uint32(step) & 3
+						ip, addr = 16+f*4, 0x2f00+f*0x10
+					}
 				case r>>30 == 0: // strided
 					addr = 0x1000 + uint32(step)*8
 				case r>>30 == 1: // repeating walk
@@ -266,9 +298,11 @@ func TestHybridMatchesReference(t *testing.T) {
 				default: // noise
 					addr = next() & 0xFFFF
 				}
-				ghr.Update(r&0x100 != 0)
-				if r&0x200 != 0 {
-					path.Push(ip)
+				if !steady {
+					ghr.Update(r&0x100 != 0)
+					if r&0x200 != 0 {
+						path.Push(ip)
+					}
 				}
 				ref := predictor.LoadRef{IP: ip, Offset: offset, GHR: ghr.Value(), Path: path.Value()}
 				diffStep(t, name, step, h, tour, gh.Process(ref, addr), gt.Process(ref, addr))
@@ -280,7 +314,17 @@ func TestHybridMatchesReference(t *testing.T) {
 			gh.Drain()
 			gt.Drain()
 			diffLedger(t, name, -1, h, tour)
-			total.Merge(h.SelectorStats())
+			sel := h.SelectorStats()
+			states := 0
+			for _, n := range sel.States {
+				if n > 0 {
+					states++
+				}
+			}
+			if states < 2 {
+				t.Errorf("%s: dual-confident loads filed under %d selector state(s), want at least 2: %+v", name, states, sel)
+			}
+			total.Merge(sel)
 		}
 	}
 	// The ledger comparison must not be vacuous: the stream has to reach
