@@ -37,11 +37,11 @@ func (s *Stepper) StepBlock(n int, r recorder, name string) error {
 		_ = m
 		q := new(point) // want `new allocates`
 		_ = q
-		s.sink = i                       // want `assignment boxes a int into an interface`
-		sinkAny(i)                       // want `argument boxes a int into an interface`
-		s.cb = func() int { return i }   // want `function literal allocates a closure`
-		_ = string(s.buf)                // want `string conversion copies its payload`
-		b := []byte(name)                // want `\[\]byte conversion copies its payload`
+		s.sink = i                     // want `assignment boxes a int into an interface`
+		sinkAny(i)                     // want `argument boxes a int into an interface`
+		s.cb = func() int { return i } // want `function literal allocates a closure`
+		_ = string(s.buf)              // want `string conversion copies its payload`
+		b := []byte(name)              // want `\[\]byte conversion copies its payload`
 		_ = b
 		r.Record(uint64(i)) // clean: concrete parameter, no boxing
 		_ = helperNoAlloc(i)
