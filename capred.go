@@ -149,7 +149,7 @@ type (
 	// ComponentStat is one component's selection statistics.
 	ComponentStat = predictor.ComponentStat
 	// MarkovConfig configures the Markov stride-history component.
-	MarkovConfig = tournament.MarkovConfig
+	MarkovConfig = predictor.MarkovConfig
 )
 
 // Tournament constructors.
@@ -163,8 +163,8 @@ var (
 	NewStrideComponent       = predictor.NewStrideComponent
 	NewCAPComponent          = predictor.NewCAPComponent
 	NewLastComponent         = predictor.NewLastComponent
-	NewMarkov                = tournament.NewMarkov
-	DefaultMarkovConfig      = tournament.DefaultMarkovConfig
+	NewMarkov                = predictor.NewMarkov
+	DefaultMarkovConfig      = predictor.DefaultMarkovConfig
 )
 
 // Trace model.

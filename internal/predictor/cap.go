@@ -362,39 +362,14 @@ func (c *CAPComponent) Squash(slot int) {
 }
 
 // CAP is the stand-alone correlated context-based address predictor:
-// the component under its own load buffer.
+// the component under its own load buffer, plus PredictAhead.
 type CAP struct {
-	comp *CAPComponent
-	lb   *LBTable[struct{}]
+	Solo[*CAPComponent]
 }
 
 // NewCAP builds a CAP predictor.
 func NewCAP(cfg CAPConfig) *CAP {
-	c := &CAP{comp: NewCAPComponent(cfg), lb: NewLBTable[struct{}](cfg.LBEntries, cfg.LBWays)}
-	c.comp.Slots(c.lb.Entries())
-	return c
-}
-
-// Name implements Predictor.
-func (c *CAP) Name() string { return "cap" }
-
-// Predict implements Predictor.
-func (c *CAP) Predict(ref LoadRef) Prediction {
-	cp := c.comp.Predict(slotFor(c.lb, c.comp, ref.IP), ref)
-	return Prediction{Addr: cp.Addr, Predicted: cp.Predicted, Speculate: cp.Confident, Selected: CompCAP}
-}
-
-// Resolve implements Predictor.
-func (c *CAP) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	c.comp.Resolve(slotFor(c.lb, c.comp, ref.IP), ref, p.solo(), soloOutcome(CompCAP, p, actual), actual)
-}
-
-// Squash implements Squasher: the prediction was made on a wrong path and
-// will never resolve.
-func (c *CAP) Squash(ref LoadRef, p Prediction) {
-	if slot, ok := c.lb.Lookup(ref.IP); ok {
-		c.comp.Squash(slot)
-	}
+	return &CAP{newSolo(NewCAPComponent(cfg), cfg.LBEntries, cfg.LBWays)}
 }
 
 // PredictAhead follows the link-table chain n steps from the load's

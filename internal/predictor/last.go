@@ -23,9 +23,10 @@ type lastEntry struct {
 
 // LastComponent is the last-address predictor at component granularity,
 // over per-load state in a slot-indexed array that its owner's load
-// buffer indexes (see StrideComponent). Predict reads the architectural
-// last address without mutating state, so the component is sound under
-// a prediction gap as well: there is simply no speculative state to
+// buffer indexes (see StrideComponent); like every component, it gets
+// its slot at prediction time. Predict reads the architectural last
+// address without mutating state, so the component is sound under a
+// prediction gap as well: there is simply no speculative state to
 // maintain or squash.
 type LastComponent struct {
 	slots[lastEntry]
@@ -74,34 +75,11 @@ func (l *LastComponent) Squash(slot int) {}
 
 // Last is the last-address predictor: it speculates that a static load's
 // next address equals its previous one. It is the component under its
-// own load buffer, which allocates at resolution: a load the LB has not
-// seen produces no prediction and takes no slot.
-type Last struct {
-	comp *LastComponent
-	lb   *LBTable[struct{}]
-}
+// own load buffer; a load the LB has not seen produces no prediction.
+type Last = Solo[*LastComponent]
 
 // NewLast builds a last-address predictor.
 func NewLast(cfg LastConfig) *Last {
-	l := &Last{comp: NewLastComponent(cfg), lb: NewLBTable[struct{}](cfg.Entries, cfg.Ways)}
-	l.comp.Slots(l.lb.Entries())
-	return l
-}
-
-// Name implements Predictor.
-func (l *Last) Name() string { return "last" }
-
-// Predict implements Predictor.
-func (l *Last) Predict(ref LoadRef) Prediction {
-	slot, ok := l.lb.Lookup(ref.IP)
-	if !ok {
-		return Prediction{}
-	}
-	cp := l.comp.Predict(slot, ref)
-	return Prediction{Addr: cp.Addr, Predicted: cp.Predicted, Speculate: cp.Confident}
-}
-
-// Resolve implements Predictor.
-func (l *Last) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	l.comp.Resolve(slotFor(l.lb, l.comp, ref.IP), ref, ComponentPrediction{}, 0, actual)
+	l := newSolo(NewLastComponent(cfg), cfg.Entries, cfg.Ways)
+	return &l
 }

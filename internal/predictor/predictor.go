@@ -9,8 +9,10 @@
 // entrants (Entrant) predict every load out of one shared load buffer
 // whose entry holds a saturating counter per entrant. NewHybrid builds
 // it over the stride and CAP components, where the counter pair is the
-// paper's 2-bit selector (§3.7); internal/predictor/tournament adds
-// the Markov entrant and builds tournaments by component name.
+// paper's 2-bit selector (§3.7). The Markov entrant joins them in the
+// default tournament, which internal/predictor/tournament builds by
+// component name. A stand-alone predictor is one entrant under its own
+// load buffer (Solo).
 //
 // All predictors implement the Predictor interface, and there is one
 // resolution discipline: Predict always advances speculative state, and
@@ -35,7 +37,7 @@ type LoadRef struct {
 
 // Component identifies which component predictor produced an address.
 // The zero value means none; values beyond the paper's hybrid pair name
-// the other tournament entrants (internal/predictor/tournament).
+// the other tournament entrants.
 type Component uint8
 
 // Component predictors known to the package and its composers.
@@ -91,13 +93,6 @@ type Prediction struct {
 	Predicted bool
 	Speculate bool
 	Selected  Component
-}
-
-// solo is the one-component opinion a stand-alone predictor reported in
-// p: its address, predicted or not, with its confidence as the
-// speculate flag.
-func (p Prediction) solo() ComponentPrediction {
-	return ComponentPrediction{Addr: p.Addr, Predicted: p.Predicted, Confident: p.Speculate}
 }
 
 // Correct reports whether the prediction produced the actual address.

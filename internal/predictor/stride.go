@@ -194,36 +194,10 @@ func (s *StrideComponent) Squash(slot int) {
 
 // Stride is the stand-alone stride predictor: the component under its
 // own load buffer.
-type Stride struct {
-	comp *StrideComponent
-	lb   *LBTable[struct{}]
-}
+type Stride = Solo[*StrideComponent]
 
 // NewStride builds a stride predictor.
 func NewStride(cfg StrideConfig) *Stride {
-	s := &Stride{comp: NewStrideComponent(cfg), lb: NewLBTable[struct{}](cfg.Entries, cfg.Ways)}
-	s.comp.Slots(s.lb.Entries())
-	return s
-}
-
-// Name implements Predictor.
-func (s *Stride) Name() string { return s.comp.Name() }
-
-// Predict implements Predictor.
-func (s *Stride) Predict(ref LoadRef) Prediction {
-	cp := s.comp.Predict(slotFor(s.lb, s.comp, ref.IP), ref)
-	return Prediction{Addr: cp.Addr, Predicted: cp.Predicted, Speculate: cp.Confident, Selected: CompStride}
-}
-
-// Resolve implements Predictor.
-func (s *Stride) Resolve(ref LoadRef, p Prediction, actual uint32) {
-	s.comp.Resolve(slotFor(s.lb, s.comp, ref.IP), ref, p.solo(), soloOutcome(CompStride, p, actual), actual)
-}
-
-// Squash implements Squasher: the prediction was made on a wrong path and
-// will never resolve.
-func (s *Stride) Squash(ref LoadRef, p Prediction) {
-	if slot, ok := s.lb.Lookup(ref.IP); ok {
-		s.comp.Squash(slot)
-	}
+	s := newSolo(NewStrideComponent(cfg), cfg.Entries, cfg.Ways)
+	return &s
 }

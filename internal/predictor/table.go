@@ -117,13 +117,3 @@ func (s *slots[T]) Slots(n int) { s.st = make([]T, n) }
 
 // Reset clears a slot the owner's LB has just allocated.
 func (s *slots[T]) Reset(slot int) { s.st[slot] = *new(T) }
-
-// slotFor probes lb for ip, resetting comp's state in a newly allocated
-// slot: the owner contract of a stand-alone (one-component) predictor.
-func slotFor(lb *LBTable[struct{}], comp interface{ Reset(slot int) }, ip uint32) int {
-	slot, existed := lb.Insert(ip)
-	if !existed {
-		comp.Reset(slot)
-	}
-	return slot
-}

@@ -69,16 +69,6 @@ func (o Outcome) Speculated(c Component) bool {
 // address.
 func (o Outcome) CorrectBy(c Component) bool { return o&(1<<(outcomeCorrect+c)) != 0 }
 
-// soloOutcome is the Outcome of a stand-alone predictor, whose one
-// component is always the selected one.
-func soloOutcome(id Component, p Prediction, actual uint32) Outcome {
-	o := newOutcome(id, p.Speculate)
-	if p.Correct(actual) {
-		o = o.withCorrect(id)
-	}
-	return o
-}
-
 // MaxComponents bounds the entrant count so chooser entries and
 // in-flight records stay fixed-size arrays (no per-entry allocation).
 const MaxComponents = 8

@@ -1,17 +1,9 @@
-// Package tournament holds the entrant of the N-way meta-predictor
-// beyond the paper's pair, and the name registry that builds
-// tournaments from component names. The chooser itself is
+// Package tournament is the name registry that builds tournaments from
+// component names. The chooser and every entrant — stride, CAP, last
+// and Markov — live in package predictor; the chooser is
 // predictor.Tournament, the same code that runs the paper's hybrid
-// (predictor.NewHybrid).
-//
-// The entrant is a Markov-N stride-history predictor, which learns the
-// short repeating stride patterns that neither stride nor CAP captures.
-// It implements predictor.Entrant: per-load state in an array indexed
-// by a slot of the tournament's one load buffer.
-//
-// The registry (NewComponent, NewNamed, NewFull) names every buildable
-// entrant, package predictor's stride, CAP and last-address components
-// included; capserve validates session configs against ComponentNames.
+// (predictor.NewHybrid). capserve validates session configs against
+// ComponentNames.
 package tournament
 
 import (
@@ -46,7 +38,7 @@ func NewComponent(name string) (predictor.Entrant, error) {
 	case "last":
 		return predictor.NewLastComponent(predictor.DefaultLastConfig()), nil
 	case "markov":
-		return NewMarkov(DefaultMarkovConfig()), nil
+		return predictor.NewMarkov(predictor.DefaultMarkovConfig()), nil
 	}
 	return nil, fmt.Errorf("tournament: unknown component %q", name)
 }

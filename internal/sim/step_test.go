@@ -114,9 +114,11 @@ func TestSquashAtGapZeroLeavesNoTrace(t *testing.T) {
 	}
 	const events = 20_000
 	factories := map[string]func() predictor.Predictor{
-		"stride": strideFactory,
-		"cap":    capFactory,
-		"hybrid": hybridFactory,
+		"last":         func() predictor.Predictor { return predictor.NewLast(predictor.DefaultLastConfig()) },
+		"stride":       strideFactory,
+		"stride-basic": func() predictor.Predictor { return predictor.NewStride(predictor.BasicStrideConfig()) },
+		"cap":          capFactory,
+		"hybrid":       hybridFactory,
 		"stride+cap": func() predictor.Predictor {
 			tp, err := tournament.NewNamed(predictor.DefaultConfig(), "stride", "cap")
 			if err != nil {
