@@ -300,7 +300,8 @@ type (
 	Mean = metrics.Mean
 	// ExperimentConfig scales the experiment drivers.
 	ExperimentConfig = sim.Config
-	// Factory builds one fresh predictor per trace run.
+	// Factory builds a fresh predictor; experiment grids reset and
+	// reuse its instances across trace runs (see sim.Factory).
 	Factory = sim.Factory
 	// TraceFailure records one trace run that did not complete.
 	TraceFailure = sim.TraceFailure

@@ -14,7 +14,8 @@
 //     roster (baselines, Fig. 9, Fig. 12, prefetch — the generator-bound
 //     and cpu-model-bound extremes) run streaming, then cached, then
 //     cached with the grid scheduler at GOMAXPROCS workers, with the
-//     cache's occupancy stats. The headline numbers are the speedups.
+//     cache's occupancy stats and the heap allocated and collections run
+//     by the parallel pass. The headline numbers are the speedups.
 //
 // Usage:
 //
@@ -69,9 +70,15 @@ type sweepReport struct {
 	Workers             int     `json:"workers"`
 	ParallelWarmSeconds float64 `json:"parallel_warm_seconds"`
 	SpeedupParallel     float64 `json:"speedup_parallel_vs_serial_warm"`
-	CacheStreams        int     `json:"cache_streams"`
-	CacheMiB            float64 `json:"cache_mib"`
-	CacheHits           int64   `json:"cache_hits"`
+	// AllocMiBPerPass and GCPerPass are the heap the parallel warm pass
+	// allocated (the runtime.MemStats.TotalAlloc delta) and the
+	// collections it triggered: what rebuilding per-cell tables costs
+	// beyond the wall clock.
+	AllocMiBPerPass float64 `json:"alloc_mib_per_pass"`
+	GCPerPass       uint32  `json:"gc_per_pass"`
+	CacheStreams    int     `json:"cache_streams"`
+	CacheMiB        float64 `json:"cache_mib"`
+	CacheHits       int64   `json:"cache_hits"`
 }
 
 // predictReport measures end-to-end prediction throughput (RunTrace
@@ -319,7 +326,10 @@ func sweepBench(events int64) sweepReport {
 
 	par := cached
 	par.Workers = runtime.GOMAXPROCS(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	parallel := run(par)
+	runtime.ReadMemStats(&after)
 	st := cached.ReplayCache.Stats()
 
 	return sweepReport{
@@ -332,6 +342,8 @@ func sweepBench(events int64) sweepReport {
 		Workers:             par.Workers,
 		ParallelWarmSeconds: parallel,
 		SpeedupParallel:     warm / parallel,
+		AllocMiBPerPass:     float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20),
+		GCPerPass:           after.NumGC - before.NumGC,
 		CacheStreams:        st.Entries,
 		CacheMiB:            float64(st.Bytes) / (1 << 20),
 		CacheHits:           st.Hits,

@@ -128,6 +128,8 @@ func (r *ringI64) get(i int64) int64 {
 
 func (r *ringI64) set(i int64, v int64) { r.buf[i&r.mask] = v }
 
+func (r *ringI64) reset() { clear(r.buf) }
+
 // resource tracks per-cycle usage of a structural resource with a ring of
 // counters. Cells are zeroed the first time the simulation's cycle
 // frontier passes them; the ring is sized well beyond the maximum
@@ -146,6 +148,11 @@ func newResource(limit, span int) *resource {
 		n <<= 1
 	}
 	return &resource{used: make([]int32, n), limit: int32(limit), mask: int64(n - 1), maxSeen: -1}
+}
+
+func (r *resource) reset() {
+	clear(r.used)
+	r.maxSeen = -1
 }
 
 // reserve finds the first cycle ≥ from with a free slot and claims it.
@@ -193,6 +200,14 @@ func newTournament(tableBits, histBits int) *tournament {
 		lmask:  4095,
 		choose: make([]uint8, 4096),
 	}
+}
+
+func (t *tournament) reset() {
+	clear(t.gtab)
+	clear(t.lhist)
+	clear(t.lpht)
+	clear(t.choose)
+	t.hist = 0
 }
 
 func (t *tournament) gIdx(ip uint32) uint32 { return (ip>>2 ^ t.hist&t.hmask) & t.gmask }
@@ -259,28 +274,82 @@ var (
 	src2Mask = [8]uint32{trace.KindALU: ^uint32(0), trace.KindLoad: ^uint32(0), trace.KindStore: ^uint32(0)}
 )
 
+// Machine is a reusable timing model: the cache hierarchy, the branch
+// predictor, the completion and retirement rings and the structural
+// resources of one simulated processor. Each Run clears them in place,
+// so timing many traces on one Machine allocates its tables once. The
+// zero Machine is ready to use. A Machine runs one trace at a time.
+type Machine struct {
+	shape    shape
+	hier     *memsys.Hierarchy
+	bp       *tournament
+	complete *ringI64 // per-seq completion cycles
+	retire   *ringI64
+	fus      *resource
+	ports    *resource
+}
+
+// shape is what of a Config the machine's tables are sized from.
+type shape struct {
+	hier                            memsys.HierarchyConfig
+	branchTableBits, branchHistBits int
+	window, fus, ports              int
+}
+
+// reset readies the machine for a run under cfg: it builds the tables
+// on first use or when cfg sizes them differently, and otherwise
+// clears them, leaving the machine as a fresh one.
+func (m *Machine) reset(cfg Config) {
+	s := shape{cfg.Hierarchy, cfg.BranchTableBits, cfg.BranchHistBits, cfg.Window, cfg.FUs, cfg.CachePorts}
+	if m.hier == nil || m.shape != s {
+		*m = Machine{
+			shape:    s,
+			hier:     memsys.NewHierarchy(cfg.Hierarchy),
+			bp:       newTournament(cfg.BranchTableBits, cfg.BranchHistBits),
+			complete: newRing(1 << 12),
+			retire:   newRing(cfg.Window * 2),
+			fus:      newResource(cfg.FUs, 1<<12),
+			ports:    newResource(cfg.CachePorts, 1<<12),
+		}
+		return
+	}
+	m.hier.Reset()
+	m.bp.reset()
+	m.complete.reset()
+	m.retire.reset()
+	m.fus.reset()
+	m.ports.reset()
+}
+
+// Run simulates the trace on a fresh machine: new(Machine).Run.
+func Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) Result {
+	return new(Machine).Run(src, pred, gapDepth, cfg)
+}
+
 // Run simulates the trace on the configured machine. pred may be nil (no
 // address prediction — the paper's baseline) or any Predictor; gapDepth
 // defers prediction verification by that many dynamic loads (§5), and
-// depth 0 is the immediate update.
-func Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) Result {
+// depth 0 is the immediate update. The machine starts from the state
+// of a fresh one whatever it ran before.
+func (m *Machine) Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) Result {
+	m.reset(cfg)
 	var (
 		res  Result
-		hier = memsys.NewHierarchy(cfg.Hierarchy)
-		bp   = newTournament(cfg.BranchTableBits, cfg.BranchHistBits)
+		hier = m.hier
+		bp   = m.bp
 		ghr  predictor.GHR
 		path predictor.PathHist
 
-		complete = newRing(1 << 12) // per-seq completion cycles
-		retire   = newRing(cfg.Window * 2)
+		complete = m.complete
+		retire   = m.retire
 
 		seq        int64
 		fetchCycle int64 // cycle currently being filled with fetches
 		fetchUsed  int   // fetches already issued this cycle
 		flushUntil int64 // front-end stall from a branch misprediction
 
-		fus   = newResource(cfg.FUs, 1<<12)
-		ports = newResource(cfg.CachePorts, 1<<12)
+		fus   = m.fus
+		ports = m.ports
 
 		gap *pipeline.Gap
 	)

@@ -402,3 +402,49 @@ func TestRunIgnoresUncarriedColumns(t *testing.T) {
 	// which would hide a leaked read.
 	checkSoiledEqualsClean(t, evs, trace.BlockLen, garbage{word: 0xFFFFFFFF, src: 1, lat: 255})
 }
+
+// TestMachineReuseMatchesFresh runs trace A and then trace B on one
+// Machine, without a predictor and with the hybrid, each with and
+// without the RPT prefetcher: B's Result must equal a fresh machine's.
+// A final case runs A under a different window and cache geometry, so
+// the second run rebuilds the tables instead of clearing them.
+func TestMachineReuseMatchesFresh(t *testing.T) {
+	a, _ := workload.ByName("INT_xli")
+	b, _ := workload.ByName("MM_aud")
+	open := func(spec workload.TraceSpec) trace.Source { return trace.NewLimit(spec.Open(), 30_000) }
+	small := DefaultConfig()
+	small.Window = 32
+	small.Hierarchy.L2.SizeBytes = 64 << 10
+	for _, c := range []struct {
+		name         string
+		pred, rpt    bool
+		firstConfig  Config
+		secondConfig Config
+	}{
+		{"no prediction", false, false, DefaultConfig(), DefaultConfig()},
+		{"hybrid", true, false, DefaultConfig(), DefaultConfig()},
+		{"rpt", false, true, DefaultConfig(), DefaultConfig()},
+		{"hybrid+rpt", true, true, DefaultConfig(), DefaultConfig()},
+		{"geometry change", true, true, small, DefaultConfig()},
+	} {
+		// Every run gets its own predictor and prefetcher: only the
+		// machine is reused.
+		run := func(m *Machine, spec workload.TraceSpec, cfg Config) Result {
+			var p predictor.Predictor
+			if c.pred {
+				p = predictor.NewHybrid(predictor.DefaultHybridConfig())
+			}
+			if c.rpt {
+				cfg.Prefetcher = prefetch.NewRPT(prefetch.DefaultRPTConfig())
+			}
+			return m.Run(open(spec), p, 4, cfg)
+		}
+		var m Machine
+		run(&m, a, c.firstConfig)
+		got := run(&m, b, c.secondConfig)
+		want := run(new(Machine), b, c.secondConfig)
+		if got != want {
+			t.Errorf("%s: reused machine %+v, fresh %+v", c.name, got, want)
+		}
+	}
+}

@@ -129,6 +129,14 @@ func (c *Cache) touch(base, i int) {
 	c.lines[i].age = c.clock
 }
 
+// Reset empties the cache and zeroes its statistics in place: it is
+// again as NewCache built it.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.clock = 0
+	c.Hits, c.Misses = 0, 0
+}
+
 // HitRate returns hits / accesses.
 func (c *Cache) HitRate() float64 {
 	total := c.Hits + c.Misses
@@ -164,6 +172,12 @@ type Hierarchy struct {
 // NewHierarchy builds the hierarchy.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	return &Hierarchy{cfg: cfg, L1: NewCache(cfg.L1), L2: NewCache(cfg.L2)}
+}
+
+// Reset empties both levels and zeroes their statistics in place.
+func (h *Hierarchy) Reset() {
+	h.L1.Reset()
+	h.L2.Reset()
 }
 
 // Access performs a load or store and returns its total latency in cycles.

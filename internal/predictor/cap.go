@@ -157,6 +157,14 @@ func NewCAPComponent(cfg CAPConfig) *CAPComponent {
 	return c
 }
 
+// Slots restarts the component over n load-buffer slots: the per-load
+// state, the link table and the external PF table are cleared.
+func (c *CAPComponent) Slots(n int) {
+	c.slots.Slots(n)
+	clear(c.lt)
+	clear(c.pfTab)
+}
+
 // offLow extracts the offset LSBs recorded in the LB. With global
 // correlation disabled the mask is zero, so base == effective address and
 // the predictor degenerates to per-load full-address links.

@@ -48,6 +48,9 @@ func NewControl(cfg ControlConfig) *Control {
 	}
 }
 
+// Reset implements Resetter: the address table is cleared.
+func (c *Control) Reset() { clear(c.tab) }
+
 // Name implements Predictor.
 func (c *Control) Name() string {
 	if c.cfg.UsePath {

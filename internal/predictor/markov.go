@@ -104,6 +104,13 @@ func NewMarkov(cfg MarkovConfig) *Markov {
 	return m
 }
 
+// Slots restarts the component over n load-buffer slots: the per-load
+// state and the shared stride table are cleared.
+func (m *Markov) Slots(n int) {
+	m.slots.Slots(n)
+	clear(m.tab)
+}
+
 // ID identifies the component in Prediction.Selected.
 func (m *Markov) ID() Component { return CompMarkov }
 

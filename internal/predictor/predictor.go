@@ -129,6 +129,15 @@ type Squasher interface {
 	Squash(ref LoadRef, p Prediction)
 }
 
+// Resetter is implemented by predictors that can be reused for another
+// trace: Reset returns the predictor to the exact state its constructor
+// built, with its tables cleared in place rather than reallocated. A
+// simulation that drives the same configuration over many traces keeps
+// one instance and resets it between them.
+type Resetter interface {
+	Reset()
+}
+
 // GHR is the global branch-history register: a shift register of recent
 // branch outcomes, most recent in bit 0.
 type GHR struct {

@@ -6,8 +6,8 @@ package predictor
 // the Tournament's owner contract: the LB entry is allocated at
 // prediction, so in-flight instance counts are exact under a prediction
 // gap, and a newly allocated slot is reset before use. Last and Stride
-// are Solo instances; CAP embeds one. It implements Predictor and
-// Squasher.
+// are Solo instances; CAP embeds one. It implements Predictor,
+// Squasher and Resetter.
 type Solo[E Entrant] struct {
 	comp E
 	id   Component // comp.ID(), kept off the per-load path
@@ -34,10 +34,15 @@ func (s *Solo[E]) slot(ip uint32) int {
 // Name implements Predictor.
 func (s *Solo[E]) Name() string { return s.comp.Name() }
 
-// Predict implements Predictor.
+// Predict implements Predictor. Like the tournament, it names the
+// entrant in Selected only when the entrant produced an address.
 func (s *Solo[E]) Predict(ref LoadRef) Prediction {
 	cp := s.comp.Predict(s.slot(ref.IP), ref)
-	return Prediction{Addr: cp.Addr, Predicted: cp.Predicted, Speculate: cp.Confident, Selected: s.id}
+	p := Prediction{Addr: cp.Addr, Predicted: cp.Predicted, Speculate: cp.Confident}
+	if cp.Predicted {
+		p.Selected = s.id
+	}
+	return p
 }
 
 // Resolve implements Predictor. The entrant gets back the opinion p
@@ -50,6 +55,13 @@ func (s *Solo[E]) Resolve(ref LoadRef, p Prediction, actual uint32) {
 	}
 	cp := ComponentPrediction{Addr: p.Addr, Predicted: p.Predicted, Confident: p.Speculate}
 	s.comp.Resolve(s.slot(ref.IP), ref, cp, o, actual)
+}
+
+// Reset implements Resetter: the load buffer is emptied and the
+// entrant restarted over it.
+func (s *Solo[E]) Reset() {
+	s.lb.Clear()
+	s.comp.Slots(s.lb.Entries())
 }
 
 // Squash implements Squasher: the prediction was made on a wrong path

@@ -68,13 +68,12 @@ func (c *soloTally) add(p predictor.Prediction, actual uint32) {
 	}
 }
 
-// diffSolo requires the stand-alone prediction to match the one-way
-// tournament's: the same Predicted and Speculate, and when an address
-// was produced, the same address and component.
+// diffSolo requires the stand-alone prediction to equal the one-way
+// tournament's in every field, Selected on an unpredicted load
+// included.
 func diffSolo(t *testing.T, name string, step int, ps, pt predictor.Prediction) {
 	t.Helper()
-	if ps.Predicted != pt.Predicted || ps.Speculate != pt.Speculate ||
-		ps.Predicted && (ps.Addr != pt.Addr || ps.Selected != pt.Selected) {
+	if ps != pt {
 		t.Fatalf("%s step %d: stand-alone %+v, one-way tournament %+v", name, step, ps, pt)
 	}
 }

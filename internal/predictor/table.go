@@ -12,13 +12,13 @@ type LBTable[T any] struct {
 	setLow   uint // bits to shift IP before set selection
 	setMask  uint32
 	tagShift uint // setLow + log2(sets), precomputed off the hot path
+	clock    uint32
 	slots    []lbSlot[T]
 }
 
 type lbSlot[T any] struct {
-	valid bool
 	tag   uint32
-	age   uint32 // lower is more recently used
+	stamp uint32 // clock at the last use; 0 marks an invalid way
 	val   T
 }
 
@@ -56,8 +56,8 @@ func (t *LBTable[T]) Lookup(ip uint32) (slot int, ok bool) {
 	tag := t.tag(ip)
 	for i := base; i < base+t.ways; i++ {
 		s := &t.slots[i]
-		if s.valid && s.tag == tag {
-			t.touch(base, i)
+		if s.stamp != 0 && s.tag == tag {
+			t.touch(i)
 			return i, true
 		}
 	}
@@ -73,36 +73,70 @@ func (t *LBTable[T]) Insert(ip uint32) (slot int, existed bool) {
 	victim := base
 	for i := base; i < base+t.ways; i++ {
 		s := &t.slots[i]
-		if s.valid && s.tag == tag {
-			t.touch(base, i)
+		if s.stamp != 0 && s.tag == tag {
+			t.touch(i)
 			return i, true
 		}
-		if !s.valid {
+		if s.stamp == 0 {
 			victim = i
-		} else if t.slots[victim].valid && s.age > t.slots[victim].age {
+		} else if t.slots[victim].stamp != 0 && s.stamp < t.slots[victim].stamp {
 			victim = i
 		}
 	}
 	s := &t.slots[victim]
 	var zero T
-	s.valid = true
 	s.tag = tag
 	s.val = zero
-	t.touch(base, victim)
+	t.touch(victim)
 	return victim, false
 }
 
 // At returns the owner's value in slot.
 func (t *LBTable[T]) At(slot int) *T { return &t.slots[slot].val }
 
-// touch marks slot i most recently used within its set.
-func (t *LBTable[T]) touch(base, i int) {
-	for j := base; j < base+t.ways; j++ {
-		if t.slots[j].valid {
-			t.slots[j].age++
+// touch stamps slot i most recently used, as memsys.Cache does: a
+// monotone clock keeps the exact LRU order of the increment-every-way
+// scheme (the valid stamps of a set are distinct and its minimum is the
+// least recently used way) with one store instead of one per way. When
+// the clock would wrap, rebase renumbers the stamps first.
+func (t *LBTable[T]) touch(i int) {
+	if t.clock == ^uint32(0) {
+		t.rebase()
+	}
+	t.clock++
+	t.slots[i].stamp = t.clock
+}
+
+// rebase renumbers every set's valid stamps 1..k in their LRU order and
+// restarts the clock above them, so the order survives the clock's
+// wrap-around.
+func (t *LBTable[T]) rebase() {
+	rank := make([]uint32, t.ways)
+	for base := 0; base < len(t.slots); base += t.ways {
+		set := t.slots[base : base+t.ways]
+		for i := range set {
+			rank[i] = 0
+			if set[i].stamp == 0 {
+				continue
+			}
+			for j := range set {
+				if set[j].stamp != 0 && set[j].stamp <= set[i].stamp {
+					rank[i]++
+				}
+			}
+		}
+		for i := range set {
+			set[i].stamp = rank[i]
 		}
 	}
-	t.slots[i].age = 0
+	t.clock = uint32(t.ways)
+}
+
+// Clear invalidates every entry and restarts the clock: the table is
+// again as NewLBTable built it.
+func (t *LBTable[T]) Clear() {
+	clear(t.slots)
+	t.clock = 0
 }
 
 // Entries returns the table capacity, which bounds every slot index.
@@ -112,8 +146,15 @@ func (t *LBTable[T]) Entries() int { return t.sets * t.ways }
 // load buffer. Components embed it for their Slots and Reset methods.
 type slots[T any] struct{ st []T }
 
-// Slots sizes the state to n load-buffer slots, all reset.
-func (s *slots[T]) Slots(n int) { s.st = make([]T, n) }
+// Slots sizes the state to n load-buffer slots, all reset. A second
+// call with the same n clears the array it already has.
+func (s *slots[T]) Slots(n int) {
+	if len(s.st) == n {
+		clear(s.st)
+		return
+	}
+	s.st = make([]T, n)
+}
 
 // Reset clears a slot the owner's LB has just allocated.
 func (s *slots[T]) Reset(slot int) { s.st[slot] = *new(T) }

@@ -139,3 +139,90 @@ func TestLBTableEntries(t *testing.T) {
 		t.Errorf("entries() = %d, want 4096", got)
 	}
 }
+
+// lruModel is the reference replacement policy: per set, the resident
+// IPs from most to least recently used, each with the slot it holds.
+type lruModel struct {
+	ways int
+	sets map[int][]lruLine
+}
+
+type lruLine struct {
+	ip   uint32
+	slot int
+}
+
+// touch moves line k of the set to the front.
+func (m *lruModel) touch(set, k int) {
+	lines := m.sets[set]
+	l := lines[k]
+	copy(lines[1:k+1], lines[:k])
+	lines[0] = l
+}
+
+func (m *lruModel) find(set int, ip uint32) int {
+	for k, l := range m.sets[set] {
+		if l.ip == ip {
+			return k
+		}
+	}
+	return -1
+}
+
+// TestLBTableMatchesLRUModel drives a 4-way table with random lookups
+// and inserts over a few sets, once from a fresh clock and once with the
+// clock about to wrap, so the stamps are rebased mid-stream: every hit,
+// miss, slot and eviction must match the reference LRU model. A Clear
+// halfway through must leave a table that behaves as a new one.
+func TestLBTableMatchesLRUModel(t *testing.T) {
+	f := func(ops []uint16, nearWrap bool) bool {
+		tb := NewLBTable[struct{}](16, 4)
+		if nearWrap {
+			tb.clock = ^uint32(0) - 5
+		}
+		m := &lruModel{ways: 4, sets: map[int][]lruLine{}}
+		for n, op := range ops {
+			if n == len(ops)/2 {
+				tb.Clear()
+				m.sets = map[int][]lruLine{}
+			}
+			ip := uint32(op&0x3F) * 4 // 64 IPs over 4 sets
+			set := tb.set(ip)
+			k := m.find(set, ip)
+			if op&0x100 != 0 {
+				slot, ok := tb.Lookup(ip)
+				if ok != (k >= 0) || ok && slot != m.sets[set][k].slot {
+					return false
+				}
+				if ok {
+					m.touch(set, k)
+				}
+				continue
+			}
+			slot, existed := tb.Insert(ip)
+			switch {
+			case k >= 0:
+				if !existed || slot != m.sets[set][k].slot {
+					return false
+				}
+				m.touch(set, k)
+			case len(m.sets[set]) < m.ways:
+				if existed {
+					return false
+				}
+				m.sets[set] = append([]lruLine{{ip, slot}}, m.sets[set]...)
+			default:
+				lines := m.sets[set]
+				if existed || slot != lines[len(lines)-1].slot {
+					return false
+				}
+				lines[len(lines)-1] = lruLine{ip, slot}
+				m.touch(set, len(lines)-1)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}

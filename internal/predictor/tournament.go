@@ -5,12 +5,16 @@ import "fmt"
 // Entrant is one component of a Tournament: a predictor operating at
 // component granularity over per-load state in a slot-indexed array.
 // The tournament's load buffer picks the slot; entrants own no LB.
-// Slots sizes the array once, before any other call; Reset clears a
-// slot whenever the LB allocates it to a new static load. Predict
-// computes the entrant's opinion for the load in slot and advances its
-// speculative state (reading the architectural state when nothing is in
-// flight for the slot); Resolve verifies it against the actual address
-// and updates the entrant's tables; Squash undoes Predict's in-flight
+// Slots restarts the entrant over n slots: it is called before any
+// other call and again whenever the owner is reset, and leaves the
+// entrant as its constructor built it (every slot clear, and any
+// global table the entrant keeps, such as CAP's link table, emptied),
+// reusing its arrays when n is unchanged. Reset clears a slot whenever
+// the LB allocates it to a new static load. Predict computes the
+// entrant's opinion for the load in slot and advances its speculative
+// state (reading the architectural state when nothing is in flight for
+// the slot); Resolve verifies it against the actual address and
+// updates the entrant's tables; Squash undoes Predict's in-flight
 // bookkeeping for a flushed wrong-path prediction (§5.4, youngest
 // first). Resolutions arrive in prediction order, as under a pipeline
 // gap. If the load's entry was evicted in between, Resolve gets the
@@ -169,7 +173,7 @@ func (s *SelectorStats) Merge(other SelectorStats) {
 // shared load buffer, and a per-entry vector of saturating counters
 // arbitrates among the confident ones, with a confidence-gated fallback
 // order when none is confident. NewHybrid builds the paper's
-// stride+CAP pair. It implements Predictor and Squasher.
+// stride+CAP pair. It implements Predictor, Squasher and Resetter.
 type Tournament struct {
 	name   string
 	ctrMax uint8 // counter ceiling
@@ -299,6 +303,19 @@ func (t *Tournament) ComponentStats() []ComponentStat {
 // It stays empty unless the tournament has both a stride and a CAP
 // entrant.
 func (t *Tournament) SelectorStats() SelectorStats { return t.sel }
+
+// Reset implements Resetter: the load buffer, the in-flight ring and
+// both ledgers are emptied and every entrant restarted, as New left
+// them. The ring keeps any capacity it has grown.
+func (t *Tournament) Reset() {
+	t.lb.Clear()
+	t.head, t.n = 0, 0
+	for i, c := range t.comps {
+		c.Slots(t.lb.Entries())
+		t.stats[i] = ComponentStat{Name: t.stats[i].Name}
+	}
+	t.sel = SelectorStats{}
+}
 
 // pushFlight appends a record to the in-flight ring, doubling the ring
 // when it is full, and returns it.

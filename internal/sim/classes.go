@@ -58,7 +58,7 @@ func ClassCoverage(cfg Config) ClassCoverageResult {
 	tallies := make([]tally, len(specs))
 
 	g := newGrid(cfg)
-	g.addPass("class-coverage", specs, func(i int) error {
+	g.addPass("class-coverage", specs, func(_ *worker, i int) error {
 		spec := specs[i]
 		// Both passes run inside one perTrace scope so the deadline spans
 		// the whole two-pass job and a retry restarts it from scratch

@@ -32,7 +32,7 @@ func Prefetch(cfg Config) PrefetchResult {
 	rows := make([]row, len(specs))
 
 	g := newGrid(cfg)
-	g.addPass("prefetch", specs, func(i int) error {
+	g.addPass("prefetch", specs, func(w *worker, i int) error {
 		spec := specs[i]
 		run := func(v int) (cpu.Result, error) {
 			mcfg := cpu.DefaultConfig()
@@ -46,7 +46,7 @@ func Prefetch(cfg Config) PrefetchResult {
 				mcfg.Prefetcher = prefetch.NewRPT(prefetch.DefaultRPTConfig())
 				p = hybridFactory
 			}
-			return runTimed(cfg, spec, mcfg, p, 0)
+			return runTimed(cfg, w, spec, mcfg, v, p, 0)
 		}
 		for v := 0; v < variants; v++ {
 			r, err := run(v)

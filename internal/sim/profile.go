@@ -44,7 +44,7 @@ func ProfileAssist(cfg Config) ProfileAssistResult {
 	cells := make([]cell, len(specs))
 
 	g := newGrid(cfg)
-	g.addPass("profile-assist", specs, func(i int) error {
+	g.addPass("profile-assist", specs, func(_ *worker, i int) error {
 		spec := specs[i]
 		// The training pass and all four variants share one perTrace
 		// scope: the deadline covers the whole job, and a retry restarts

@@ -26,9 +26,9 @@ type Config struct {
 	// (trace × configuration) grid across. 0 (and 1) select the serial
 	// reference path: shards run in registration order on the calling
 	// goroutine. Every worker count produces bit-identical tables — each
-	// shard holds its own predictor instance and replay cursor, writes
-	// only its own result slot, and results merge in shard order after
-	// the pool drains (see scheduler.go).
+	// shard starts from a fresh or reset predictor instance and its own
+	// replay cursor, writes only its own result slot, and results merge
+	// in shard order after the pool drains (see scheduler.go).
 	Workers int
 
 	// Ctx, when non-nil, cancels in-flight trace simulations: traces
@@ -86,7 +86,10 @@ func (c Config) schedWorkers() int {
 	return 1
 }
 
-// Factory builds a fresh predictor instance for one trace run.
+// Factory builds a fresh predictor instance. A grid pass calls it once
+// per worker for each of its configurations and, when the instance
+// implements predictor.Resetter, resets it for every later trace that
+// worker runs; otherwise it builds one instance per trace run.
 type Factory func() predictor.Predictor
 
 // RunTrace drives one predictor over one event stream, maintaining the

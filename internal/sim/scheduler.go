@@ -7,11 +7,14 @@
 // Determinism: output tables are bit-identical at every worker count.
 // Three properties make that structural rather than lucky:
 //
-//  1. Shards are independent. Each shard builds its own predictor
-//     instance(s) from a fresh factory call and opens its own trace
-//     source — with a ReplayCache configured, a private replay cursor
-//     over the cache's immutable shared bytes. No mutable state is
-//     shared between shards.
+//  1. Shards are independent. Each shard starts its predictor
+//     instance(s) and timing model from the state a fresh factory call
+//     or a fresh cpu.Machine has — its worker's cached instance, reset
+//     in place (see worker), or a new one — and opens its own trace
+//     source: with a ReplayCache configured, a private replay cursor
+//     over the cache's immutable shared bytes. A worker runs one shard
+//     at a time, so no mutable state is shared between shards that run
+//     concurrently.
 //  2. Each shard writes only its own pre-allocated result slot, so the
 //     completion order of shards cannot influence what any slot holds.
 //  3. All merging (suite pooling, equal-weight means, failure lists)
@@ -32,6 +35,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"capred/internal/cpu"
 	"capred/internal/metrics"
 	"capred/internal/predictor"
 	"capred/internal/trace"
@@ -39,11 +43,68 @@ import (
 )
 
 // shard is one (configuration pass, trace) cell of an experiment grid.
+// run gets the worker that executes it.
 type shard struct {
 	stage string
 	spec  workload.TraceSpec
-	run   func() error
+	pass  int // the registering pass's index within the grid
+	run   func(w *worker) error
 }
+
+// maxCached bounds the predictors a worker keeps: Fig. 12 runs four
+// predictor configurations per cell.
+const maxCached = 4
+
+// worker is one scheduler goroutine's reusable simulation state: the
+// predictors of the passes it ran last and one timing model. A shard
+// gets a cached predictor reset in place (predictor.Resetter) instead
+// of a fresh factory call, so the tables of a pass's configuration are
+// allocated once per worker rather than once per cell. Retention is
+// bounded by maxCached predictors plus one cpu.Machine per worker, and
+// the state lives only as long as the grid's run.
+type worker struct {
+	pass    int // pass of the shard being run
+	cached  [maxCached]cachedPredictor
+	next    int         // cached slot the next new predictor takes
+	machine cpu.Machine // Machine.Run resets it
+}
+
+// cachedPredictor is a predictor built for one configuration of one
+// pass.
+type cachedPredictor struct {
+	pass, variant int
+	p             predictor.Predictor
+}
+
+// predictor returns the predictor for configuration variant of the
+// current shard's pass, in the state a fresh f() has. A pass's variant
+// always names the same factory, so a cached instance is reset and
+// reused; otherwise f builds one, which the worker keeps if it can be
+// reset, evicting its oldest. Factory values are never compared:
+// closures with different captured configurations look alike. With a
+// WrapFactory configured (it may substitute another factory for spec)
+// every call builds fresh and nothing is cached.
+func (w *worker) predictor(cfg Config, spec workload.TraceSpec, variant int, f Factory) predictor.Predictor {
+	if cfg.WrapFactory != nil {
+		return cfg.factoryFor(spec, f)()
+	}
+	for _, c := range w.cached {
+		if c.p != nil && c.pass == w.pass && c.variant == variant {
+			c.p.(predictor.Resetter).Reset()
+			return c.p
+		}
+	}
+	p := f()
+	if _, ok := p.(predictor.Resetter); ok {
+		w.cached[w.next] = cachedPredictor{w.pass, variant, p}
+		w.next = (w.next + 1) % maxCached
+	}
+	return p
+}
+
+// drop forgets every cached instance: a shard that failed or panicked
+// may have left them mid-update.
+func (w *worker) drop() { *w = worker{} }
 
 // grid accumulates an experiment's full work grid before execution, so
 // every pass of a multi-configuration sweep shards across the same
@@ -51,21 +112,25 @@ type shard struct {
 type grid struct {
 	cfg    Config
 	shards []shard
+	passes int
 }
 
 func newGrid(cfg Config) *grid { return &grid{cfg: cfg} }
 
-// addPass registers one configuration pass over specs; body(i) performs
-// the i-th trace's work and must write results only to slot i of
-// whatever the caller pre-allocated (see the determinism contract at the
-// top of the file).
-func (g *grid) addPass(stage string, specs []workload.TraceSpec, body func(i int) error) {
+// addPass registers one configuration pass over specs; body(w, i)
+// performs the i-th trace's work on worker w and must write results
+// only to slot i of whatever the caller pre-allocated (see the
+// determinism contract at the top of the file).
+func (g *grid) addPass(stage string, specs []workload.TraceSpec, body func(w *worker, i int) error) {
+	pass := g.passes
+	g.passes++
 	for i := range specs {
 		i := i
 		g.shards = append(g.shards, shard{
 			stage: stage,
 			spec:  specs[i],
-			run:   func() error { return body(i) },
+			pass:  pass,
+			run:   func(w *worker) error { return body(w, i) },
 		})
 	}
 }
@@ -77,8 +142,8 @@ type suitePass struct {
 }
 
 // row is one configuration of a predictor sweep: the stage its
-// failures report, the factory that builds its predictor per trace, and
-// the prediction gap it runs at.
+// failures report, the factory that builds its predictor, and the
+// prediction gap it runs at.
 type row struct {
 	stage string
 	f     Factory
@@ -105,14 +170,14 @@ func (g *grid) addSuitePass(stage string, f Factory, gapDepth int) *suitePass {
 	specs := workload.Traces()
 	sp := &suitePass{runs: make([]traceRun, len(specs))}
 	cfg := g.cfg
-	g.addPass(stage, specs, func(i int) error {
+	g.addPass(stage, specs, func(w *worker, i int) error {
 		spec := specs[i]
 		// Record the spec up front so even a panic mid-run leaves the
 		// slot attributed to its trace.
 		sp.runs[i] = traceRun{Spec: spec}
 		var run traceRun
 		err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) (err error) {
-			p := cfg.factoryFor(spec, f)()
+			p := w.predictor(cfg, spec, 0, f)
 			run = traceRun{Spec: spec}
 			run.C, err = RunTraceContext(ctx, open(), p, gapDepth)
 			if t, ok := p.(*predictor.Tournament); ok {
@@ -163,14 +228,16 @@ func (g *grid) run() []TraceFailure {
 // goroutine for Workers <= 1) and returns per-shard errors in shard
 // order. Workers claim shard indices from an atomic cursor, so no shard
 // runs twice and an idle worker immediately picks up the next cell of
-// whatever pass still has work. Each shard is isolated: a panic becomes
-// that shard's *PanicError, and once the config's context is done,
-// not-yet-started shards fail with its error instead of running.
+// whatever pass still has work. Each worker goroutine has its own
+// worker state. Each shard is isolated: a panic becomes that shard's
+// *PanicError, a failed shard leaves its worker nothing cached, and
+// once the config's context is done, not-yet-started shards fail with
+// its error instead of running.
 func runShards(cfg Config, shards []shard) []error {
 	errs := make([]error, len(shards))
 	ctx := cfg.context()
 	var done atomic.Int64
-	runOne := func(i int) {
+	runOne := func(w *worker, i int) {
 		// Progress reporting is observational only: it must not perturb
 		// scheduling or results, so it fires after the shard's slot is
 		// final, counting completions (not slot indices) monotonically.
@@ -185,8 +252,12 @@ func runShards(cfg Config, shards []shard) []error {
 			if r := recover(); r != nil {
 				errs[i] = &PanicError{Value: r, Stack: debug.Stack()}
 			}
+			if errs[i] != nil {
+				w.drop()
+			}
 		}()
-		errs[i] = shards[i].run()
+		w.pass = shards[i].pass
+		errs[i] = shards[i].run(w)
 	}
 
 	workers := cfg.schedWorkers()
@@ -196,8 +267,9 @@ func runShards(cfg Config, shards []shard) []error {
 	if workers <= 1 {
 		// Serial reference path: the golden harness diffs every parallel
 		// run against this.
+		var w worker
 		for i := range shards {
-			runOne(i)
+			runOne(&w, i)
 		}
 		return errs
 	}
@@ -208,12 +280,13 @@ func runShards(cfg Config, shards []shard) []error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var w worker
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(shards) {
 					return
 				}
-				runOne(i)
+				runOne(&w, i)
 			}
 		}()
 	}

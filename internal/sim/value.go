@@ -68,7 +68,7 @@ func AddressVsValue(cfg Config) AddressVsValueResult {
 	rows := make([]row, len(specs))
 
 	g := newGrid(cfg)
-	g.addPass("addr-vs-value", specs, func(i int) error {
+	g.addPass("addr-vs-value", specs, func(_ *worker, i int) error {
 		spec := specs[i]
 		// The whole per-trace measurement runs in one perTrace scope and
 		// accumulates into a local row, so a retry restarts from fresh

@@ -152,7 +152,7 @@ func WrongPath(cfg Config) WrongPathResult {
 	}
 	done := make([]bool, len(specs))
 	g := newGrid(cfg)
-	g.addPass("wrong-path", specs, func(i int) error {
+	g.addPass("wrong-path", specs, func(_ *worker, i int) error {
 		// Each mode gets its own perTrace scope: the deadline bounds one
 		// mode's run, and a transient source error retries just that mode.
 		for m, mode := range modes {
