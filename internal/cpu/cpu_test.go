@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"errors"
 	"testing"
 
 	"capred/internal/predictor"
@@ -446,5 +447,125 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: reused machine %+v, fresh %+v", c.name, got, want)
 		}
+	}
+}
+
+// replayConfigs are the timing configurations a shard shares columns
+// across: the default hierarchy with and without the RPT prefetcher,
+// times no predictor, stride and the hybrid at gaps 0 and 8. Mem and
+// Pred are the Keys the configuration's run stores its columns under.
+var replayConfigs = func() []replayConfig {
+	preds := []struct {
+		name string
+		new  func() predictor.Predictor
+		gap  int
+	}{
+		{"none", nil, 0},
+		{"stride", func() predictor.Predictor { return predictor.NewStride(predictor.DefaultStrideConfig()) }, 0},
+		{"stride", func() predictor.Predictor { return predictor.NewStride(predictor.DefaultStrideConfig()) }, 8},
+		{"hybrid", func() predictor.Predictor { return predictor.NewHybrid(predictor.DefaultHybridConfig()) }, 0},
+		{"hybrid", func() predictor.Predictor { return predictor.NewHybrid(predictor.DefaultHybridConfig()) }, 8},
+	}
+	var out []replayConfig
+	for mem, rpt := range []bool{false, true} {
+		for key, p := range preds {
+			out = append(out, replayConfig{rpt: rpt, pred: p.name, newPred: p.new, gap: p.gap, keys: Keys{Mem: mem + 1, Pred: key}})
+		}
+	}
+	return out
+}()
+
+type replayConfig struct {
+	rpt     bool
+	pred    string
+	newPred func() predictor.Predictor
+	gap     int
+	keys    Keys
+}
+
+func (rc replayConfig) config() Config {
+	cfg := DefaultConfig()
+	if rc.rpt {
+		cfg.Prefetcher = prefetch.NewRPT(prefetch.DefaultRPTConfig())
+	}
+	return cfg
+}
+
+// checkReplayMatchesLive times evs under every replayConfig twice on
+// one Shard, so the first round computes each key's columns once (the
+// RPT round reads the plain round's predictions) and the second round
+// reads them all, and requires every run to equal a fresh machine's.
+func checkReplayMatchesLive(t *testing.T, evs []trace.Event, blockLen int) {
+	t.Helper()
+	open := func() trace.Source { return &columnSource{evs: evs, blockLen: blockLen} }
+	// Machine.Run starts from a fresh machine's state, which
+	// TestMachineReuseMatchesFresh holds, so one machine serves every
+	// live run.
+	var fresh Machine
+	live := make([]Result, len(replayConfigs))
+	for i, rc := range replayConfigs {
+		var p predictor.Predictor
+		if rc.newPred != nil {
+			p = rc.newPred()
+		}
+		live[i] = fresh.Run(open(), p, rc.gap, rc.config())
+	}
+	ts := new(Machine).Shard()
+	for round := 0; round < 2; round++ {
+		for i, rc := range replayConfigs {
+			got := ts.Run(open(), rc.newPred, rc.gap, rc.config(), rc.keys)
+			if got != live[i] {
+				t.Errorf("round %d, rpt %v, %s gap %d over %d events:\nshard %+v\nlive  %+v",
+					round, rc.rpt, rc.pred, rc.gap, len(evs), got, live[i])
+			}
+		}
+	}
+}
+
+func TestTimingReplayMatchesLive(t *testing.T) {
+	spec, _ := workload.ByName("MM_aud")
+	src := trace.NewLimit(spec.Open(), 30_000)
+	var evs []trace.Event
+	for ev, ok := src.Next(); ok; ev, ok = src.Next() {
+		evs = append(evs, ev)
+	}
+	checkReplayMatchesLive(t, evs, trace.BlockLen)
+}
+
+// TestShardRejectsDivergedStream stores a stream's columns and then
+// runs a stream with one load address changed, one event more and one
+// event fewer: each fails with ErrDiverged, and no run that reads the
+// stored columns calls the predictor factory.
+func TestShardRejectsDivergedStream(t *testing.T) {
+	evs := pointerChase(3000)
+	moved := append([]trace.Event(nil), evs...)
+	moved[2000].Addr ^= 0x40 // a load: pointerChase alternates load, ALU
+	longer := append(append([]trace.Event(nil), evs...), trace.Event{Kind: trace.KindALU})
+	newPred := func() predictor.Predictor { return predictor.NewHybrid(predictor.DefaultHybridConfig()) }
+	ts := new(Machine).Shard()
+	k := Keys{Mem: 1, Pred: 1}
+	if r := ts.Run(trace.NewSliceSource(evs), newPred, 0, DefaultConfig(), k); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	for _, c := range []struct {
+		name string
+		evs  []trace.Event
+	}{
+		{"moved load", moved},
+		{"one event more", longer},
+		{"one event fewer", evs[:len(evs)-1]},
+	} {
+		built := false
+		r := ts.Run(trace.NewSliceSource(c.evs), func() predictor.Predictor { built = true; return newPred() }, 0, DefaultConfig(), k)
+		if !errors.Is(r.Err, ErrDiverged) {
+			t.Errorf("%s: err = %v, want ErrDiverged", c.name, r.Err)
+		}
+		if built {
+			t.Errorf("%s: the run built a predictor despite stored predictions", c.name)
+		}
+	}
+	// The stored columns survive the failed runs.
+	if r := ts.Run(trace.NewSliceSource(evs), nil, 0, DefaultConfig(), k); r.Err != nil {
+		t.Errorf("the original stream after the diverged ones: %v", r.Err)
 	}
 }

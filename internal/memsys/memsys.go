@@ -123,10 +123,40 @@ func (c *Cache) Contains(addr uint32) bool {
 // touch stamps line i as most recently used. A monotone clock keeps the
 // exact LRU order of the textbook increment-every-way scheme (stamps in
 // a set are distinct, the minimum is always the least recently used)
-// at O(1) per access instead of O(ways).
+// at O(1) per access instead of O(ways). Before the clock would wrap,
+// rebase renumbers the stamps first.
 func (c *Cache) touch(base, i int) {
+	if c.clock == ^uint32(0) {
+		c.rebase()
+	}
 	c.clock++
 	c.lines[i].age = c.clock
+}
+
+// rebase renumbers every set's valid stamps 1..k in their LRU order and
+// restarts the clock above them, so the order survives the clock's
+// wrap-around.
+func (c *Cache) rebase() {
+	ways := c.cfg.Ways
+	rank := make([]uint32, ways)
+	for base := 0; base < len(c.lines); base += ways {
+		set := c.lines[base : base+ways]
+		for i := range set {
+			rank[i] = 0
+			if !set[i].valid {
+				continue
+			}
+			for j := range set {
+				if set[j].valid && set[j].age <= set[i].age {
+					rank[i]++
+				}
+			}
+		}
+		for i := range set {
+			set[i].age = rank[i]
+		}
+	}
+	c.clock = uint32(ways)
 }
 
 // Reset empties the cache and zeroes its statistics in place: it is
@@ -180,19 +210,43 @@ func (h *Hierarchy) Reset() {
 	h.L2.Reset()
 }
 
+// Level is the level of the hierarchy that served an access.
+type Level uint8
+
+const (
+	L1  Level = iota // an L1 hit
+	L2               // an L1 miss that hit in L2
+	Mem              // a miss in both levels, served by main memory
+)
+
+// Latency returns the load-to-use latency in cycles of an access that
+// level l serves: the hit time of every level it passed through, plus
+// the memory latency for Mem.
+func (c HierarchyConfig) Latency(l Level) int {
+	lat := c.L1.HitCycles
+	if l >= L2 {
+		lat += c.L2.HitCycles
+	}
+	if l == Mem {
+		lat += c.MemCycles
+	}
+	return lat
+}
+
+// Serve performs a load or store and returns the level that served it.
+func (h *Hierarchy) Serve(addr uint32, write bool) Level {
+	if hit, _ := h.L1.Access(addr, write); hit {
+		return L1
+	}
+	if hit, _ := h.L2.Access(addr, write); hit {
+		return L2
+	}
+	return Mem
+}
+
 // Access performs a load or store and returns its total latency in cycles.
 func (h *Hierarchy) Access(addr uint32, write bool) int {
-	lat := h.cfg.L1.HitCycles
-	hit, _ := h.L1.Access(addr, write)
-	if hit {
-		return lat
-	}
-	lat += h.cfg.L2.HitCycles
-	hit, _ = h.L2.Access(addr, write)
-	if hit {
-		return lat
-	}
-	return lat + h.cfg.MemCycles
+	return h.cfg.Latency(h.Serve(addr, write))
 }
 
 // L1HitCycles exposes the L1 latency (the minimum load-to-use latency the

@@ -168,3 +168,45 @@ func TestHierarchyPrefetchWarmsWithoutStats(t *testing.T) {
 		t.Errorf("post-prefetch access latency = %d, want L1 hit (%d)", lat, cfg.L1.HitCycles)
 	}
 }
+
+// TestCacheLRUSurvivesClockWrap starts the clock three accesses short
+// of its wrap: A, B and A again touch a 2-way set across the wrap, so C
+// must evict B, the least recently used, and not A.
+func TestCacheLRUSurvivesClockWrap(t *testing.T) {
+	c := NewCache(small())
+	c.clock = ^uint32(0) - 2
+	const a, b, cc = 0x000, 0x200, 0x400 // all in set 0
+	c.Access(a, false)
+	c.Access(b, false)
+	c.Access(a, false)
+	c.Access(cc, false)
+	if !c.Contains(a) || c.Contains(b) || !c.Contains(cc) {
+		t.Errorf("after A, B, A, C across the clock wrap: A resident %v, B %v, C %v; want B evicted",
+			c.Contains(a), c.Contains(b), c.Contains(cc))
+	}
+}
+
+// TestHierarchyServeLevels checks Serve's level and Access's latency on
+// a cold miss, an L1 hit, and an L2 hit after the L1 line was evicted.
+func TestHierarchyServeLevels(t *testing.T) {
+	cfg := HierarchyConfig{L1: small(), L2: CacheConfig{SizeBytes: 4096, LineBytes: 32, Ways: 4, HitCycles: 7}, MemCycles: 50}
+	h := NewHierarchy(cfg)
+	if l := h.Serve(0x000, false); l != Mem {
+		t.Errorf("cold access served by %d, want Mem", l)
+	}
+	if lat := h.Access(0x000, false); lat != cfg.L1.HitCycles {
+		t.Errorf("L1 hit latency %d, want %d", lat, cfg.L1.HitCycles)
+	}
+	// 0x200 and 0x400 share L1 set 0 with 0x000 and evict it from the
+	// 2-way L1; L2 keeps all three.
+	h.Serve(0x200, false)
+	h.Serve(0x400, false)
+	if l := h.Serve(0x000, false); l != L2 {
+		t.Errorf("access after L1 eviction served by %d, want L2", l)
+	}
+	for l, want := range map[Level]int{L1: 3, L2: 10, Mem: 60} {
+		if got := cfg.Latency(l); got != want {
+			t.Errorf("Latency(%d) = %d, want %d", l, got, want)
+		}
+	}
+}

@@ -60,6 +60,9 @@ func NewRPT(cfg RPTConfig) *RPT {
 // Name implements Prefetcher.
 func (r *RPT) Name() string { return "rpt-stride" }
 
+// Reset empties the table in place: it is again as NewRPT built it.
+func (r *RPT) Reset() { clear(r.tab) }
+
 // Observe implements Prefetcher.
 func (r *RPT) Observe(ip, addr uint32) (uint32, bool) {
 	e := &r.tab[(ip>>2)&r.mask]

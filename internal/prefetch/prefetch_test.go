@@ -100,3 +100,31 @@ func TestRPTName(t *testing.T) {
 		t.Error("name")
 	}
 }
+
+// TestRPTResetMatchesFresh trains a table on one stream, resets it, and
+// requires the same proposals on a second stream as a fresh table.
+func TestRPTResetMatchesFresh(t *testing.T) {
+	stream := func(r *RPT, seed uint32) []uint32 {
+		var out []uint32
+		x := seed
+		for i := 0; i < 400; i++ {
+			x = x*1664525 + 1013904223
+			ip := 0x100 + 4*(x>>28)
+			if pf, ok := r.Observe(ip, uint32(0x2000+32*i)+(x>>30)*8); ok {
+				out = append(out, pf)
+			} else {
+				out = append(out, 0)
+			}
+		}
+		return out
+	}
+	used := NewRPT(DefaultRPTConfig())
+	stream(used, 1)
+	used.Reset()
+	got, want := stream(used, 2), stream(NewRPT(DefaultRPTConfig()), 2)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("proposal %d after Reset = %#x, fresh %#x", i, got[i], want[i])
+		}
+	}
+}

@@ -67,21 +67,27 @@ func safeDiv(num, den float64) float64 {
 	return num / den
 }
 
-// runTimed drives worker w's timing model over one trace with the
-// experiment config's budget, context, per-trace deadline, transient
-// retry and fault wrappers applied. f may be nil (the no-prediction
-// baseline); variant names f's configuration within the shard's pass
-// (see worker.predictor).
-func runTimed(cfg Config, w *worker, spec workload.TraceSpec, mcfg cpu.Config, variant int, f Factory, gapDepth int) (cpu.Result, error) {
+// runTimed runs one configuration of timing shard ts, a trace's shard
+// on worker w's machine, with the experiment config's budget, context,
+// per-trace deadline, transient retry and fault wrappers applied. f may
+// be nil (the no-prediction baseline). k names what the run shares with
+// the shard's other runs; k.Pred also names f's configuration within
+// the shard's pass (see worker.predictor). Under WrapFactory, which may
+// substitute a trace's factory on any call, no run shares predictions.
+func runTimed(cfg Config, w *worker, ts cpu.Shard, spec workload.TraceSpec, mcfg cpu.Config, f Factory, gapDepth int, k cpu.Keys) (cpu.Result, error) {
+	var newPred func() predictor.Predictor
+	if f != nil {
+		variant := k.Pred
+		newPred = func() predictor.Predictor { return w.predictor(cfg, spec, variant, f) }
+	}
+	if cfg.WrapFactory != nil {
+		k.Pred = 0
+	}
 	var out cpu.Result
 	err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) error {
 		m := mcfg
 		m.Ctx = ctx
-		var p predictor.Predictor
-		if f != nil {
-			p = w.predictor(cfg, spec, variant, f)
-		}
-		out = w.machine.Run(open(), p, gapDepth, m)
+		out = ts.Run(open(), newPred, gapDepth, m, k)
 		return out.Err
 	})
 	return out, err
@@ -233,15 +239,16 @@ func Fig7(cfg Config) Fig7Result {
 	g.addPass("timing", specs, func(w *worker, i int) error {
 		spec := specs[i]
 		mcfg := cpu.DefaultConfig()
-		base, err := runTimed(cfg, w, spec, mcfg, 0, nil, 0)
+		ts := w.machine.Shard()
+		base, err := runTimed(cfg, w, ts, spec, mcfg, nil, 0, cpu.Keys{Mem: 1})
 		if err != nil {
 			return fmt.Errorf("baseline: %w", err)
 		}
-		st, err := runTimed(cfg, w, spec, mcfg, 1, strideFactory, 0)
+		st, err := runTimed(cfg, w, ts, spec, mcfg, strideFactory, 0, cpu.Keys{Mem: 1, Pred: 1})
 		if err != nil {
 			return fmt.Errorf("stride: %w", err)
 		}
-		hy, err := runTimed(cfg, w, spec, mcfg, 2, hybridFactory, 0)
+		hy, err := runTimed(cfg, w, ts, spec, mcfg, hybridFactory, 0, cpu.Keys{Mem: 1, Pred: 2})
 		if err != nil {
 			return fmt.Errorf("hybrid: %w", err)
 		}
@@ -563,6 +570,9 @@ func Fig12(cfg Config) Fig12Result {
 	g := newGrid(cfg)
 	g.addPass("timing", specs, func(w *worker, i int) error {
 		mcfg := cpu.DefaultConfig()
+		ts := w.machine.Shard()
+		// One hierarchy throughout; each predictor configuration is
+		// its own Pred key.
 		variants := []struct {
 			f   Factory
 			gap int
@@ -570,7 +580,7 @@ func Fig12(cfg Config) Fig12Result {
 			{nil, 0}, {strideFactory, 0}, {strideFactory, 8}, {hybridFactory, 0}, {hybridFactory, 8},
 		}
 		for v, va := range variants {
-			res, err := runTimed(cfg, w, specs[i], mcfg, v, va.f, va.gap)
+			res, err := runTimed(cfg, w, ts, specs[i], mcfg, va.f, va.gap, cpu.Keys{Mem: 1, Pred: v})
 			if err != nil {
 				return err
 			}

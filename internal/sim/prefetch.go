@@ -2,7 +2,6 @@ package sim
 
 import (
 	"capred/internal/cpu"
-	"capred/internal/prefetch"
 	"capred/internal/report"
 	"capred/internal/workload"
 )
@@ -31,25 +30,28 @@ func Prefetch(cfg Config) PrefetchResult {
 	}
 	rows := make([]row, len(specs))
 
+	// Mem key 1 is the plain hierarchy and 2 the one the RPT warms; the
+	// combination reads the hybrid's predictions from its own run.
+	configs := [variants]struct {
+		rpt bool
+		f   Factory
+		k   cpu.Keys
+	}{
+		{false, nil, cpu.Keys{Mem: 1}},
+		{true, nil, cpu.Keys{Mem: 2}},
+		{false, hybridFactory, cpu.Keys{Mem: 1, Pred: 1}},
+		{true, hybridFactory, cpu.Keys{Mem: 2, Pred: 1}},
+	}
+
 	g := newGrid(cfg)
 	g.addPass("prefetch", specs, func(w *worker, i int) error {
-		spec := specs[i]
-		run := func(v int) (cpu.Result, error) {
+		ts := w.machine.Shard()
+		for v, c := range configs {
 			mcfg := cpu.DefaultConfig()
-			var p Factory
-			switch v {
-			case 1:
-				mcfg.Prefetcher = prefetch.NewRPT(prefetch.DefaultRPTConfig())
-			case 2:
-				p = hybridFactory
-			case 3:
-				mcfg.Prefetcher = prefetch.NewRPT(prefetch.DefaultRPTConfig())
-				p = hybridFactory
+			if c.rpt {
+				mcfg.Prefetcher = w.prefetcher()
 			}
-			return runTimed(cfg, w, spec, mcfg, v, p, 0)
-		}
-		for v := 0; v < variants; v++ {
-			r, err := run(v)
+			r, err := runTimed(cfg, w, ts, specs[i], mcfg, c.f, 0, c.k)
 			if err != nil {
 				return err
 			}

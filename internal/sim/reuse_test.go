@@ -3,9 +3,12 @@ package sim
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"capred/internal/cpu"
 	"capred/internal/predictor"
 	"capred/internal/trace"
 	"capred/internal/workload"
@@ -146,4 +149,111 @@ func TestWarmPredictSweepAllocation(t *testing.T) {
 	if got > limit {
 		t.Errorf("warm pass allocated %.1f MiB, want at most %d MiB", float64(got)/(1<<20), limit>>20)
 	}
+}
+
+// TestWarmTimingSweepAllocation is TestWarmPredictSweepAllocation for
+// the timing sweeps (fig7, fig12, prefetch): each worker keeps its
+// machine's tables, its stream-determined columns and its RPT across
+// shards. A warm serial pass at 5k events allocated 4.0 MiB, nearly all
+// of it the three grids' per-worker tables; building the columns afresh
+// for every shard took it to 9.3 MiB, and a fresh RPT per run added
+// another 4.2 MiB. Under -race the same pass allocated 7.3 MiB, and
+// 14.7 MiB with columns built per shard.
+func TestWarmTimingSweepAllocation(t *testing.T) {
+	cfg := Config{EventsPerTrace: 5_000, Workers: 1, ReplayCache: trace.NewReplayCache(0)}
+	pass := func() {
+		for _, name := range []string{"fig7", "fig12", "prefetch"} {
+			e, _ := ExperimentByName(name)
+			if fails := e.Run(cfg).Failed(); len(fails) != 0 {
+				t.Fatalf("%s: %v", name, fails)
+			}
+		}
+	}
+	pass() // fills the replay cache
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	limit := uint64(6 << 20)
+	if raceDetector {
+		limit = 10 << 20
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("warm pass allocated %.2f MiB in %d GCs", float64(got)/(1<<20), after.NumGC-before.NumGC)
+	if got > limit {
+		t.Errorf("warm pass allocated %.1f MiB, want at most %d MiB", float64(got)/(1<<20), limit>>20)
+	}
+}
+
+// TestTimingShardDivergence changes one load address on the second open
+// of one trace. That run reads the columns its shard's first run
+// stored, so the trace's Fig. 12 and Fig. 7 shards must fail with
+// cpu.ErrDiverged in the failure footer, and every other trace must time
+// as in a run where the victim failed outright.
+func TestTimingShardDivergence(t *testing.T) {
+	victim := workload.Traces()[7].Name
+	// diverge changes the address of the first load past event 1000 on
+	// the victim's second open.
+	diverge := func() func(string, trace.Source) trace.Source {
+		opens := 0
+		return func(name string, src trace.Source) trace.Source {
+			if name != victim {
+				return src
+			}
+			if opens++; opens != 2 {
+				return src
+			}
+			n, done := 0, false
+			return trace.NewCorrupt(src, 1, func(ev *trace.Event) {
+				if n++; !done && n > 1000 && ev.Kind == trace.KindLoad {
+					ev.Addr ^= 0x40
+					done = true
+				}
+			})
+		}
+	}
+	leftOut := func(name string, src trace.Source) trace.Source {
+		if name == victim {
+			return trace.NewErrSource(errors.New("victim left out"))
+		}
+		return src
+	}
+	checkFailure := func(fs FailureSet, footer string) {
+		t.Helper()
+		if len(fs.Failures) != 1 || fs.Failures[0].Trace != victim || !errors.Is(fs.Failures[0].Err, cpu.ErrDiverged) {
+			t.Fatalf("failures = %v, want one cpu.ErrDiverged for %s", fs.Failures, victim)
+		}
+		if !strings.Contains(footer, victim) || !strings.Contains(footer, cpu.ErrDiverged.Error()) {
+			t.Errorf("footer does not name the divergence of %s:\n%s", victim, footer)
+		}
+	}
+	base := Config{EventsPerTrace: 5_000, Workers: 2}
+
+	t.Run("fig12", func(t *testing.T) {
+		cfg := base
+		cfg.WrapSource = leftOut
+		want := Fig12(cfg)
+		cfg.WrapSource = diverge()
+		got := Fig12(cfg)
+		checkFailure(got.FailureSet, got.Table().String())
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("rows around the diverged trace:\n%+v\nwant, with it left out:\n%+v", got.Rows, want.Rows)
+		}
+	})
+	t.Run("fig7", func(t *testing.T) {
+		clean := Fig7(base)
+		cfg := base
+		cfg.WrapSource = diverge()
+		got := Fig7(cfg)
+		checkFailure(got.FailureSet, got.Table().String())
+		var want []Fig7Row
+		for _, r := range clean.Rows {
+			if r.Trace != victim {
+				want = append(want, r)
+			}
+		}
+		if !reflect.DeepEqual(got.Rows, want) {
+			t.Errorf("rows around the diverged trace:\n%+v\nwant the clean run's:\n%+v", got.Rows, want)
+		}
+	})
 }

@@ -10,11 +10,12 @@
 //  1. Shards are independent. Each shard starts its predictor
 //     instance(s) and timing model from the state a fresh factory call
 //     or a fresh cpu.Machine has — its worker's cached instance, reset
-//     in place (see worker), or a new one — and opens its own trace
-//     source: with a ReplayCache configured, a private replay cursor
-//     over the cache's immutable shared bytes. A worker runs one shard
-//     at a time, so no mutable state is shared between shards that run
-//     concurrently.
+//     in place (see worker), or a new one; a timing shard's cpu.Shard
+//     forgets the columns of the worker's last trace — and opens its
+//     own trace source: with a ReplayCache configured, a private replay
+//     cursor over the cache's immutable shared bytes. A worker runs one
+//     shard at a time, so no mutable state is shared between shards
+//     that run concurrently.
 //  2. Each shard writes only its own pre-allocated result slot, so the
 //     completion order of shards cannot influence what any slot holds.
 //  3. All merging (suite pooling, equal-weight means, failure lists)
@@ -38,6 +39,7 @@ import (
 	"capred/internal/cpu"
 	"capred/internal/metrics"
 	"capred/internal/predictor"
+	"capred/internal/prefetch"
 	"capred/internal/trace"
 	"capred/internal/workload"
 )
@@ -56,17 +58,20 @@ type shard struct {
 const maxCached = 4
 
 // worker is one scheduler goroutine's reusable simulation state: the
-// predictors of the passes it ran last and one timing model. A shard
-// gets a cached predictor reset in place (predictor.Resetter) instead
-// of a fresh factory call, so the tables of a pass's configuration are
-// allocated once per worker rather than once per cell. Retention is
-// bounded by maxCached predictors plus one cpu.Machine per worker, and
-// the state lives only as long as the grid's run.
+// predictors of the passes it ran last, one timing model and one RPT
+// prefetcher. A shard gets a cached predictor reset in place
+// (predictor.Resetter) instead of a fresh factory call, so the tables
+// of a pass's configuration are allocated once per worker rather than
+// once per cell. Retention is bounded by maxCached predictors plus one
+// cpu.Machine, with the stream-determined columns of the longest trace
+// it timed, and one RPT per worker, and the state lives only as long as
+// the grid's run.
 type worker struct {
 	pass    int // pass of the shard being run
 	cached  [maxCached]cachedPredictor
 	next    int         // cached slot the next new predictor takes
-	machine cpu.Machine // Machine.Run resets it
+	machine cpu.Machine // each timing shard starts a cpu.Shard on it
+	rpt     *prefetch.RPT
 }
 
 // cachedPredictor is a predictor built for one configuration of one
@@ -100,6 +105,17 @@ func (w *worker) predictor(cfg Config, spec workload.TraceSpec, variant int, f F
 		w.next = (w.next + 1) % maxCached
 	}
 	return p
+}
+
+// prefetcher returns the worker's RPT prefetcher in the state
+// prefetch.NewRPT(prefetch.DefaultRPTConfig()) builds.
+func (w *worker) prefetcher() *prefetch.RPT {
+	if w.rpt == nil {
+		w.rpt = prefetch.NewRPT(prefetch.DefaultRPTConfig())
+	} else {
+		w.rpt.Reset()
+	}
+	return w.rpt
 }
 
 // drop forgets every cached instance: a shard that failed or panicked
