@@ -60,18 +60,6 @@ func (p *Profile) Set(ip uint32, c LoadClass) {
 	p.classes[ip] = c
 }
 
-// Len returns the number of classified static loads.
-func (p *Profile) Len() int { return len(p.classes) }
-
-// CountByClass tallies classifications.
-func (p *Profile) CountByClass() map[LoadClass]int {
-	out := make(map[LoadClass]int)
-	for _, c := range p.classes {
-		out[c]++
-	}
-	return out
-}
-
 // profState is the per-IP evidence the profiler accumulates.
 type profState struct {
 	count    int64

@@ -227,17 +227,17 @@ func TestClaimFig12(t *testing.T) {
 func TestClaimWrongPath(t *testing.T) {
 	r := WrongPath(goldenConfig(*goldenWorkers))
 	cleanRun(t, "wrong-path", r.Failed())
-	correct := func(mode WrongPathMode) float64 {
-		for i, m := range r.Modes {
-			if m == mode {
-				measured(t, m.String(), r.Counters[i])
+	correct := func(name string) float64 {
+		for i, n := range r.Names {
+			if n == name {
+				measured(t, n, r.Counters[i])
 				return r.Counters[i].CorrectSpecRate()
 			}
 		}
-		t.Fatalf("wrong-path has no %s row", mode)
+		t.Fatalf("wrong-path has no %s row", name)
 		return 0
 	}
-	none, squash, destructive := correct(WrongPathNone), correct(WrongPathSquash), correct(WrongPathDestructive)
+	none, squash, destructive := correct("no wrong path"), correct(WrongPathSquash.String()), correct(WrongPathDestructive.String())
 	if !(none >= squash && squash >= destructive) {
 		t.Errorf("correct of loads: want no wrong path %.4f ≥ squash %.4f ≥ destructive %.4f", none, squash, destructive)
 	}

@@ -58,26 +58,17 @@ func ClassCoverage(cfg Config) ClassCoverageResult {
 	tallies := make([]tally, len(specs))
 
 	g := newGrid(cfg)
-	g.addPass("class-coverage", specs, func(_ *worker, i int) error {
+	g.addPass("class-coverage", specs, func(w *worker, i int) error {
 		spec := specs[i]
 		// Both passes run inside one perTrace scope so the deadline spans
 		// the whole two-pass job and a retry restarts it from scratch
 		// with fresh state.
 		var t classTally
 		err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) error {
-			// Classification pass.
-			prof := predictor.NewProfiler()
-			err := forEachBlock(ctx, open(), func(b *trace.Block) {
-				for i, kb := range b.KindTaken {
-					if trace.Kind(kb&^trace.KindTakenBit) == trace.KindLoad {
-						prof.Observe(b.IP[i], b.Addr[i])
-					}
-				}
-			})
+			profile, err := profileLoads(ctx, open())
 			if err != nil {
-				return fmt.Errorf("classification pass: %w", err)
+				return err
 			}
-			profile := prof.Profile()
 
 			t = classTally{
 				Loads:   make(map[predictor.LoadClass]int64),
@@ -86,7 +77,7 @@ func ClassCoverage(cfg Config) ClassCoverageResult {
 			preds := make([]predictor.Predictor, len(factories))
 			for v, f := range factories {
 				t.Correct[v] = make(map[predictor.LoadClass]int64)
-				preds[v] = cfg.factoryFor(spec, f)()
+				preds[v] = w.predictor(cfg, spec, v, f)
 			}
 
 			var ghr predictor.GHR

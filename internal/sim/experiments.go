@@ -112,9 +112,9 @@ type Fig5Result struct {
 func Fig5(cfg Config) Fig5Result {
 	var r Fig5Result
 	p := sweep(cfg, &r.FailureSet, []row{
-		{"stride", strideFactory, 0},
-		{"cap", capFactory, 0},
-		{"hybrid", hybridFactory, 0},
+		{"stride", strideFactory, 0, nil},
+		{"cap", capFactory, 0, nil},
+		{"hybrid", hybridFactory, 0, nil},
 	})
 	r.Stride, r.AvgS = p[0].merge()
 	r.CAP, r.AvgC = p[1].merge()
@@ -173,7 +173,7 @@ func Fig6(cfg Config) Fig6Result {
 		rows = append(rows, row{"LB " + geom.String(), hybridWith(func(hc *predictor.HybridConfig) {
 			hc.CAP.LBEntries = geom.Entries
 			hc.CAP.LBWays = geom.Ways
-		}), 0})
+		}), 0, nil})
 	}
 	for _, p := range sweep(cfg, &r.FailureSet, rows) {
 		suites, avg := p.merge()
@@ -349,7 +349,7 @@ func (r Fig8Result) Average() Fig8Row {
 // the ledger each trace's hybrid keeps (immediate mode, like Fig. 5).
 func Fig8(cfg Config) Fig8Result {
 	r := Fig8Result{Suites: make(map[string]predictor.SelectorStats)}
-	p := sweep(cfg, &r.FailureSet, []row{{"hybrid", hybridFactory, 0}})
+	p := sweep(cfg, &r.FailureSet, []row{{"hybrid", hybridFactory, 0, nil}})
 	for _, run := range p[0].runs {
 		if run.ok {
 			s := r.Suites[run.Spec.Suite]
@@ -410,7 +410,7 @@ func Fig9(cfg Config) Fig9Result {
 				cc.ConfThreshold = 0 // no confidence mechanism
 				cc.TagBits = 0
 				cc.CF = predictor.NoCF()
-			}), 0})
+			}), 0, nil})
 		}
 	}
 	// Rows run with global correlation first, then without.
@@ -483,7 +483,7 @@ func Fig10(cfg Config) SweepResult {
 			if !v.Path {
 				cc.CF = predictor.NoCF()
 			}
-		}), 0})
+		}), 0, nil})
 	}
 	r, _ := sweepRows(cfg, "Figure 10: influence of LT tags on the CAP predictor", "variant", []column{
 		pct("prediction rate", metrics.Mean.PredRate),
@@ -513,8 +513,8 @@ func Fig11(cfg Config) Fig11Result {
 	var rows []row
 	for _, gap := range r.Gaps {
 		rows = append(rows,
-			row{fmt.Sprintf("stride gap %d", gap), strideFactory, gap},
-			row{fmt.Sprintf("hybrid gap %d", gap), hybridFactory, gap})
+			row{fmt.Sprintf("stride gap %d", gap), strideFactory, gap, nil},
+			row{fmt.Sprintf("hybrid gap %d", gap), hybridFactory, gap, nil})
 	}
 	p := sweep(cfg, &r.FailureSet, rows)
 	for gi := range r.Gaps {

@@ -113,12 +113,3 @@ func (c Config) openCtx(ctx context.Context, spec workload.TraceSpec) trace.Sour
 	}
 	return src
 }
-
-// factoryFor applies the per-trace factory wrapper when one is
-// configured.
-func (c Config) factoryFor(spec workload.TraceSpec, f Factory) Factory {
-	if c.WrapFactory != nil {
-		return c.WrapFactory(spec.Name, f)
-	}
-	return f
-}

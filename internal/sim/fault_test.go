@@ -320,10 +320,10 @@ func TestFooterAccounting(t *testing.T) {
 }
 
 // TestSweepSkipsFailedTraceInEveryRow: a factory that panics on one
-// trace fails it once per row, under the row's stage, and every row's
-// counters, and the tournament's pooled selections, aggregate exactly
-// the other traces: adding the victim's own run back gives the clean
-// result.
+// trace fails it once per row, under the row's stage. Where every row
+// is a plain immediate-update run, every row's counters, and the
+// tournament's pooled selections, aggregate exactly the other traces:
+// adding the victim's own run back gives the clean result.
 func TestSweepSkipsFailedTraceInEveryRow(t *testing.T) {
 	const victim = "INT_go"
 	spec, _ := workload.ByName(victim)
@@ -331,9 +331,12 @@ func TestSweepSkipsFailedTraceInEveryRow(t *testing.T) {
 		name   string
 		run    func(Config) SweepResult
 		stages []string
+		plain  bool // every row is RunTrace at gap 0
 	}{
-		{"tournament", Tournament, []string{"hybrid (§3.7)", "tournament stride+cap", "markov alone", "tournament 3-way"}},
-		{"lt-size", LTSize, []string{"LT 1024", "LT 2048", "LT 4096", "LT 8192"}},
+		{"tournament", Tournament, []string{"hybrid (§3.7)", "tournament stride+cap", "markov alone", "tournament 3-way"}, true},
+		{"lt-size", LTSize, []string{"LT 1024", "LT 2048", "LT 4096", "LT 8192"}, true},
+		{"wrong-path", WrongPath, []string{"no wrong path", "wrong path + squash recovery", "wrong path, destructive updates"}, false},
+		{"profile-assist", ProfileAssist, []string{"hybrid 4K LT", "hybrid 4K LT + profile", "hybrid 512 LT", "hybrid 512 LT + profile"}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{EventsPerTrace: 5_000}
@@ -365,6 +368,9 @@ func TestSweepSkipsFailedTraceInEveryRow(t *testing.T) {
 			}
 			if tc.name == "tournament" && (r.Sel == nil || r.Sel[0] != nil) {
 				t.Errorf("selection shares %v: want the hybrid row's to stay empty", r.Sel)
+			}
+			if !tc.plain {
+				return
 			}
 			for i, f := range victimRows {
 				p := f()

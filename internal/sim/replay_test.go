@@ -59,8 +59,8 @@ func TestCachedRunsMatchStreaming(t *testing.T) {
 		b := WrongPath(cfg)
 		for m := range a.Counters {
 			if a.Counters[m] != b.Counters[m] {
-				t.Fatalf("mode %s differs cached vs streaming:\n%+v\n%+v",
-					a.Modes[m], a.Counters[m], b.Counters[m])
+				t.Fatalf("%s differs cached vs streaming:\n%+v\n%+v",
+					a.Names[m], a.Counters[m], b.Counters[m])
 			}
 		}
 	})

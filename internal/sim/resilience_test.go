@@ -10,13 +10,16 @@ import (
 	"capred/internal/trace"
 )
 
-// The resilience knobs (TraceTimeout, SourceRetries, ctx polling) once
-// applied only on the standard figure pass; the custom drain loops in
-// classes.go, profile.go, value.go and wrongpath.go ignored them. These
-// tests drive the same fault matrix through every one of those drivers.
+// The resilience knobs (TraceTimeout, SourceRetries, ctx polling) must
+// hold in every drain loop, not only RunTraceContext's: the class
+// coverage pass drains each trace twice, and the profile-assist,
+// addr-vs-value and wrong-path rows run their own per-cell bodies
+// (a profiling pass, a value-predictor loop, wrong-path bursts). These
+// tests drive the same fault matrix through each of those drivers.
 
-// customLoopDrivers enumerates the drivers with hand-rolled drain loops
-// as (name, run) pairs returning the failure set.
+// customLoopDrivers enumerates the drivers whose cells drain traces
+// outside RunTraceContext as (name, run) pairs returning the failure
+// set.
 func customLoopDrivers() []struct {
 	name string
 	run  func(Config) FailureSet

@@ -174,10 +174,9 @@ type traceRun struct {
 // perTrace is the single per-trace run policy: it installs the config's
 // per-trace deadline, retries transient source errors (trace.IsTransient)
 // up to SourceRetries times, and hands the body a context-aware opener
-// that applies the fault wrappers. Every driver pass — the figure sweeps
-// and the custom classification/profiling/value/wrong-path loops — runs
-// its per-trace work through here, so the resilience knobs apply
-// uniformly.
+// that applies the fault wrappers. Every driver pass — the figure sweeps,
+// the timing drivers and the class-coverage pass — runs its per-trace
+// work through here, so the resilience knobs apply uniformly.
 //
 // The body may run more than once (on retry) and must therefore reset
 // any per-trace state it accumulates at the top of each attempt, only

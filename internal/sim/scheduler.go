@@ -53,8 +53,8 @@ type shard struct {
 	run   func(w *worker) error
 }
 
-// maxCached bounds the predictors a worker keeps: Fig. 12 runs four
-// predictor configurations per cell.
+// maxCached bounds the predictors a worker keeps: Fig. 12 and the
+// class-coverage matrix run four predictor configurations per cell.
 const maxCached = 4
 
 // worker is one scheduler goroutine's reusable simulation state: the
@@ -91,7 +91,7 @@ type cachedPredictor struct {
 // every call builds fresh and nothing is cached.
 func (w *worker) predictor(cfg Config, spec workload.TraceSpec, variant int, f Factory) predictor.Predictor {
 	if cfg.WrapFactory != nil {
-		return cfg.factoryFor(spec, f)()
+		return cfg.WrapFactory(spec.Name, f)()
 	}
 	for _, c := range w.cached {
 		if c.p != nil && c.pass == w.pass && c.variant == variant {
@@ -159,11 +159,14 @@ type suitePass struct {
 
 // row is one configuration of a predictor sweep: the stage its
 // failures report, the factory that builds its predictor, and the
-// prediction gap it runs at.
+// prediction gap it runs at. A row with a body runs it on each trace
+// instead of RunTraceContext at gap; p is the row's predictor, nil for a
+// row without a factory.
 type row struct {
 	stage string
 	f     Factory
 	gap   int
+	body  func(ctx context.Context, open func() trace.Source, p predictor.Predictor) (metrics.Counters, error)
 }
 
 // sweep is the figure pass every predictor sweep shares: it registers
@@ -173,29 +176,38 @@ func sweep(cfg Config, fs *FailureSet, rows []row) []*suitePass {
 	g := newGrid(cfg)
 	passes := make([]*suitePass, len(rows))
 	for i, r := range rows {
-		passes[i] = g.addSuitePass(r.stage, r.f, r.gap)
+		passes[i] = g.addSuitePass(r)
 	}
 	fs.absorb(g.size(), g.run())
 	return passes
 }
 
 // addSuitePass registers the standard figure pass — every trace of the
-// roster through one predictor factory — and returns the handle to merge
-// its rows after run.
-func (g *grid) addSuitePass(stage string, f Factory, gapDepth int) *suitePass {
+// roster through one row — and returns the handle to merge its rows
+// after run.
+func (g *grid) addSuitePass(r row) *suitePass {
 	specs := workload.Traces()
 	sp := &suitePass{runs: make([]traceRun, len(specs))}
 	cfg := g.cfg
-	g.addPass(stage, specs, func(w *worker, i int) error {
+	body := r.body
+	if body == nil {
+		body = func(ctx context.Context, open func() trace.Source, p predictor.Predictor) (metrics.Counters, error) {
+			return RunTraceContext(ctx, open(), p, r.gap)
+		}
+	}
+	g.addPass(r.stage, specs, func(w *worker, i int) error {
 		spec := specs[i]
 		// Record the spec up front so even a panic mid-run leaves the
 		// slot attributed to its trace.
 		sp.runs[i] = traceRun{Spec: spec}
 		var run traceRun
 		err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) (err error) {
-			p := w.predictor(cfg, spec, 0, f)
+			var p predictor.Predictor
+			if r.f != nil {
+				p = w.predictor(cfg, spec, 0, r.f)
+			}
 			run = traceRun{Spec: spec}
-			run.C, err = RunTraceContext(ctx, open(), p, gapDepth)
+			run.C, err = body(ctx, open, p)
 			if t, ok := p.(*predictor.Tournament); ok {
 				run.Sel, run.Comps = t.SelectorStats(), t.ComponentStats()
 			}

@@ -16,7 +16,7 @@ import (
 // immediate mode — and returns the per-trace runs with the failures.
 func hybridPass(cfg Config, stage string) ([]traceRun, []TraceFailure) {
 	var fs FailureSet
-	p := sweep(cfg, &fs, []row{{stage, hybridFactory, 0}})
+	p := sweep(cfg, &fs, []row{{stage, hybridFactory, 0, nil}})
 	return p[0].runs, fs.Failures
 }
 

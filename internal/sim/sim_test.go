@@ -295,16 +295,17 @@ func TestAddressVsValueShape(t *testing.T) {
 	// Names: hybrid address, last-value, stride-value, context-value,
 	// hybrid-value. §1's claim: addresses are far more predictable than
 	// values on the same loads.
-	addr := r.Corrects[0]
+	correct := func(i int) float64 { return r.Counters[i].CorrectSpecRate() }
+	addr := correct(0)
 	for i := 1; i < len(r.Names); i++ {
-		if r.Corrects[i] >= addr {
+		if correct(i) >= addr {
 			t.Errorf("%s (%.3f) should not reach address predictability (%.3f)",
-				r.Names[i], r.Corrects[i], addr)
+				r.Names[i], correct(i), addr)
 		}
 	}
 	// The hybrid value predictor must beat the last-value baseline.
-	if !(r.Corrects[4] > r.Corrects[1]) {
-		t.Errorf("hybrid-value (%.3f) should beat last-value (%.3f)", r.Corrects[4], r.Corrects[1])
+	if !(correct(4) > correct(1)) {
+		t.Errorf("hybrid-value (%.3f) should beat last-value (%.3f)", correct(4), correct(1))
 	}
 	if r.Table().Rows() != 5 {
 		t.Error("table rows")
@@ -382,14 +383,11 @@ func TestProfileAssistShape(t *testing.T) {
 	if !(r.Counters[3].MispredOfLoads() < r.Counters[2].MispredOfLoads()) {
 		t.Error("profile should cut mispredictions at 512-entry LT too")
 	}
-	if r.Irregular == 0 || r.Classified == 0 {
-		t.Errorf("profiler classified nothing: %d/%d", r.Irregular, r.Classified)
-	}
 }
 
 func TestWrongPathShape(t *testing.T) {
 	r := WrongPath(Config{EventsPerTrace: 60_000})
-	// Modes: none, squash, destructive.
+	// Rows: no wrong path, squash, destructive.
 	none, squash, destr := r.Counters[0], r.Counters[1], r.Counters[2]
 	// Squash recovery must keep accuracy essentially at the clean level.
 	if none.Accuracy()-squash.Accuracy() > 0.005 {

@@ -109,7 +109,7 @@ func UpdatePolicy(cfg Config) SweepResult {
 		predictor.UpdateUnlessStrideCorrect,
 		predictor.UpdateUnlessStrideSelected,
 	} {
-		rows = append(rows, row{pol.String(), hybridWith(func(hc *predictor.HybridConfig) { hc.UpdatePolicy = pol }), 0})
+		rows = append(rows, row{pol.String(), hybridWith(func(hc *predictor.HybridConfig) { hc.UpdatePolicy = pol }), 0, nil})
 	}
 	r, _ := sweepRows(cfg, "§4.3: LT update policy (hybrid, average over all traces)", "policy",
 		[]column{pct("prediction rate", metrics.Mean.PredRate), pct2("accuracy", metrics.Mean.Accuracy)}, rows)
@@ -125,7 +125,7 @@ func LTSize(cfg Config) SweepResult {
 	sizes := []int{1024, 2048, 4096, 8192}
 	var rows []row
 	for _, n := range sizes {
-		rows = append(rows, row{fmt.Sprintf("LT %d", n), hybridWith(func(hc *predictor.HybridConfig) { hc.CAP.LTEntries = n }), 0})
+		rows = append(rows, row{fmt.Sprintf("LT %d", n), hybridWith(func(hc *predictor.HybridConfig) { hc.CAP.LTEntries = n }), 0, nil})
 	}
 	r, _ := sweepRows(cfg, "§4.2: hybrid prediction rate vs LT entries", "LT entries",
 		[]column{pct("prediction rate", metrics.Mean.PredRate), pct2("accuracy", metrics.Mean.Accuracy)}, rows)
@@ -151,11 +151,11 @@ func ladderColumns() []column {
 // of loads, stride adds ≈13%, CAP and the hybrid sit above.
 func Baselines(cfg Config) SweepResult {
 	r, _ := sweepRows(cfg, "§1: predictor family ladder (average over all traces)", "predictor", ladderColumns(), []row{
-		{"last", func() predictor.Predictor { return predictor.NewLast(predictor.DefaultLastConfig()) }, 0},
-		{"stride", func() predictor.Predictor { return predictor.NewStride(predictor.BasicStrideConfig()) }, 0},
-		{"stride+", strideFactory, 0},
-		{"cap", capFactory, 0},
-		{"hybrid", hybridFactory, 0},
+		{"last", func() predictor.Predictor { return predictor.NewLast(predictor.DefaultLastConfig()) }, 0, nil},
+		{"stride", func() predictor.Predictor { return predictor.NewStride(predictor.BasicStrideConfig()) }, 0, nil},
+		{"stride+", strideFactory, 0, nil},
+		{"cap", capFactory, 0, nil},
+		{"hybrid", hybridFactory, 0, nil},
 	})
 	return r
 }
@@ -166,9 +166,9 @@ func Baselines(cfg Config) SweepResult {
 // call-path address predictors are no substitute for CAP.
 func ControlBased(cfg Config) SweepResult {
 	r, _ := sweepRows(cfg, "§3.6: control-based address predictors vs CAP", "predictor", ladderColumns(), []row{
-		{"gshare-addr", func() predictor.Predictor { return predictor.NewControl(predictor.DefaultControlConfig(false)) }, 0},
-		{"path-addr", func() predictor.Predictor { return predictor.NewControl(predictor.DefaultControlConfig(true)) }, 0},
-		{"cap", capFactory, 0},
+		{"gshare-addr", func() predictor.Predictor { return predictor.NewControl(predictor.DefaultControlConfig(false)) }, 0, nil},
+		{"path-addr", func() predictor.Predictor { return predictor.NewControl(predictor.DefaultControlConfig(true)) }, 0, nil},
+		{"cap", capFactory, 0, nil},
 	})
 	return r
 }
@@ -183,16 +183,16 @@ func Ablations(cfg Config) SweepResult {
 		pct2("accuracy", metrics.Mean.Accuracy),
 		pct2("mispred of loads", metrics.Mean.MispredOfLoads),
 	}, []row{
-		{"hybrid (baseline)", hybridFactory, 0},
+		{"hybrid (baseline)", hybridFactory, 0, nil},
 		{"hybrid, no PF bits", hybridWith(func(hc *predictor.HybridConfig) {
 			hc.CAP.PFBits = 0
 			hc.CAP.PFTableEntries = 0
-		}), 0},
-		{"hybrid, in-LT PF bits", hybridWith(func(hc *predictor.HybridConfig) { hc.CAP.PFTableEntries = 0 }), 0},
-		{"hybrid, static selector=stride", hybridWith(func(hc *predictor.HybridConfig) { hc.StaticSelector = predictor.CompStride }), 0},
-		{"hybrid, static selector=cap", hybridWith(func(hc *predictor.HybridConfig) { hc.StaticSelector = predictor.CompCAP }), 0},
-		{"cap, history len 2", capWith(func(cc *predictor.CAPConfig) { cc.HistoryLen = 2 }), 0},
-		{"cap, 2-way LT", capWith(func(cc *predictor.CAPConfig) { cc.LTWays = 2 }), 0},
+		}), 0, nil},
+		{"hybrid, in-LT PF bits", hybridWith(func(hc *predictor.HybridConfig) { hc.CAP.PFTableEntries = 0 }), 0, nil},
+		{"hybrid, static selector=stride", hybridWith(func(hc *predictor.HybridConfig) { hc.StaticSelector = predictor.CompStride }), 0, nil},
+		{"hybrid, static selector=cap", hybridWith(func(hc *predictor.HybridConfig) { hc.StaticSelector = predictor.CompCAP }), 0, nil},
+		{"cap, history len 2", capWith(func(cc *predictor.CAPConfig) { cc.HistoryLen = 2 }), 0, nil},
+		{"cap, 2-way LT", capWith(func(cc *predictor.CAPConfig) { cc.LTWays = 2 }), 0, nil},
 	})
 	return r
 }

@@ -34,10 +34,10 @@ func Tournament(cfg Config) SweepResult {
 			pct("correct spec", metrics.Mean.CorrectSpecRate),
 			pct2("mispred/loads", metrics.Mean.MispredOfLoads),
 		}, []row{
-			{"hybrid (§3.7)", hybridFactory, 0},
-			{"tournament stride+cap", namedTournament("stride", "cap"), 0},
-			{"markov alone", namedTournament("markov"), 0},
-			{"tournament 3-way", namedTournament(tournament.DefaultComponents()...), 0},
+			{"hybrid (§3.7)", hybridFactory, 0, nil},
+			{"tournament stride+cap", namedTournament("stride", "cap"), 0, nil},
+			{"markov alone", namedTournament("markov"), 0, nil},
+			{"tournament 3-way", namedTournament(tournament.DefaultComponents()...), 0, nil},
 		})
 	// Only the rows that name components report selection shares; the
 	// hybrid row keeps "—".

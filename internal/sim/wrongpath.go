@@ -2,14 +2,11 @@ package sim
 
 import (
 	"context"
-	"fmt"
 
 	"capred/internal/metrics"
 	"capred/internal/pipeline"
 	"capred/internal/predictor"
-	"capred/internal/report"
 	"capred/internal/trace"
-	"capred/internal/workload"
 )
 
 // WrongPathMode selects how wrong-path predictions are handled.
@@ -17,12 +14,9 @@ type WrongPathMode uint8
 
 // Wrong-path handling modes.
 const (
-	// WrongPathNone: no wrong-path loads are injected (the idealised
-	// model every §4 experiment uses).
-	WrongPathNone WrongPathMode = iota
 	// WrongPathSquash: wrong-path loads predict through the tables and
 	// are squashed on recovery — the §5.4 history-buffer discipline.
-	WrongPathSquash
+	WrongPathSquash WrongPathMode = iota
 	// WrongPathDestructive: wrong-path loads resolve with their bogus
 	// addresses, destructively updating the tables — the hazard §5.4
 	// warns against.
@@ -32,8 +26,6 @@ const (
 // String names the mode.
 func (m WrongPathMode) String() string {
 	switch m {
-	case WrongPathNone:
-		return "no wrong path"
 	case WrongPathSquash:
 		return "wrong path + squash recovery"
 	case WrongPathDestructive:
@@ -84,7 +76,7 @@ func runTraceWrongPath(ctx context.Context, src trace.Source, p predictor.Predic
 				mispredicted := predictBr(ip) != taken
 				updateBr(ip, taken)
 				ghr.Update(taken)
-				if mispredicted && mode != WrongPathNone && rn > 0 {
+				if mispredicted && rn > 0 {
 					// Fetch down the wrong path: replay recent loads with
 					// perturbed addresses, then recover.
 					for j := 0; j < burst; j++ {
@@ -131,67 +123,22 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-// WrongPathResult compares the three wrong-path disciplines.
-type WrongPathResult struct {
-	FailureSet
-	Modes    []WrongPathMode
-	Counters []metrics.Mean
-}
-
 // WrongPath runs the §5.4 speculative-control-flow experiment: the hybrid
 // predictor at a prediction gap of 8, with wrong-path load bursts after
 // every modelled branch misprediction, handled by squash recovery or
-// resolved destructively.
-func WrongPath(cfg Config) WrongPathResult {
-	modes := []WrongPathMode{WrongPathNone, WrongPathSquash, WrongPathDestructive}
-	specs := workload.Traces()
-
-	counters := make([][]metrics.Counters, len(modes))
-	for m := range modes {
-		counters[m] = make([]metrics.Counters, len(specs))
+// resolved destructively. The first row runs no wrong path.
+func WrongPath(cfg Config) SweepResult {
+	rows := []row{{"no wrong path", hybridFactory, 8, nil}}
+	for _, mode := range []WrongPathMode{WrongPathSquash, WrongPathDestructive} {
+		rows = append(rows, row{mode.String(), hybridFactory, 0,
+			func(ctx context.Context, open func() trace.Source, p predictor.Predictor) (metrics.Counters, error) {
+				return runTraceWrongPath(ctx, open(), p, 8, 4, mode)
+			}})
 	}
-	done := make([]bool, len(specs))
-	g := newGrid(cfg)
-	g.addPass("wrong-path", specs, func(_ *worker, i int) error {
-		// Each mode gets its own perTrace scope: the deadline bounds one
-		// mode's run, and a transient source error retries just that mode.
-		for m, mode := range modes {
-			var c metrics.Counters
-			err := cfg.perTrace(specs[i], func(ctx context.Context, open func() trace.Source) (err error) {
-				c, err = runTraceWrongPath(ctx, open(), cfg.factoryFor(specs[i], hybridFactory)(), 8, 4, mode)
-				return err
-			})
-			if err != nil {
-				return fmt.Errorf("%s: %w", mode, err)
-			}
-			counters[m][i] = c
-		}
-		done[i] = true
-		return nil
-	})
-
-	out := WrongPathResult{Modes: modes, Counters: make([]metrics.Mean, len(modes))}
-	out.absorb(g.size(), g.run())
-	for m := range modes {
-		for i := range specs {
-			if !done[i] {
-				continue
-			}
-			out.Counters[m].Add(counters[m][i])
-		}
-	}
-	return out
-}
-
-// Table renders the wrong-path comparison.
-func (r WrongPathResult) Table() *report.Table {
-	t := report.New("§5.4: speculative control flow (hybrid, gap 8, wrong-path bursts of 4)",
-		"discipline", "prediction rate", "accuracy", "correct of loads")
-	for m, mode := range r.Modes {
-		c := r.Counters[m]
-		t.Add(mode.String(), naPct(c, c.PredRate()), naPct2(c, c.Accuracy()),
-			naPct(c, c.CorrectSpecRate()))
-	}
-	t.SetFooter(r.Footer())
-	return t
+	r, _ := sweepRows(cfg, "§5.4: speculative control flow (hybrid, gap 8, wrong-path bursts of 4)", "discipline", []column{
+		pct("prediction rate", metrics.Mean.PredRate),
+		pct2("accuracy", metrics.Mean.Accuracy),
+		pct("correct of loads", metrics.Mean.CorrectSpecRate),
+	}, rows)
+	return r
 }
