@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -133,5 +135,48 @@ func TestSIGINTProducesPartialOutput(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "context canceled") {
 		t.Errorf("failures should carry the cancellation cause:\n%s", errOut.String())
+	}
+}
+
+var updateInject = flag.Bool("update", false,
+	"rewrite testdata/inject.golden from this run's serial output")
+
+// TestInjectedFaultsGolden pins every experiment's table and failure
+// footer under one decode-error trace and one panicking predictor
+// factory, byte for byte, on the serial path and on four workers.
+// Regenerate with:
+//
+//	go test ./cmd/capsim -run TestInjectedFaultsGolden -update
+func TestInjectedFaultsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment sweep, twice")
+	}
+	path := filepath.Join("testdata", "inject.golden")
+	for _, workers := range []string{"1", "4"} {
+		var out, errOut bytes.Buffer
+		code := run(context.Background(),
+			[]string{"-experiment", "all", "-events", "2000", "-workers", workers,
+				"-inject", "INT_go=panic,CAD_cat=decode"},
+			&out, &errOut)
+		if code != 1 {
+			t.Fatalf("workers=%s: exit code = %d, want 1", workers, code)
+		}
+		if *updateInject && workers == "1" {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden (regenerate with -update): %v", err)
+		}
+		if got := out.String(); got != string(want) {
+			t.Errorf("workers=%s: stdout drifted from %s\n--- got ---\n%s\n--- want ---\n%s",
+				workers, path, got, want)
+		}
 	}
 }
