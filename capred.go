@@ -19,9 +19,9 @@
 //
 // Every figure and table of the paper's evaluation has a driver in this
 // package (Fig5 … Fig12, UpdatePolicy, LTSize, Baselines, ControlBased,
-// Ablations); each returns a result with a Table() renderer producing the
-// same rows the paper reports. See EXPERIMENTS.md for measured-vs-paper
-// numbers.
+// Ablations); each returns the one experiment result type, whose Table()
+// renders the rows the paper reports and whose Value(row, col) reads one
+// cell. See EXPERIMENTS.md for measured-vs-paper numbers.
 //
 // # Failure model
 //
@@ -326,8 +326,9 @@ var (
 	ExperimentByName = sim.ExperimentByName
 )
 
-// Experiment drivers — one per paper figure/table. Each result type has a
-// Table() method rendering the figure's rows.
+// Experiment drivers — one per paper figure/table. Every driver returns
+// the same result type: Table() renders the figure's rows, Value(row,
+// col) reads one cell, and a cell no surviving trace filled reads "n/a".
 var (
 	DefaultExperimentConfig = sim.DefaultConfig
 	RunTrace                = sim.RunTrace

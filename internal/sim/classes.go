@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"capred/internal/predictor"
 	"capred/internal/report"
@@ -10,8 +11,9 @@ import (
 	"capred/internal/workload"
 )
 
-// classOrder fixes the reporting order of profiled load classes.
-var classOrder = []predictor.LoadClass{
+// classOrder fixes the reporting order of profiled load classes. Tallies
+// are indexed by class, whose values are below len(classOrder).
+var classOrder = [...]predictor.LoadClass{
 	predictor.ClassConstant,
 	predictor.ClassStride,
 	predictor.ClassContext,
@@ -19,64 +21,47 @@ var classOrder = []predictor.LoadClass{
 	predictor.ClassUnknown,
 }
 
-// ClassCoverageResult breaks each predictor's correct speculations down by
-// the profiled pattern class of the load — the quantitative version of the
-// paper's §2 analysis of which program behaviours each scheme captures.
-type ClassCoverageResult struct {
-	FailureSet
-	Predictors []string
-	// Share of dynamic loads in each class (same order as classOrder).
-	ClassShare map[predictor.LoadClass]float64
-	// Coverage[predictor][class] = correct speculations / loads of class.
-	Coverage []map[predictor.LoadClass]float64
-}
-
 // ClassCoverage profiles every trace to classify its static loads, then
 // measures per-class coverage of the last, enhanced-stride, CAP and
-// hybrid predictors.
-func ClassCoverage(cfg Config) ClassCoverageResult {
+// hybrid predictors — the quantitative version of the paper's §2
+// analysis of which program behaviours each scheme captures. Its lines
+// are the classes: each class's share of the dynamic loads, and each
+// predictor's correct speculations over the loads of the class.
+func ClassCoverage(cfg Config) SweepResult {
 	specs := workload.Traces()
-	factories := []Factory{
+	factories := [...]Factory{
 		func() predictor.Predictor { return predictor.NewLast(predictor.DefaultLastConfig()) },
 		strideFactory,
 		capFactory,
 		hybridFactory,
 	}
-	names := []string{"last", "stride+", "cap", "hybrid"}
+	names := [len(factories)]string{"last", "stride+", "cap", "hybrid"}
 
-	// classTally is one trace's result: dynamic loads per profiled class
-	// and, per predictor, correct speculations per class.
-	type classTally struct {
-		Loads   map[predictor.LoadClass]int64
-		Correct []map[predictor.LoadClass]int64
-	}
+	// tally is one trace's result: dynamic loads per profiled class and,
+	// per predictor, correct speculations per class.
 	type tally struct {
-		classTally
-		done bool
+		loads   [len(classOrder)]int64
+		correct [len(factories)][len(classOrder)]int64
+		ok      bool
 	}
-
 	tallies := make([]tally, len(specs))
 
+	var r SweepResult
 	g := newGrid(cfg)
 	g.addPass("class-coverage", specs, func(w *worker, i int) error {
 		spec := specs[i]
 		// Both passes run inside one perTrace scope so the deadline spans
 		// the whole two-pass job and a retry restarts it from scratch
 		// with fresh state.
-		var t classTally
+		var t tally
 		err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) error {
 			profile, err := profileLoads(ctx, open())
 			if err != nil {
 				return err
 			}
-
-			t = classTally{
-				Loads:   make(map[predictor.LoadClass]int64),
-				Correct: make([]map[predictor.LoadClass]int64, len(factories)),
-			}
-			preds := make([]predictor.Predictor, len(factories))
+			t = tally{}
+			var preds [len(factories)]predictor.Predictor
 			for v, f := range factories {
-				t.Correct[v] = make(map[predictor.LoadClass]int64)
 				preds[v] = w.predictor(cfg, spec, v, f)
 			}
 
@@ -91,7 +76,7 @@ func ClassCoverage(cfg Config) ClassCoverageResult {
 						path.Push(b.IP[i])
 					case trace.KindLoad:
 						class := profile.Class(b.IP[i])
-						t.Loads[class]++
+						t.loads[class]++
 						ref := predictor.LoadRef{
 							IP: b.IP[i], Offset: b.Offset[i],
 							GHR: ghr.Value(), Path: path.Value(),
@@ -100,7 +85,7 @@ func ClassCoverage(cfg Config) ClassCoverageResult {
 						for v, p := range preds {
 							pr := p.Predict(ref)
 							if pr.Speculate && pr.Addr == addr {
-								t.Correct[v][class]++
+								t.correct[v][class]++
 							}
 							p.Resolve(ref, pr, addr)
 						}
@@ -115,66 +100,49 @@ func ClassCoverage(cfg Config) ClassCoverageResult {
 		if err != nil {
 			return err
 		}
-		tallies[i] = tally{classTally: t, done: true}
+		t.ok = true
+		tallies[i] = t
 		return nil
 	})
-	fails := g.run()
+	r.absorb(g.size(), g.run())
 
-	// Aggregate (failed traces contribute nothing).
-	loads := make(map[predictor.LoadClass]int64)
-	correct := make([]map[predictor.LoadClass]int64, len(factories))
-	for v := range factories {
-		correct[v] = make(map[predictor.LoadClass]int64)
-	}
+	// Failed traces contribute nothing; with no load left, every cell
+	// reads NaN.
+	var sum tally
 	var total int64
 	for _, t := range tallies {
-		if !t.done {
+		if !t.ok {
 			continue
 		}
-		for c, n := range t.Loads {
-			loads[c] += n
+		for c, n := range t.loads {
+			sum.loads[c] += n
 			total += n
 		}
 		for v := range factories {
-			for c, n := range t.Correct[v] {
-				correct[v][c] += n
+			for c, n := range t.correct[v] {
+				sum.correct[v][c] += n
 			}
 		}
 	}
-
-	out := ClassCoverageResult{
-		Predictors: names,
-		ClassShare: make(map[predictor.LoadClass]float64),
-		Coverage:   make([]map[predictor.LoadClass]float64, len(factories)),
+	ratio := func(num, den int64) float64 {
+		if total == 0 {
+			return math.NaN()
+		}
+		return safeDiv(float64(num), float64(den))
 	}
-	out.absorb(g.size(), fails)
+	cols := []column{{"share of loads", report.Pct, func(line int) float64 {
+		return ratio(sum.loads[classOrder[line]], total)
+	}}}
+	for v, name := range names {
+		cols = append(cols, column{name, report.Pct, func(line int) float64 {
+			c := classOrder[line]
+			return ratio(sum.correct[v][c], sum.loads[c])
+		}})
+	}
+	var labels []string
 	for _, c := range classOrder {
-		if total > 0 {
-			out.ClassShare[c] = float64(loads[c]) / float64(total)
-		}
+		labels = append(labels, c.String())
 	}
-	for v := range factories {
-		out.Coverage[v] = make(map[predictor.LoadClass]float64)
-		for _, c := range classOrder {
-			if loads[c] > 0 {
-				out.Coverage[v][c] = float64(correct[v][c]) / float64(loads[c])
-			}
-		}
-	}
-	return out
-}
-
-// Table renders the class-coverage matrix.
-func (r ClassCoverageResult) Table() *report.Table {
-	t := report.New("§2 analysis: per-class coverage (correct speculations / loads of class)",
-		"class", "share of loads", "last", "stride+", "cap", "hybrid")
-	for _, c := range classOrder {
-		row := []string{c.String(), report.Pct(r.ClassShare[c])}
-		for v := range r.Predictors {
-			row = append(row, report.Pct(r.Coverage[v][c]))
-		}
-		t.Add(row...)
-	}
-	t.SetFooter(r.Footer())
-	return t
+	r.layout("§2 analysis: per-class coverage (correct speculations / loads of class)", "class", labels, cols...)
+	return r
 }

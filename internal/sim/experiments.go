@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"capred/internal/cpu"
 	"capred/internal/metrics"
@@ -31,35 +32,8 @@ func suiteOrder() []string {
 	return append(workload.SuiteNames(), "Average")
 }
 
-// rowFor selects a table row's rates: per-suite rows are pooled
-// counters, the "Average" row is the equal-weight per-trace mean. Both
-// satisfy metrics.Rates, so renderers format them identically.
-func rowFor(suites map[string]metrics.Counters, avg metrics.Mean, name string) metrics.Rates {
-	if name == "Average" {
-		return avg
-	}
-	return suites[name]
-}
-
-// naPct / naPct2 render a percentage cell, masking rows whose every
-// contributing trace failed ("n/a") so partial tables cannot present
-// missing data as measured zeros.
-func naPct(c metrics.Rates, v float64) string {
-	if c.Empty() {
-		return "n/a"
-	}
-	return report.Pct(v)
-}
-
-func naPct2(c metrics.Rates, v float64) string {
-	if c.Empty() {
-		return "n/a"
-	}
-	return report.Pct2(v)
-}
-
-// safeDiv returns num/den, or 0 for an empty denominator (e.g. a suite
-// whose every trace failed), keeping partial tables free of NaN/Inf.
+// safeDiv returns num/den, or 0 for an empty denominator: NaN is kept
+// for the cells no surviving trace filled.
 func safeDiv(num, den float64) float64 {
 	if den == 0 {
 		return 0
@@ -67,76 +41,113 @@ func safeDiv(num, den float64) float64 {
 	return num / den
 }
 
-// runTimed runs one configuration of timing shard ts, a trace's shard
-// on worker w's machine, with the experiment config's budget, context,
-// per-trace deadline, transient retry and fault wrappers applied. f may
-// be nil (the no-prediction baseline). k names what the run shares with
-// the shard's other runs; k.Pred also names f's configuration within
-// the shard's pass (see worker.predictor). Under WrapFactory, which may
-// substitute a trace's factory on any call, no run shares predictions.
-func runTimed(cfg Config, w *worker, ts cpu.Shard, spec workload.TraceSpec, mcfg cpu.Config, f Factory, gapDepth int, k cpu.Keys) (cpu.Result, error) {
-	var newPred func() predictor.Predictor
-	if f != nil {
-		variant := k.Pred
-		newPred = func() predictor.Predictor { return w.predictor(cfg, spec, variant, f) }
-	}
-	if cfg.WrapFactory != nil {
-		k.Pred = 0
-	}
-	var out cpu.Result
-	err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) error {
-		m := mcfg
-		m.Ctx = ctx
-		out = ts.Run(open(), newPred, gapDepth, m, k)
-		return out.Err
+// timed is one configuration of the timing pass: the timing model, with
+// the RPT prefetcher or without, running f's predictor (nil: none) at a
+// prediction gap. k names what the run shares with the trace's other
+// configurations; k.Pred also names f's configuration within the pass
+// (see worker.predictor). name, when set, prefixes the run's errors.
+type timed struct {
+	name string
+	rpt  bool
+	f    Factory
+	gap  int
+	k    cpu.Keys
+}
+
+// timingPass runs every configuration, in order, on each trace of the
+// roster, on one cpu.Shard of its worker's machine, as one grid pass
+// under stage, and returns the result with the attempts and failures,
+// and each trace's run. Each run has the experiment config's budget,
+// context, per-trace deadline, transient retry and fault wrappers
+// applied. Under WrapFactory, which may substitute a trace's factory on
+// any call, no run shares predictions. Each surviving trace's T holds
+// one result per configuration; configuration 0 is the baseline of
+// speedup.
+func timingPass(cfg Config, stage string, configs []timed) (SweepResult, []traceRun) {
+	specs := workload.Traces()
+	runs := make([]traceRun, len(specs))
+	g := newGrid(cfg)
+	g.addPass(stage, specs, func(w *worker, i int) error {
+		spec := specs[i]
+		ts := w.machine.Shard()
+		res := make([]cpu.Result, len(configs))
+		for v, c := range configs {
+			var newPred func() predictor.Predictor
+			if c.f != nil {
+				newPred = func() predictor.Predictor { return w.predictor(cfg, spec, c.k.Pred, c.f) }
+			}
+			k := c.k
+			if cfg.WrapFactory != nil {
+				k.Pred = 0
+			}
+			err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) error {
+				mcfg := cpu.DefaultConfig()
+				mcfg.Ctx = ctx
+				if c.rpt {
+					mcfg.Prefetcher = w.prefetcher()
+				}
+				res[v] = ts.Run(open(), newPred, c.gap, mcfg, k)
+				return res[v].Err
+			})
+			if err != nil {
+				if c.name != "" {
+					err = fmt.Errorf("%s: %w", c.name, err)
+				}
+				return err
+			}
+		}
+		runs[i] = traceRun{Spec: spec, T: res, ok: true}
+		return nil
 	})
-	return out, err
+	var r SweepResult
+	r.absorb(g.size(), g.run())
+	return r, runs
+}
+
+// speedup is the baseline's cycles over configuration v's, pooled over
+// runs; NaN for no runs.
+func speedup(runs []traceRun, v int) float64 {
+	if len(runs) == 0 {
+		return math.NaN()
+	}
+	var base, cycles int64
+	for _, run := range runs {
+		base += run.T[0].Cycles
+		cycles += run.T[v].Cycles
+	}
+	return safeDiv(float64(base), float64(cycles))
+}
+
+// survivors returns the runs that completed.
+func survivors(runs []traceRun) []traceRun {
+	var out []traceRun
+	for _, run := range runs {
+		if run.ok {
+			out = append(out, run)
+		}
+	}
+	return out
 }
 
 // --- Figure 5: prediction performance of the different predictors ---
 
-// Fig5Result holds per-suite counters for the three predictors.
-type Fig5Result struct {
-	FailureSet
-	Stride map[string]metrics.Counters
-	CAP    map[string]metrics.Counters
-	Hybrid map[string]metrics.Counters
-	AvgS   metrics.Mean
-	AvgC   metrics.Mean
-	AvgH   metrics.Mean
-}
-
 // Fig5 reproduces Figure 5: prediction rate and accuracy of the enhanced
 // stride, stand-alone CAP, and hybrid predictors across the eight suites.
 // All three passes shard across one worker pool.
-func Fig5(cfg Config) Fig5Result {
-	var r Fig5Result
-	p := sweep(cfg, &r.FailureSet, []row{
+func Fig5(cfg Config) SweepResult {
+	r, runs := sweep(cfg, []row{
 		{"stride", strideFactory, 0, nil},
 		{"cap", capFactory, 0, nil},
 		{"hybrid", hybridFactory, 0, nil},
 	})
-	r.Stride, r.AvgS = p[0].merge()
-	r.CAP, r.AvgC = p[1].merge()
-	r.Hybrid, r.AvgH = p[2].merge()
+	r.layout("Figure 5: prediction performance of the different predictors", "suite", suiteOrder(),
+		suiteRate(pct("stride rate", metrics.Rates.PredRate), runs[0]),
+		suiteRate(pct("cap rate", metrics.Rates.PredRate), runs[1]),
+		suiteRate(pct("hybrid rate", metrics.Rates.PredRate), runs[2]),
+		suiteRate(pct2("stride acc", metrics.Rates.Accuracy), runs[0]),
+		suiteRate(pct2("cap acc", metrics.Rates.Accuracy), runs[1]),
+		suiteRate(pct2("hybrid acc", metrics.Rates.Accuracy), runs[2]))
 	return r
-}
-
-// Table renders the Figure 5 rows.
-func (r Fig5Result) Table() *report.Table {
-	t := report.New("Figure 5: prediction performance of the different predictors",
-		"suite", "stride rate", "cap rate", "hybrid rate",
-		"stride acc", "cap acc", "hybrid acc")
-	for _, s := range suiteOrder() {
-		cs := rowFor(r.Stride, r.AvgS, s)
-		cc := rowFor(r.CAP, r.AvgC, s)
-		ch := rowFor(r.Hybrid, r.AvgH, s)
-		t.Add(s,
-			naPct(cs, cs.PredRate()), naPct(cc, cc.PredRate()), naPct(ch, ch.PredRate()),
-			naPct2(cs, cs.Accuracy()), naPct2(cc, cc.Accuracy()), naPct2(ch, ch.Accuracy()))
-	}
-	t.SetFooter(r.Footer())
-	return t
 }
 
 // --- Figure 6: hybrid performance vs LB size and associativity ---
@@ -156,230 +167,132 @@ func Fig6Geometries() []LBGeometry {
 	return []LBGeometry{{2048, 2}, {4096, 1}, {4096, 2}, {4096, 4}, {8192, 2}}
 }
 
-// Fig6Result maps geometry → per-suite counters.
-type Fig6Result struct {
-	FailureSet
-	Geometries []LBGeometry
-	Suites     []map[string]metrics.Counters
-	Avgs       []metrics.Mean
-}
-
 // Fig6 reproduces Figure 6: hybrid prediction rate as a function of the
-// number of LB entries and associativity.
-func Fig6(cfg Config) Fig6Result {
-	r := Fig6Result{Geometries: Fig6Geometries()}
+// number of LB entries and associativity, with the accuracy of the
+// baseline 4K 2-way geometry, as in the paper. Columns are headed by
+// LBGeometry.String.
+func Fig6(cfg Config) SweepResult {
 	var rows []row
-	for _, geom := range r.Geometries {
+	for _, geom := range Fig6Geometries() {
 		rows = append(rows, row{"LB " + geom.String(), hybridWith(func(hc *predictor.HybridConfig) {
 			hc.CAP.LBEntries = geom.Entries
 			hc.CAP.LBWays = geom.Ways
 		}), 0, nil})
 	}
-	for _, p := range sweep(cfg, &r.FailureSet, rows) {
-		suites, avg := p.merge()
-		r.Suites = append(r.Suites, suites)
-		r.Avgs = append(r.Avgs, avg)
+	r, runs := sweep(cfg, rows)
+	var cols []column
+	for i, geom := range Fig6Geometries() {
+		cols = append(cols, suiteRate(pct(geom.String(), metrics.Rates.PredRate), runs[i]))
 	}
+	cols = append(cols, suiteRate(pct2("acc(4K,2way)", metrics.Rates.Accuracy), runs[2]))
+	r.layout("Figure 6: hybrid prediction rate vs LB entries/associativity", "suite", suiteOrder(), cols...)
 	return r
-}
-
-// Table renders the Figure 6 rows (prediction rate per geometry, accuracy
-// for the baseline 4K 2-way geometry, as in the paper).
-func (r Fig6Result) Table() *report.Table {
-	headers := []string{"suite"}
-	for _, g := range r.Geometries {
-		headers = append(headers, g.String())
-	}
-	headers = append(headers, "acc(4K,2way)")
-	t := report.New("Figure 6: hybrid prediction rate vs LB entries/associativity", headers...)
-	baseIdx := 2 // 4K 2-way
-	for _, s := range suiteOrder() {
-		row := []string{s}
-		for i := range r.Geometries {
-			c := rowFor(r.Suites[i], r.Avgs[i], s)
-			row = append(row, naPct(c, c.PredRate()))
-		}
-		c := rowFor(r.Suites[baseIdx], r.Avgs[baseIdx], s)
-		row = append(row, naPct2(c, c.Accuracy()))
-		t.Add(row...)
-	}
-	t.SetFooter(r.Footer())
-	return t
 }
 
 // --- Figure 7: relative performance (speedup) per trace ---
 
-// Fig7Row is one trace's timing outcome.
-type Fig7Row struct {
-	Trace         string
-	Suite         string
-	BaseCycles    int64
-	StrideCycles  int64
-	HybridCycles  int64
-	StrideSpeedup float64
-	HybridSpeedup float64
-}
-
-// Fig7Result holds per-trace speedups plus the averages. Traces that
-// failed are absent from Rows and listed in Failures instead.
-type Fig7Result struct {
-	FailureSet
-	Rows      []Fig7Row
-	AvgStride float64
-	AvgHybrid float64
-}
-
 // Fig7 reproduces Figure 7: per-trace speedup of the enhanced stride and
 // hybrid predictors over no address prediction, on the OoO timing model.
-func Fig7(cfg Config) Fig7Result {
-	specs := workload.Traces()
-	rows := make([]Fig7Row, len(specs))
-	done := make([]bool, len(specs))
-	g := newGrid(cfg)
-	g.addPass("timing", specs, func(w *worker, i int) error {
-		spec := specs[i]
-		mcfg := cpu.DefaultConfig()
-		ts := w.machine.Shard()
-		base, err := runTimed(cfg, w, ts, spec, mcfg, nil, 0, cpu.Keys{Mem: 1})
-		if err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		st, err := runTimed(cfg, w, ts, spec, mcfg, strideFactory, 0, cpu.Keys{Mem: 1, Pred: 1})
-		if err != nil {
-			return fmt.Errorf("stride: %w", err)
-		}
-		hy, err := runTimed(cfg, w, ts, spec, mcfg, hybridFactory, 0, cpu.Keys{Mem: 1, Pred: 2})
-		if err != nil {
-			return fmt.Errorf("hybrid: %w", err)
-		}
-		rows[i] = Fig7Row{
-			Trace: spec.Name, Suite: spec.Suite,
-			BaseCycles: base.Cycles, StrideCycles: st.Cycles, HybridCycles: hy.Cycles,
-			StrideSpeedup: safeDiv(float64(base.Cycles), float64(st.Cycles)),
-			HybridSpeedup: safeDiv(float64(base.Cycles), float64(hy.Cycles)),
-		}
-		done[i] = true
-		return nil
+// Its lines are the surviving traces, then their mean speedup.
+func Fig7(cfg Config) SweepResult {
+	r, runs := timingPass(cfg, "timing", []timed{
+		{"baseline", false, nil, 0, cpu.Keys{Mem: 1}},
+		{"stride", false, strideFactory, 0, cpu.Keys{Mem: 1, Pred: 1}},
+		{"hybrid", false, hybridFactory, 0, cpu.Keys{Mem: 1, Pred: 2}},
 	})
-	var r Fig7Result
-	r.absorb(g.size(), g.run())
-	var ss, hs float64
-	for i, row := range rows {
-		if !done[i] {
-			continue
-		}
-		r.Rows = append(r.Rows, row)
-		ss += row.StrideSpeedup
-		hs += row.HybridSpeedup
+	runs = survivors(runs)
+	var labels []string
+	for _, run := range runs {
+		labels = append(labels, run.Spec.Name)
 	}
-	r.AvgStride = safeDiv(ss, float64(len(r.Rows)))
-	r.AvgHybrid = safeDiv(hs, float64(len(r.Rows)))
+	col := func(header string, v int) column {
+		return column{header, report.Speedup, func(line int) float64 {
+			if line < len(runs) {
+				return speedup(runs[line:line+1], v)
+			}
+			if len(runs) == 0 {
+				return math.NaN()
+			}
+			var sum float64
+			for i := range runs {
+				sum += speedup(runs[i:i+1], v)
+			}
+			return sum / float64(len(runs))
+		}}
+	}
+	r.layout("Figure 7: speedup over no address prediction, per trace", "trace",
+		append(labels, "Average"), col("stride", 1), col("hybrid", 2))
 	return r
-}
-
-// Table renders the Figure 7 rows.
-func (r Fig7Result) Table() *report.Table {
-	t := report.New("Figure 7: speedup over no address prediction, per trace",
-		"trace", "stride", "hybrid")
-	for _, row := range r.Rows {
-		t.Add(row.Trace, report.Speedup(row.StrideSpeedup), report.Speedup(row.HybridSpeedup))
-	}
-	t.Add("Average", report.Speedup(r.AvgStride), report.Speedup(r.AvgHybrid))
-	t.SetFooter(r.Footer())
-	return t
 }
 
 // --- Figure 8: selector performance ---
 
-// Fig8Result holds the hybrid's selector ledger (§3.7) per suite,
-// pooled over the suite's surviving traces, and per surviving trace.
-type Fig8Result struct {
-	FailureSet
-	Suites map[string]predictor.SelectorStats
-	Traces []predictor.SelectorStats // in roster order
-}
-
-// Fig8Row is one row of Figure 8: the share of dual-confident loads in
-// each selector state (SelStrongStride … SelStrongCAP) and the
-// correct-selection rate, 1 − mis-selections / dual-confident loads.
-type Fig8Row struct {
-	Share      [4]float64
-	CorrectSel float64
-}
-
-// fig8Row computes a ledger's row; an empty ledger has no shares and no
+// selectorRates reads one line of Figure 8 from a selector ledger: the
+// share of dual-confident loads in each selector state (SelStrongStride
+// … SelStrongCAP), then the correct-selection rate, 1 − mis-selections
+// / dual-confident loads. An empty ledger has no shares and no
 // mis-selections.
-func fig8Row(s predictor.SelectorStats) Fig8Row {
-	row := Fig8Row{CorrectSel: 1 - safeDiv(float64(s.MisSelected), float64(s.DualConfident))}
+func selectorRates(s predictor.SelectorStats) [5]float64 {
+	var r [5]float64
 	for st, n := range s.States {
-		row.Share[st] = safeDiv(float64(n), float64(s.DualConfident))
+		r[st] = safeDiv(float64(n), float64(s.DualConfident))
 	}
-	return row
+	r[4] = 1 - safeDiv(float64(s.MisSelected), float64(s.DualConfident))
+	return r
 }
 
-// Average is the "Average" row: the equal-weight mean of the per-trace
-// rows over the traces that had dual-confident loads, as the paper's
-// Average bars weigh every trace alike.
-func (r Fig8Result) Average() Fig8Row {
-	var sum Fig8Row
+// selectorAverage is Figure 8's Average line: the equal-weight mean of
+// the per-trace lines over the traces that had dual-confident loads, as
+// the paper's Average bars weigh every trace alike.
+func selectorAverage(ledgers []predictor.SelectorStats) [5]float64 {
+	var sum [5]float64
 	n := 0
-	for _, s := range r.Traces {
+	for _, s := range ledgers {
 		if s.DualConfident == 0 {
 			continue
 		}
 		n++
-		row := fig8Row(s)
-		for st := range sum.Share {
-			sum.Share[st] += row.Share[st]
+		for k, v := range selectorRates(s) {
+			sum[k] += v
 		}
-		sum.CorrectSel += row.CorrectSel
 	}
 	if n == 0 {
-		return fig8Row(predictor.SelectorStats{})
+		return selectorRates(predictor.SelectorStats{})
 	}
-	for st := range sum.Share {
-		sum.Share[st] /= float64(n)
+	for k := range sum {
+		sum[k] /= float64(n)
 	}
-	sum.CorrectSel /= float64(n)
 	return sum
 }
 
 // Fig8 reproduces Figure 8: the distribution of selector-counter states
 // over dual-confident loads and the correct-selection rate, read from
 // the ledger each trace's hybrid keeps (immediate mode, like Fig. 5).
-func Fig8(cfg Config) Fig8Result {
-	r := Fig8Result{Suites: make(map[string]predictor.SelectorStats)}
-	p := sweep(cfg, &r.FailureSet, []row{{"hybrid", hybridFactory, 0, nil}})
-	for _, run := range p[0].runs {
-		if run.ok {
-			s := r.Suites[run.Spec.Suite]
-			s.Merge(run.Sel)
-			r.Suites[run.Spec.Suite] = s
-			r.Traces = append(r.Traces, run.Sel)
-		}
+// A suite's line pools its traces' ledgers.
+func Fig8(cfg Config) SweepResult {
+	r, runs := sweep(cfg, []row{{"hybrid", hybridFactory, 0, nil}})
+	col := func(header string, format func(float64) string, k int) column {
+		return suiteColumn(header, format, runs[0], func(in []traceRun, average bool) float64 {
+			if len(in) == 0 {
+				return math.NaN()
+			}
+			var pool predictor.SelectorStats
+			var ledgers []predictor.SelectorStats
+			for _, run := range in {
+				pool.Merge(run.Sel)
+				ledgers = append(ledgers, run.Sel)
+			}
+			if average {
+				return selectorAverage(ledgers)[k]
+			}
+			return selectorRates(pool)[k]
+		})
 	}
+	r.layout("Figure 8: selector performance", "suite", suiteOrder(),
+		col("strong-stride", report.Pct, 0), col("weak-stride", report.Pct, 1),
+		col("weak-cap", report.Pct, 2), col("strong-cap", report.Pct, 3),
+		col("correct-sel", report.Pct2, 4))
 	return r
-}
-
-// Table renders the Figure 8 rows; a row no trace survived reads "n/a".
-func (r Fig8Result) Table() *report.Table {
-	t := report.New("Figure 8: selector performance",
-		"suite", "strong-stride", "weak-stride", "weak-cap", "strong-cap", "correct-sel")
-	for _, s := range suiteOrder() {
-		l, ok := r.Suites[s]
-		row := fig8Row(l)
-		if s == "Average" {
-			row, ok = r.Average(), len(r.Traces) > 0
-		}
-		if !ok {
-			t.Add(s, "n/a", "n/a", "n/a", "n/a", "n/a")
-			continue
-		}
-		t.Add(s, report.Pct(row.Share[0]), report.Pct(row.Share[1]),
-			report.Pct(row.Share[2]), report.Pct(row.Share[3]), report.Pct2(row.CorrectSel))
-	}
-	t.SetFooter(r.Footer())
-	return t
 }
 
 // --- Figure 9: history length and global correlation ---
@@ -387,23 +300,15 @@ func (r Fig8Result) Table() *report.Table {
 // Fig9Lengths are the history lengths the paper sweeps.
 func Fig9Lengths() []int { return []int{1, 2, 3, 4, 6, 12} }
 
-// Fig9Result holds correct-speculative rates per history length, with and
-// without global correlation.
-type Fig9Result struct {
-	FailureSet
-	Lengths []int
-	With    []float64
-	Without []float64
-}
-
 // Fig9 reproduces Figure 9: correct predictions as a function of the
 // history length, isolating global correlation. No confidence mechanism
-// is used (every prediction is a speculative access).
-func Fig9(cfg Config) Fig9Result {
-	r := Fig9Result{Lengths: Fig9Lengths()}
+// is used (every prediction is a speculative access). Lines are
+// labelled by history length.
+func Fig9(cfg Config) SweepResult {
+	lengths := Fig9Lengths()
 	var rows []row
 	for _, gc := range []bool{true, false} {
-		for _, hl := range r.Lengths {
+		for _, hl := range lengths {
 			rows = append(rows, row{fmt.Sprintf("hist %d gc=%v", hl, gc), capWith(func(cc *predictor.CAPConfig) {
 				cc.HistoryLen = hl
 				cc.GlobalCorrelation = gc
@@ -413,43 +318,17 @@ func Fig9(cfg Config) Fig9Result {
 			}), 0, nil})
 		}
 	}
+	r, _ := sweep(cfg, rows)
+	var labels []string
+	for _, hl := range lengths {
+		labels = append(labels, fmt.Sprintf("%d", hl))
+	}
 	// Rows run with global correlation first, then without.
-	for i, p := range sweep(cfg, &r.FailureSet, rows) {
-		_, avg := p.merge()
-		if i < len(r.Lengths) {
-			r.With = append(r.With, avg.CorrectSpecRate())
-		} else {
-			r.Without = append(r.Without, avg.CorrectSpecRate())
-		}
-	}
+	n := len(lengths)
+	r.layout("Figure 9: correct predictions vs history length (stand-alone CAP, no confidence)", "history length", labels,
+		rowRate(pct("global correlation", metrics.Rates.CorrectSpecRate), r.Counters[:n]),
+		rowRate(pct("no global correlation", metrics.Rates.CorrectSpecRate), r.Counters[n:]))
 	return r
-}
-
-// Table renders the Figure 9 series.
-func (r Fig9Result) Table() *report.Table {
-	t := report.New("Figure 9: correct predictions vs history length (stand-alone CAP, no confidence)",
-		"history length", "global correlation", "no global correlation")
-	for i, hl := range r.Lengths {
-		t.Add(fmt.Sprintf("%d", hl), report.Pct(r.With[i]), report.Pct(r.Without[i]))
-	}
-	t.SetFooter(r.Footer())
-	return t
-}
-
-// BestLength returns the history length with the highest correct rate for
-// the given series.
-func (r Fig9Result) BestLength(with bool) int {
-	series := r.Without
-	if with {
-		series = r.With
-	}
-	best, bestV := r.Lengths[0], series[0]
-	for i, v := range series {
-		if v > bestV {
-			best, bestV = r.Lengths[i], v
-		}
-	}
-	return best
 }
 
 // --- Figure 10: LT tags and control-flow indications ---
@@ -485,11 +364,10 @@ func Fig10(cfg Config) SweepResult {
 			}
 		}), 0, nil})
 	}
-	r, _ := sweepRows(cfg, "Figure 10: influence of LT tags on the CAP predictor", "variant", []column{
-		pct("prediction rate", metrics.Mean.PredRate),
-		pct2("misprediction rate", metrics.Mean.MispredRate),
+	return sweepRows(cfg, "Figure 10: influence of LT tags on the CAP predictor", "variant", []rate{
+		pct("prediction rate", metrics.Rates.PredRate),
+		pct2("misprediction rate", metrics.Rates.MispredRate),
 	}, rows)
-	return r
 }
 
 // --- Figure 11: prediction gap ---
@@ -497,140 +375,58 @@ func Fig10(cfg Config) SweepResult {
 // Fig11Gaps are the prediction gaps the paper sweeps (0 = immediate).
 func Fig11Gaps() []int { return []int{0, 4, 8, 12} }
 
-// Fig11Result holds stride and hybrid counters per gap.
-type Fig11Result struct {
-	FailureSet
-	Gaps   []int
-	Stride []metrics.Mean
-	Hybrid []metrics.Mean
-}
-
 // Fig11 reproduces Figure 11: the influence of the prediction gap on
 // prediction rate and accuracy for the enhanced stride and hybrid
-// predictors.
-func Fig11(cfg Config) Fig11Result {
-	r := Fig11Result{Gaps: Fig11Gaps()}
+// predictors. Lines are labelled by gap ("immediate", "4", …); the
+// sweep rows alternate stride and hybrid, gap by gap.
+func Fig11(cfg Config) SweepResult {
 	var rows []row
-	for _, gap := range r.Gaps {
+	var labels []string
+	for _, gap := range Fig11Gaps() {
 		rows = append(rows,
 			row{fmt.Sprintf("stride gap %d", gap), strideFactory, gap, nil},
 			row{fmt.Sprintf("hybrid gap %d", gap), hybridFactory, gap, nil})
-	}
-	p := sweep(cfg, &r.FailureSet, rows)
-	for gi := range r.Gaps {
-		_, avgS := p[2*gi].merge()
-		_, avgH := p[2*gi+1].merge()
-		r.Stride = append(r.Stride, avgS)
-		r.Hybrid = append(r.Hybrid, avgH)
-	}
-	return r
-}
-
-// Table renders the Figure 11 rows.
-func (r Fig11Result) Table() *report.Table {
-	t := report.New("Figure 11: influence of the prediction gap",
-		"gap", "stride rate", "hybrid rate", "stride acc", "hybrid acc")
-	for i, gap := range r.Gaps {
-		name := "immediate"
+		label := "immediate"
 		if gap > 0 {
-			name = fmt.Sprintf("%d", gap)
+			label = fmt.Sprintf("%d", gap)
 		}
-		t.Add(name,
-			naPct(r.Stride[i], r.Stride[i].PredRate()), naPct(r.Hybrid[i], r.Hybrid[i].PredRate()),
-			naPct2(r.Stride[i], r.Stride[i].Accuracy()), naPct2(r.Hybrid[i], r.Hybrid[i].Accuracy()))
+		labels = append(labels, label)
 	}
-	t.SetFooter(r.Footer())
-	return t
+	r, _ := sweep(cfg, rows)
+	var stride, hybrid []metrics.Mean
+	for i := 0; i < len(r.Counters); i += 2 {
+		stride, hybrid = append(stride, r.Counters[i]), append(hybrid, r.Counters[i+1])
+	}
+	r.layout("Figure 11: influence of the prediction gap", "gap", labels,
+		rowRate(pct("stride rate", metrics.Rates.PredRate), stride),
+		rowRate(pct("hybrid rate", metrics.Rates.PredRate), hybrid),
+		rowRate(pct2("stride acc", metrics.Rates.Accuracy), stride),
+		rowRate(pct2("hybrid acc", metrics.Rates.Accuracy), hybrid))
+	return r
 }
 
 // --- Figure 12: speedup with a prediction gap of 8 ---
 
-// Fig12Row is one suite's speedups.
-type Fig12Row struct {
-	Suite                 string
-	StrideImm, StrideGap8 float64
-	HybridImm, HybridGap8 float64
-}
-
-// Fig12Result holds per-suite speedups immediate vs gap 8.
-type Fig12Result struct {
-	FailureSet
-	Rows []Fig12Row
-}
-
 // Fig12 reproduces Figure 12: relative performance of the predictors for
-// an immediate update and for a prediction gap of 8 cycles.
-func Fig12(cfg Config) Fig12Result {
+// an immediate update and for a prediction gap of 8 cycles. A suite's
+// speedup pools its traces' cycles, and so does the Average line's over
+// every trace.
+func Fig12(cfg Config) SweepResult {
 	// One pass over the roster, which lists the traces suite by suite,
 	// so the pool stays busy across suite boundaries and a worker's
-	// predictors serve every suite.
-	specs := workload.Traces()
-	cycles := make([][5]int64, len(specs)) // base, strideImm, strideGap, hybridImm, hybridGap
-	done := make([]bool, len(specs))
-	g := newGrid(cfg)
-	g.addPass("timing", specs, func(w *worker, i int) error {
-		mcfg := cpu.DefaultConfig()
-		ts := w.machine.Shard()
-		// One hierarchy throughout; each predictor configuration is
-		// its own Pred key.
-		variants := []struct {
-			f   Factory
-			gap int
-		}{
-			{nil, 0}, {strideFactory, 0}, {strideFactory, 8}, {hybridFactory, 0}, {hybridFactory, 8},
-		}
-		for v, va := range variants {
-			res, err := runTimed(cfg, w, ts, specs[i], mcfg, va.f, va.gap, cpu.Keys{Mem: 1, Pred: v})
-			if err != nil {
-				return err
-			}
-			cycles[i][v] = res.Cycles
-		}
-		done[i] = true
-		return nil
+	// predictors serve every suite. One hierarchy throughout; each
+	// predictor configuration is its own Pred key.
+	r, runs := timingPass(cfg, "timing", []timed{
+		{"", false, nil, 0, cpu.Keys{Mem: 1}},
+		{"", false, strideFactory, 0, cpu.Keys{Mem: 1, Pred: 1}},
+		{"", false, strideFactory, 8, cpu.Keys{Mem: 1, Pred: 2}},
+		{"", false, hybridFactory, 0, cpu.Keys{Mem: 1, Pred: 3}},
+		{"", false, hybridFactory, 8, cpu.Keys{Mem: 1, Pred: 4}},
 	})
-	var r Fig12Result
-	r.absorb(g.size(), g.run())
-
-	speedups := func(suite string, c [5]float64) Fig12Row {
-		return Fig12Row{
-			Suite:      suite,
-			StrideImm:  safeDiv(c[0], c[1]),
-			StrideGap8: safeDiv(c[0], c[2]),
-			HybridImm:  safeDiv(c[0], c[3]),
-			HybridGap8: safeDiv(c[0], c[4]),
-		}
+	col := func(header string, v int) column {
+		return suiteColumn(header, report.Speedup, runs, func(in []traceRun, _ bool) float64 { return speedup(in, v) })
 	}
-	var totals [5]float64
-	for _, suite := range workload.SuiteNames() {
-		var sum [5]int64
-		for i, c := range cycles {
-			if done[i] && specs[i].Suite == suite {
-				for v := range sum {
-					sum[v] += c[v]
-				}
-			}
-		}
-		var row [5]float64
-		for v := range row {
-			row[v] = float64(sum[v])
-			totals[v] += row[v]
-		}
-		r.Rows = append(r.Rows, speedups(suite, row))
-	}
-	r.Rows = append(r.Rows, speedups("Average", totals))
+	r.layout("Figure 12: speedup, immediate update vs prediction gap 8", "suite", suiteOrder(),
+		col("stride imm", 1), col("stride gap8", 2), col("hybrid imm", 3), col("hybrid gap8", 4))
 	return r
-}
-
-// Table renders the Figure 12 rows.
-func (r Fig12Result) Table() *report.Table {
-	t := report.New("Figure 12: speedup, immediate update vs prediction gap 8",
-		"suite", "stride imm", "stride gap8", "hybrid imm", "hybrid gap8")
-	for _, row := range r.Rows {
-		t.Add(row.Suite,
-			report.Speedup(row.StrideImm), report.Speedup(row.StrideGap8),
-			report.Speedup(row.HybridImm), report.Speedup(row.HybridGap8))
-	}
-	t.SetFooter(r.Footer())
-	return t
 }

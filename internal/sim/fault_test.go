@@ -176,28 +176,36 @@ func TestTransientSourceErrorIsRetried(t *testing.T) {
 	}
 }
 
-func TestTraceTimeoutFailsSlowTraceOnly(t *testing.T) {
-	// Hang one trace's source; the per-trace deadline must fail it while
-	// its siblings run to completion.
-	ctx := context.Background()
-	cfg := Config{
-		EventsPerTrace: 5_000,
-		TraceTimeout:   50 * time.Millisecond,
-	}
-	// This WrapSource-based hang cannot see the run's own deadline context
-	// (WrapSourceCtx exists for that), so it blocks on one the test
-	// controls, released well after the per-trace deadline has expired.
-	hctx, hcancel := context.WithTimeout(ctx, 300*time.Millisecond)
-	defer hcancel()
-	cfg.WrapSource = func(traceName string, src trace.Source) trace.Source {
-		if traceName == "JAV_aud" {
-			return trace.NewHang(hctx, src, 100)
+// traceDeadline is the per-trace deadline of the timeout tests: far
+// above what a sibling's 5k-event run takes, even under the race
+// detector on a loaded host, so that only the hung trace can reach it.
+const traceDeadline = 2 * time.Second
+
+// hangTrace is a WrapSourceCtx that hangs the named trace's source on
+// the run's own deadline context.
+func hangTrace(name string) func(context.Context, string, trace.Source) trace.Source {
+	return func(ctx context.Context, traceName string, src trace.Source) trace.Source {
+		if traceName == name {
+			return trace.NewHang(ctx, src, 100)
 		}
 		return src
+	}
+}
+
+func TestTraceTimeoutFailsSlowTraceOnly(t *testing.T) {
+	// Hang one trace's source on its own deadline; TraceTimeout must fail
+	// it with the deadline while its siblings run to completion.
+	cfg := Config{
+		EventsPerTrace: 5_000,
+		TraceTimeout:   traceDeadline,
+		WrapSourceCtx:  hangTrace("JAV_aud"),
 	}
 	runs, fails := hybridPass(cfg, "test")
 	if len(fails) != 1 || fails[0].Trace != "JAV_aud" {
 		t.Fatalf("failures = %v, want exactly JAV_aud", fails)
+	}
+	if !errors.Is(fails[0].Err, context.DeadlineExceeded) {
+		t.Errorf("JAV_aud failed with %v, want the trace deadline", fails[0].Err)
 	}
 	for _, r := range runs {
 		if r.Spec.Name != "JAV_aud" && !r.ok {
@@ -243,7 +251,7 @@ func TestFig5PartialResults(t *testing.T) {
 			t.Errorf("unexpected failing trace %q", f.Trace)
 		}
 	}
-	if r.AvgH.Pooled.Loads == 0 {
+	if r.Counters[rowIndex(t, r.Names, "hybrid")].Pooled.Loads == 0 {
 		t.Error("survivors should still aggregate")
 	}
 	out := r.Table().String()
@@ -284,22 +292,42 @@ func TestFig10PartialResultsWithPanic(t *testing.T) {
 	}
 }
 
+// TestCancelledExperimentReportsEveryTrace runs every experiment under
+// a cancelled context: every run fails with the cancellation, and the
+// table still renders, every data cell "n/a" and the footer explaining
+// why.
 func TestCancelledExperimentReportsEveryTrace(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := Fig5(Config{EventsPerTrace: 5_000, Ctx: ctx})
-	if got, want := len(r.Failed()), 3*len(workload.Traces()); got != want {
-		t.Fatalf("failures = %d, want %d (every trace, every pass)", got, want)
-	}
-	for _, f := range r.Failed() {
-		if !errors.Is(f.Err, context.Canceled) {
-			t.Errorf("failure %v should be the cancellation", f)
-		}
-	}
-	// The table must still render — all rows n/a, footer explaining why.
-	out := r.Table().String()
-	if !strings.Contains(out, "WARNING") {
-		t.Errorf("cancelled run must keep its failure footer:\n%s", out)
+	for _, e := range Experiments() {
+		t.Run(e.Name, func(t *testing.T) {
+			r := e.Run(Config{EventsPerTrace: 5_000, Ctx: ctx})
+			if r.Attempted == 0 || len(r.Failures) != r.Attempted {
+				t.Fatalf("%d of %d runs failed, want every one", len(r.Failures), r.Attempted)
+			}
+			for _, f := range r.Failures {
+				if !errors.Is(f.Err, context.Canceled) {
+					t.Errorf("failure %v should be the cancellation", f)
+				}
+			}
+			if len(r.labels) == 0 || len(r.cols) == 0 {
+				t.Fatalf("table has %d lines and %d columns", len(r.labels), len(r.cols))
+			}
+			for _, line := range r.labels {
+				for _, c := range r.cols {
+					if v, ok := r.Value(line, c.header); ok {
+						t.Errorf("(%s, %s) = %v, want no data", line, c.header, v)
+					}
+				}
+			}
+			out := r.Table().String()
+			if got, want := strings.Count(out, "n/a"), len(r.labels)*len(r.cols); got != want {
+				t.Errorf("%d cells read n/a, want all %d:\n%s", got, want, out)
+			}
+			if !strings.Contains(out, "WARNING") {
+				t.Errorf("cancelled run must keep its failure footer:\n%s", out)
+			}
+		})
 	}
 }
 

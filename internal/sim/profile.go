@@ -45,15 +45,14 @@ func ProfileAssist(cfg Config) SweepResult {
 		}
 		return RunTraceContext(ctx, open(), predictor.NewProfiled(p, profile), 0)
 	}
-	r, _ := sweepRows(cfg, "§6 future work: profile-assisted hybrid (irregular loads filtered)", "configuration", []column{
-		pct("prediction rate", metrics.Mean.PredRate),
-		pct2("accuracy", metrics.Mean.Accuracy),
-		pct2("mispred of loads", metrics.Mean.MispredOfLoads),
+	return sweepRows(cfg, "§6 future work: profile-assisted hybrid (irregular loads filtered)", "configuration", []rate{
+		pct("prediction rate", metrics.Rates.PredRate),
+		pct2("accuracy", metrics.Rates.Accuracy),
+		pct2("mispred of loads", metrics.Rates.MispredOfLoads),
 	}, []row{
 		{"hybrid 4K LT", hybridFactory, 0, nil},
 		{"hybrid 4K LT + profile", hybridFactory, 0, profiled},
 		{"hybrid 512 LT", small, 0, nil},
 		{"hybrid 512 LT + profile", small, 0, profiled},
 	})
-	return r
 }

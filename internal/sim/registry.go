@@ -9,62 +9,44 @@ import (
 	"capred/internal/report"
 )
 
-// Result is the shape every experiment result shares: a table renderer
-// and the failure list accumulated by its embedded FailureSet.
+// Result is the shape of an experiment result, a table renderer and the
+// failure list accumulated by its embedded FailureSet, for callers that
+// hold one without its type. Every driver returns a SweepResult.
 type Result interface {
 	Table() *report.Table
 	Failed() []TraceFailure
 }
 
-// Experiment couples a driver's CLI name and description with a runner
-// returning its result behind the common interface.
+// Experiment couples a driver's CLI name and description with the
+// driver.
 type Experiment struct {
 	Name string
 	Desc string
-	Run  func(Config) Result
+	Run  func(Config) SweepResult
 }
 
 // experimentList registers every driver.
 func experimentList() []Experiment {
 	return []Experiment{
-		{"fig5", "prediction rate & accuracy of stride, CAP, hybrid per suite",
-			func(c Config) Result { return Fig5(c) }},
-		{"fig6", "hybrid prediction rate vs LB entries/associativity",
-			func(c Config) Result { return Fig6(c) }},
-		{"fig7", "per-trace speedup over no address prediction (timing model)",
-			func(c Config) Result { return Fig7(c) }},
-		{"fig8", "hybrid selector state distribution and correct-selection rate",
-			func(c Config) Result { return Fig8(c) }},
-		{"fig9", "correct predictions vs history length, ± global correlation",
-			func(c Config) Result { return Fig9(c) }},
-		{"fig10", "influence of LT tags and path info on CAP",
-			func(c Config) Result { return Fig10(c) }},
-		{"fig11", "influence of the prediction gap on rate and accuracy",
-			func(c Config) Result { return Fig11(c) }},
-		{"fig12", "per-suite speedup, immediate vs prediction gap 8",
-			func(c Config) Result { return Fig12(c) }},
-		{"update-policy", "§4.3 LT update policies",
-			func(c Config) Result { return UpdatePolicy(c) }},
-		{"lt-size", "§4.2 hybrid rate vs LT entries",
-			func(c Config) Result { return LTSize(c) }},
-		{"baselines", "§1 predictor family ladder",
-			func(c Config) Result { return Baselines(c) }},
-		{"control", "§3.6 control-based predictors vs CAP",
-			func(c Config) Result { return ControlBased(c) }},
-		{"ablations", "design-choice ablations beyond the paper's figures",
-			func(c Config) Result { return Ablations(c) }},
-		{"profile-assist", "§6 future work: profile-guided load classification",
-			func(c Config) Result { return ProfileAssist(c) }},
-		{"addr-vs-value", "§1: address vs load-value predictability",
-			func(c Config) Result { return AddressVsValue(c) }},
-		{"prefetch", "§1.1: data prefetching vs address prediction",
-			func(c Config) Result { return Prefetch(c) }},
-		{"classes", "§2: per-pattern-class coverage of each predictor",
-			func(c Config) Result { return ClassCoverage(c) }},
-		{"wrong-path", "§5.4: wrong-path predictions with and without squash recovery",
-			func(c Config) Result { return WrongPath(c) }},
-		{"tournament", "N-way tournament meta-predictor vs the paper's hybrid",
-			func(c Config) Result { return Tournament(c) }},
+		{"fig5", "prediction rate & accuracy of stride, CAP, hybrid per suite", Fig5},
+		{"fig6", "hybrid prediction rate vs LB entries/associativity", Fig6},
+		{"fig7", "per-trace speedup over no address prediction (timing model)", Fig7},
+		{"fig8", "hybrid selector state distribution and correct-selection rate", Fig8},
+		{"fig9", "correct predictions vs history length, ± global correlation", Fig9},
+		{"fig10", "influence of LT tags and path info on CAP", Fig10},
+		{"fig11", "influence of the prediction gap on rate and accuracy", Fig11},
+		{"fig12", "per-suite speedup, immediate vs prediction gap 8", Fig12},
+		{"update-policy", "§4.3 LT update policies", UpdatePolicy},
+		{"lt-size", "§4.2 hybrid rate vs LT entries", LTSize},
+		{"baselines", "§1 predictor family ladder", Baselines},
+		{"control", "§3.6 control-based predictors vs CAP", ControlBased},
+		{"ablations", "design-choice ablations beyond the paper's figures", Ablations},
+		{"profile-assist", "§6 future work: profile-guided load classification", ProfileAssist},
+		{"addr-vs-value", "§1: address vs load-value predictability", AddressVsValue},
+		{"prefetch", "§1.1: data prefetching vs address prediction", Prefetch},
+		{"classes", "§2: per-pattern-class coverage of each predictor", ClassCoverage},
+		{"wrong-path", "§5.4: wrong-path predictions with and without squash recovery", WrongPath},
+		{"tournament", "N-way tournament meta-predictor vs the paper's hybrid", Tournament},
 	}
 }
 

@@ -45,11 +45,8 @@ func TestCachedRunsMatchStreaming(t *testing.T) {
 		cfg := cachedCfg(base, 0)
 		a := ClassCoverage(base)
 		b := ClassCoverage(cfg)
-		if !reflect.DeepEqual(a.ClassShare, b.ClassShare) {
-			t.Fatalf("class shares differ:\n%v\n%v", a.ClassShare, b.ClassShare)
-		}
-		if !reflect.DeepEqual(a.Coverage, b.Coverage) {
-			t.Fatalf("coverage differs:\n%v\n%v", a.Coverage, b.Coverage)
+		if !reflect.DeepEqual(a.cells, b.cells) {
+			t.Fatalf("class coverage differs:\n%v\n%v", a.cells, b.cells)
 		}
 	})
 
@@ -125,7 +122,7 @@ func TestAverageIsEqualWeight(t *testing.T) {
 		{Spec: spec("b", "S1"), C: counters(1000, 400), ok: true},   // rate 0.4
 		{Spec: spec("c", "S2"), C: counters(10000, 2000), ok: true}, // 10× loads, rate 0.2
 	}
-	_, avg := bySuite(runs)
+	avg := meanOf(runs)
 	want := (0.8 + 0.4 + 0.2) / 3
 	if got := avg.PredRate(); got < want-1e-9 || got > want+1e-9 {
 		t.Errorf("Average pred rate = %v, want equal-weight %v", got, want)
@@ -139,7 +136,7 @@ func TestAverageIsEqualWeight(t *testing.T) {
 	}
 	// Swapping which trace is long must not change the equal-weight mean.
 	runs[0].C, runs[2].C = counters(10000, 8000), counters(1000, 200)
-	_, avg2 := bySuite(runs)
+	avg2 := meanOf(runs)
 	if got := avg2.PredRate(); got < want-1e-9 || got > want+1e-9 {
 		t.Errorf("Average moved with trace length: %v, want %v", got, want)
 	}

@@ -48,13 +48,8 @@ func TestTraceTimeoutBoundsCustomLoops(t *testing.T) {
 			t.Parallel()
 			cfg := Config{
 				EventsPerTrace: 5_000,
-				TraceTimeout:   100 * time.Millisecond,
-				WrapSourceCtx: func(ctx context.Context, traceName string, src trace.Source) trace.Source {
-					if traceName == victim {
-						return trace.NewHang(ctx, src, 100)
-					}
-					return src
-				},
+				TraceTimeout:   traceDeadline,
+				WrapSourceCtx:  hangTrace(victim),
 			}
 			start := time.Now()
 			fails := d.run(cfg)
@@ -72,7 +67,7 @@ func TestTraceTimeoutBoundsCustomLoops(t *testing.T) {
 			// The hang must cost roughly one TraceTimeout, not wedge the
 			// driver; the generous bound keeps slow CI out of the picture.
 			if e := time.Since(start); e > 30*time.Second {
-				t.Errorf("driver took %v with a 100ms trace deadline", e)
+				t.Errorf("driver took %v with a %v trace deadline", e, traceDeadline)
 			}
 		})
 	}

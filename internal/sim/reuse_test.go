@@ -236,8 +236,8 @@ func TestTimingShardDivergence(t *testing.T) {
 		cfg.WrapSource = diverge()
 		got := Fig12(cfg)
 		checkFailure(got.FailureSet, got.Table().String())
-		if !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Errorf("rows around the diverged trace:\n%+v\nwant, with it left out:\n%+v", got.Rows, want.Rows)
+		if !reflect.DeepEqual(got.cells, want.cells) {
+			t.Errorf("speedups around the diverged trace:\n%v\nwant, with it left out:\n%v", got.cells, want.cells)
 		}
 	})
 	t.Run("fig7", func(t *testing.T) {
@@ -246,14 +246,24 @@ func TestTimingShardDivergence(t *testing.T) {
 		cfg.WrapSource = diverge()
 		got := Fig7(cfg)
 		checkFailure(got.FailureSet, got.Table().String())
-		var want []Fig7Row
-		for _, r := range clean.Rows {
-			if r.Trace != victim {
-				want = append(want, r)
+		var want []string
+		for _, line := range clean.labels {
+			if line != victim {
+				want = append(want, line)
 			}
 		}
-		if !reflect.DeepEqual(got.Rows, want) {
-			t.Errorf("rows around the diverged trace:\n%+v\nwant the clean run's:\n%+v", got.Rows, want)
+		if !reflect.DeepEqual(got.labels, want) {
+			t.Fatalf("lines %v, want the clean run's but %s: %v", got.labels, victim, want)
+		}
+		// Every trace but the victim times as in the clean run; the
+		// Average line is over one trace fewer.
+		for _, line := range want[:len(want)-1] {
+			for _, col := range []string{"stride", "hybrid"} {
+				g, _ := got.Value(line, col)
+				if w, _ := clean.Value(line, col); g != w {
+					t.Errorf("%s %s speedup %v, want the clean run's %v", line, col, g, w)
+				}
+			}
 		}
 	})
 }

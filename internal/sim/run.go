@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"capred/internal/cpu"
 	"capred/internal/metrics"
 	"capred/internal/predictor"
 	"capred/internal/retry"
@@ -162,12 +163,14 @@ func forEachBlock(ctx context.Context, src trace.Source, fn func(*trace.Block)) 
 
 // traceRun pairs a trace with its counters and, when its predictor is
 // a tournament, the selector ledger Fig. 8 reads and the per-entrant
-// selections the tournament ablation reads.
+// selections the tournament ablation reads. A timing run has no
+// counters; T holds its result of each configuration instead.
 type traceRun struct {
 	Spec  workload.TraceSpec
 	C     metrics.Counters
 	Sel   predictor.SelectorStats
 	Comps []predictor.ComponentStat
+	T     []cpu.Result
 	ok    bool
 }
 
@@ -194,23 +197,17 @@ func (c Config) perTrace(spec workload.TraceSpec, body func(ctx context.Context,
 	})
 }
 
-// bySuite groups trace runs into per-suite merged counters plus the
-// overall aggregate ("Average" in the paper's figures). Per-suite rows
-// pool counters (every trace in a suite runs the same event budget);
-// the aggregate is an equal-weight mean over per-trace rates, as in the
-// paper — pooling would let long (or merely surviving, under partial
-// failure) traces dominate. Failed runs are skipped, so the aggregates
-// cover exactly the surviving traces.
-func bySuite(runs []traceRun) (suites map[string]metrics.Counters, avg metrics.Mean) {
-	suites = make(map[string]metrics.Counters)
+// meanOf is the equal-weight mean of the surviving runs' counters
+// ("Average" in the paper's figures), folded in roster order. Pooling
+// would let long (or merely surviving, under partial failure) traces
+// dominate; Mean keeps the pool for the per-suite lines, whose traces
+// all run the same event budget.
+func meanOf(runs []traceRun) metrics.Mean {
+	var m metrics.Mean
 	for _, r := range runs {
-		if !r.ok {
-			continue
+		if r.ok {
+			m.Add(r.C)
 		}
-		c := suites[r.Spec.Suite]
-		c.Merge(r.C)
-		suites[r.Spec.Suite] = c
-		avg.Add(r.C)
 	}
-	return suites, avg
+	return m
 }

@@ -151,12 +151,6 @@ func (g *grid) addPass(stage string, specs []workload.TraceSpec, body func(w *wo
 	}
 }
 
-// suitePass is the handle addSuitePass returns: per-trace runs to be
-// merged into per-suite counters once the grid has drained.
-type suitePass struct {
-	runs []traceRun
-}
-
 // row is one configuration of a predictor sweep: the stage its
 // failures report, the factory that builds its predictor, and the
 // prediction gap it runs at. A row with a body runs it on each trace
@@ -170,24 +164,31 @@ type row struct {
 }
 
 // sweep is the figure pass every predictor sweep shares: it registers
-// one suite pass per row on one grid, runs the grid, records the
-// attempts and failures in fs, and returns the passes in row order.
-func sweep(cfg Config, fs *FailureSet, rows []row) []*suitePass {
+// one suite pass per row on one grid, runs the grid, and returns the
+// result with the attempts, the failures, and each row's stage and
+// equal-weight mean, plus each row's per-trace runs, in row order. The
+// caller lays out the table.
+func sweep(cfg Config, rows []row) (SweepResult, [][]traceRun) {
 	g := newGrid(cfg)
-	passes := make([]*suitePass, len(rows))
+	runs := make([][]traceRun, len(rows))
 	for i, r := range rows {
-		passes[i] = g.addSuitePass(r)
+		runs[i] = g.addSuitePass(r)
 	}
-	fs.absorb(g.size(), g.run())
-	return passes
+	var res SweepResult
+	res.absorb(g.size(), g.run())
+	for i, r := range rows {
+		res.Names = append(res.Names, r.stage)
+		res.Counters = append(res.Counters, meanOf(runs[i]))
+	}
+	return res, runs
 }
 
 // addSuitePass registers the standard figure pass — every trace of the
-// roster through one row — and returns the handle to merge its rows
-// after run.
-func (g *grid) addSuitePass(r row) *suitePass {
+// roster through one row — and returns its per-trace slots, filled once
+// the grid has run.
+func (g *grid) addSuitePass(r row) []traceRun {
 	specs := workload.Traces()
-	sp := &suitePass{runs: make([]traceRun, len(specs))}
+	runs := make([]traceRun, len(specs))
 	cfg := g.cfg
 	body := r.body
 	if body == nil {
@@ -199,7 +200,7 @@ func (g *grid) addSuitePass(r row) *suitePass {
 		spec := specs[i]
 		// Record the spec up front so even a panic mid-run leaves the
 		// slot attributed to its trace.
-		sp.runs[i] = traceRun{Spec: spec}
+		runs[i] = traceRun{Spec: spec}
 		var run traceRun
 		err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) (err error) {
 			var p predictor.Predictor
@@ -217,16 +218,10 @@ func (g *grid) addSuitePass(r row) *suitePass {
 			return err
 		}
 		run.ok = true
-		sp.runs[i] = run
+		runs[i] = run
 		return nil
 	})
-	return sp
-}
-
-// merge pools the pass's surviving runs per suite and folds them into
-// the equal-weight average, in trace-roster order.
-func (sp *suitePass) merge() (map[string]metrics.Counters, metrics.Mean) {
-	return bySuite(sp.runs)
+	return runs
 }
 
 // size is the number of registered shards — what FailureSet.Attempted

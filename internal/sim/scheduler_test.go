@@ -15,9 +15,8 @@ import (
 // hybridPass sweeps one row — every trace through the hybrid,
 // immediate mode — and returns the per-trace runs with the failures.
 func hybridPass(cfg Config, stage string) ([]traceRun, []TraceFailure) {
-	var fs FailureSet
-	p := sweep(cfg, &fs, []row{{stage, hybridFactory, 0, nil}})
-	return p[0].runs, fs.Failures
+	r, runs := sweep(cfg, []row{{stage, hybridFactory, 0, nil}})
+	return runs[0], r.Failures
 }
 
 // TestSchedulerShardAttributionUnderWorkers injects two unrelated faults

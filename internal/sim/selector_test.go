@@ -22,41 +22,38 @@ func randLedger(r *rand.Rand, dual int64) predictor.SelectorStats {
 	return s
 }
 
-// fig8Rates flattens a row so the tests can range over every rate.
-func fig8Rates(row Fig8Row) []float64 { return append(row.Share[:], row.CorrectSel) }
-
 func TestFig8RowRates(t *testing.T) {
-	row := fig8Row(predictor.SelectorStats{DualConfident: 40, States: [4]int64{10, 5, 5, 20}, MisSelected: 4})
-	if want := (Fig8Row{Share: [4]float64{0.25, 0.125, 0.125, 0.5}, CorrectSel: 0.9}); row != want {
-		t.Errorf("row = %+v, want %+v", row, want)
+	got := selectorRates(predictor.SelectorStats{DualConfident: 40, States: [4]int64{10, 5, 5, 20}, MisSelected: 4})
+	if want := [5]float64{0.25, 0.125, 0.125, 0.5, 0.9}; got != want {
+		t.Errorf("rates = %v, want %v", got, want)
 	}
 	// An empty ledger has no state shares and no mis-selections.
-	if row := fig8Row(predictor.SelectorStats{}); row != (Fig8Row{CorrectSel: 1}) {
-		t.Errorf("empty ledger row = %+v", row)
+	if got := selectorRates(predictor.SelectorStats{}); got != [5]float64{4: 1} {
+		t.Errorf("empty ledger rates = %v", got)
 	}
 }
 
 func TestFig8AverageMatchesSingleTrace(t *testing.T) {
 	l := predictor.SelectorStats{DualConfident: 40, States: [4]int64{10, 5, 5, 20}, MisSelected: 4}
-	if got, want := (Fig8Result{Traces: []predictor.SelectorStats{l}}).Average(), fig8Row(l); got != want {
-		t.Errorf("Average over one trace = %+v, want its row %+v", got, want)
+	if got, want := selectorAverage([]predictor.SelectorStats{l}), selectorRates(l); got != want {
+		t.Errorf("Average over one trace = %v, want its rates %v", got, want)
 	}
 }
 
-// TestFig8AverageEqualsPooledOnUniformBudgets: when every trace has the
-// same number of dual-confident loads, the equal-weight mean and the
-// pooled ledger are the same average.
+// TestFig8AverageEqualsPooledOnUniformBudgets: when every trace has
+// the same number of dual-confident loads, the equal-weight mean and
+// the pooled ledger are the same average.
 func TestFig8AverageEqualsPooledOnUniformBudgets(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
-		var res Fig8Result
+		var ledgers []predictor.SelectorStats
 		var pool predictor.SelectorStats
 		for i, n := 0, 2+r.Intn(8); i < n; i++ {
 			l := randLedger(r, 2_500)
-			res.Traces = append(res.Traces, l)
+			ledgers = append(ledgers, l)
 			pool.Merge(l)
 		}
-		got, want := fig8Rates(res.Average()), fig8Rates(fig8Row(pool))
+		got, want := selectorAverage(ledgers), selectorRates(pool)
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-9 {
 				t.Fatalf("trial %d rate %d: equal-weight %v != pooled %v", trial, i, got[i], want[i])
@@ -69,22 +66,22 @@ func TestFig8AverageEqualsPooledOnUniformBudgets(t *testing.T) {
 // dual-confident load adds no sample, and an average over only such
 // traces (or none) has no shares and no mis-selections.
 func TestFig8AverageSkipsTracesWithoutDualConfident(t *testing.T) {
-	if got := (Fig8Result{}).Average(); got != (Fig8Row{CorrectSel: 1}) {
-		t.Errorf("Average with no traces = %+v", got)
+	empty := [5]float64{4: 1}
+	if got := selectorAverage(nil); got != empty {
+		t.Errorf("Average with no traces = %v", got)
 	}
 	r := rand.New(rand.NewSource(2))
-	var withZeros, withoutZeros Fig8Result
+	var withZeros, withoutZeros []predictor.SelectorStats
 	for i := 0; i < 5; i++ {
 		l := randLedger(r, 1+r.Int63n(1000))
-		withZeros.Traces = append(withZeros.Traces, l, predictor.SelectorStats{})
-		withoutZeros.Traces = append(withoutZeros.Traces, l)
+		withZeros = append(withZeros, l, predictor.SelectorStats{})
+		withoutZeros = append(withoutZeros, l)
 	}
-	if got, want := withZeros.Average(), withoutZeros.Average(); got != want {
-		t.Fatalf("traces without dual-confident loads moved the average: %+v vs %+v", got, want)
+	if got, want := selectorAverage(withZeros), selectorAverage(withoutZeros); got != want {
+		t.Fatalf("traces without dual-confident loads moved the average: %v vs %v", got, want)
 	}
-	onlyZeros := Fig8Result{Traces: make([]predictor.SelectorStats, 2)}
-	if got := onlyZeros.Average(); got != (Fig8Row{CorrectSel: 1}) {
-		t.Fatalf("Average over traces without dual-confident loads = %+v", got)
+	if got := selectorAverage(make([]predictor.SelectorStats, 2)); got != empty {
+		t.Fatalf("Average over traces without dual-confident loads = %v", got)
 	}
 }
 
@@ -93,11 +90,11 @@ func TestFig8AverageSkipsTracesWithoutDualConfident(t *testing.T) {
 func TestFig8AverageRatesInRange(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
-		var res Fig8Result
+		var ledgers []predictor.SelectorStats
 		for i, n := 0, 1+r.Intn(10); i < n; i++ {
-			res.Traces = append(res.Traces, randLedger(r, r.Int63n(1_000_000)))
+			ledgers = append(ledgers, randLedger(r, r.Int63n(1_000_000)))
 		}
-		for i, v := range fig8Rates(res.Average()) {
+		for i, v := range selectorAverage(ledgers) {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				t.Fatalf("trial %d rate %d out of [0,1]: %v", trial, i, v)
 			}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -45,25 +46,26 @@ func TestFig5Shape(t *testing.T) {
 	// The footprint-heavy suites (NT, W95) train the CAP slowly — their
 	// CAP-over-stride margin needs more than the quick-test budget.
 	r := Fig5(Config{EventsPerTrace: 300_000})
-	s, c, h := r.AvgS, r.AvgC, r.AvgH
+	rate := func(suite, col string) float64 { return value(t, r, suite, col) }
+	s, c, h := rate("Average", "stride rate"), rate("Average", "cap rate"), rate("Average", "hybrid rate")
 
-	if !(h.PredRate() > s.PredRate()) {
-		t.Errorf("hybrid rate (%.3f) must beat stride (%.3f)", h.PredRate(), s.PredRate())
+	if !(h > s) {
+		t.Errorf("hybrid rate (%.3f) must beat stride (%.3f)", h, s)
 	}
-	if !(h.PredRate() > c.PredRate()) {
-		t.Errorf("hybrid rate (%.3f) must beat CAP (%.3f)", h.PredRate(), c.PredRate())
+	if !(h > c) {
+		t.Errorf("hybrid rate (%.3f) must beat CAP (%.3f)", h, c)
 	}
 	// The paper's headline band: hybrid around 67%, accuracy near 99%.
-	if h.PredRate() < 0.55 || h.PredRate() > 0.80 {
-		t.Errorf("hybrid rate %.3f outside the paper's band", h.PredRate())
+	if h < 0.55 || h > 0.80 {
+		t.Errorf("hybrid rate %.3f outside the paper's band", h)
 	}
-	for _, acc := range []float64{s.Accuracy(), c.Accuracy(), h.Accuracy()} {
-		if acc < 0.98 {
-			t.Errorf("accuracy %.4f below the paper's ≈99%% regime", acc)
+	for _, col := range []string{"stride acc", "cap acc", "hybrid acc"} {
+		if acc := rate("Average", col); acc < 0.98 {
+			t.Errorf("%s %.4f below the paper's ≈99%% regime", col, acc)
 		}
 	}
 	// MM is the suite where the stride predictor wins (§4.2).
-	if !(r.Stride["MM"].PredRate() > r.CAP["MM"].PredRate()) {
+	if !(rate("MM", "stride rate") > rate("MM", "cap rate")) {
 		t.Error("on MM, stride must beat CAP")
 	}
 	// Everywhere else CAP beats the enhanced stride.
@@ -71,9 +73,8 @@ func TestFig5Shape(t *testing.T) {
 		if suite == "MM" {
 			continue
 		}
-		if !(r.CAP[suite].PredRate() > r.Stride[suite].PredRate()) {
-			t.Errorf("on %s, CAP (%.3f) should beat stride (%.3f)",
-				suite, r.CAP[suite].PredRate(), r.Stride[suite].PredRate())
+		if cp, st := rate(suite, "cap rate"), rate(suite, "stride rate"); !(cp > st) {
+			t.Errorf("on %s, CAP (%.3f) should beat stride (%.3f)", suite, cp, st)
 		}
 	}
 	// TPC is the least predictable suite for the hybrid.
@@ -81,7 +82,7 @@ func TestFig5Shape(t *testing.T) {
 		if suite == "TPC" {
 			continue
 		}
-		if r.Hybrid["TPC"].PredRate() > r.Hybrid[suite].PredRate() {
+		if rate("TPC", "hybrid rate") > rate(suite, "hybrid rate") {
 			t.Errorf("TPC should have the lowest hybrid rate, but %s is lower", suite)
 		}
 	}
@@ -93,7 +94,7 @@ func TestFig5Shape(t *testing.T) {
 func TestFig6Shape(t *testing.T) {
 	r := Fig6(testCfg())
 	// Geometry order: 2K2w, 4K1w, 4K2w, 4K4w, 8K2w.
-	rate := func(i int) float64 { return r.Avgs[i].PredRate() }
+	rate := func(i int) float64 { return value(t, r, "Average", Fig6Geometries()[i].String()) }
 	if !(rate(2) >= rate(0)) {
 		t.Errorf("4K2w (%.3f) should beat 2K2w (%.3f)", rate(2), rate(0))
 	}
@@ -110,34 +111,42 @@ func TestFig6Shape(t *testing.T) {
 
 func TestFig9Shape(t *testing.T) {
 	r := Fig9(Config{EventsPerTrace: 60_000})
+	lengths := Fig9Lengths()
+	series := func(col string) []float64 {
+		var out []float64
+		for _, hl := range lengths {
+			out = append(out, value(t, r, fmt.Sprint(hl), col))
+		}
+		return out
+	}
+	with, without := series("global correlation"), series("no global correlation")
+	// best is the index of the history length with the highest rate.
+	best := func(xs []float64) int {
+		b := 0
+		for i, v := range xs {
+			if v > xs[b] {
+				b = i
+			}
+		}
+		return b
+	}
 	// Global correlation helps (the paper estimates ≈10% of loads; accept
 	// any clear win).
-	best := r.BestLength(true)
-	if bestV, worstV := r.With[idxOf(r.Lengths, best)], r.Without[idxOf(r.Lengths, best)]; bestV <= worstV {
-		t.Errorf("global correlation should increase correct predictions: %v vs %v", bestV, worstV)
+	if b := best(with); with[b] <= without[b] {
+		t.Errorf("global correlation should increase correct predictions: %v vs %v", with[b], without[b])
 	}
 	// The optimal history length with correlation is longer than without
 	// (paper: 3–4 vs 2) — at minimum, not shorter.
-	if r.BestLength(true) < r.BestLength(false) {
-		t.Errorf("optimal history with correlation (%d) should not be shorter than without (%d)",
-			r.BestLength(true), r.BestLength(false))
+	if bw, bn := lengths[best(with)], lengths[best(without)]; bw < bn {
+		t.Errorf("optimal history with correlation (%d) should not be shorter than without (%d)", bw, bn)
 	}
 	// Degenerate history (1) must be worse than the default region (3-4).
-	if r.With[0] >= r.With[2] {
-		t.Errorf("history length 1 (%.3f) should underperform length 3 (%.3f)", r.With[0], r.With[2])
+	if with[0] >= with[2] {
+		t.Errorf("history length 1 (%.3f) should underperform length 3 (%.3f)", with[0], with[2])
 	}
-	if r.Table().Rows() != len(r.Lengths) {
+	if r.Table().Rows() != len(lengths) {
 		t.Error("Fig9 table rows")
 	}
-}
-
-func idxOf(xs []int, x int) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
 }
 
 func TestFig10Shape(t *testing.T) {
@@ -163,60 +172,57 @@ func TestFig10Shape(t *testing.T) {
 func TestFig11Shape(t *testing.T) {
 	r := Fig11(Config{EventsPerTrace: 80_000})
 	// Gaps: 0, 4, 8, 12.
-	h := func(i int) float64 { return r.Hybrid[i].PredRate() }
-	if !(h(1) < h(0)) {
-		t.Errorf("a prediction gap must cost prediction rate: imm=%.3f gap4=%.3f", h(0), h(1))
+	h := func(gap string) float64 { return value(t, r, gap, "hybrid rate") }
+	if !(h("4") < h("immediate")) {
+		t.Errorf("a prediction gap must cost prediction rate: imm=%.3f gap4=%.3f", h("immediate"), h("4"))
 	}
 	// Beyond the first gap the influence is low (paper: "its influence is
 	// quite low").
-	if h(1)-h(3) > 0.10 {
-		t.Errorf("gap growth cost too high: gap4=%.3f gap12=%.3f", h(1), h(3))
+	if h("4")-h("12") > 0.10 {
+		t.Errorf("gap growth cost too high: gap4=%.3f gap12=%.3f", h("4"), h("12"))
 	}
 	// Accuracy is hurt by the gap (paper: 98.9% → 96.6%).
-	if !(r.Hybrid[1].Accuracy() < r.Hybrid[0].Accuracy()) {
+	if !(value(t, r, "4", "hybrid acc") < value(t, r, "immediate", "hybrid acc")) {
 		t.Error("gapped accuracy should drop below immediate")
 	}
-	// The hybrid stays ahead of the stride predictor under the gap.
-	if !(r.Hybrid[2].CorrectSpecRate() > r.Stride[2].CorrectSpecRate()) {
+	// The hybrid stays ahead of the stride predictor under the gap, read
+	// from the sweep rows: correct speculations are not a column.
+	correct := func(name string) float64 { return r.Counters[rowIndex(t, r.Names, name)].CorrectSpecRate() }
+	if !(correct("hybrid gap 8") > correct("stride gap 8")) {
 		t.Error("hybrid must stay ahead of stride at gap 8")
 	}
 }
 
 func TestFig7Shape(t *testing.T) {
 	r := Fig7(Config{EventsPerTrace: 40_000})
-	if len(r.Rows) != 45 {
-		t.Fatalf("Fig7 rows = %d, want 45", len(r.Rows))
+	if got := r.Table().Rows(); got != 46 {
+		t.Fatalf("Fig7 lines = %d, want 45 traces and the average", got)
 	}
-	if !(r.AvgHybrid > 1.0) {
-		t.Errorf("hybrid average speedup %.3f, want > 1", r.AvgHybrid)
+	stride, hybrid := value(t, r, "Average", "stride"), value(t, r, "Average", "hybrid")
+	if !(hybrid > 1.0) {
+		t.Errorf("hybrid average speedup %.3f, want > 1", hybrid)
 	}
-	if !(r.AvgHybrid > r.AvgStride) {
-		t.Errorf("hybrid (%.3f) must beat stride (%.3f) on average", r.AvgHybrid, r.AvgStride)
+	if !(hybrid > stride) {
+		t.Errorf("hybrid (%.3f) must beat stride (%.3f) on average", hybrid, stride)
 	}
 	// The paper's band: most traces 10–25%; accept a broad plausible band
 	// for the average.
-	if r.AvgHybrid < 1.03 || r.AvgHybrid > 1.8 {
-		t.Errorf("hybrid average speedup %.3f outside plausible band", r.AvgHybrid)
-	}
-	if !strings.Contains(r.Table().String(), "Average") {
-		t.Error("Fig7 table must include the average row")
+	if hybrid < 1.03 || hybrid > 1.8 {
+		t.Errorf("hybrid average speedup %.3f outside plausible band", hybrid)
 	}
 }
 
 func TestFig12Shape(t *testing.T) {
 	r := Fig12(Config{EventsPerTrace: 30_000})
-	avg := r.Rows[len(r.Rows)-1]
-	if avg.Suite != "Average" {
-		t.Fatal("last row should be the average")
+	avg := func(col string) float64 { return value(t, r, "Average", col) }
+	if !(avg("hybrid imm") > 1.0 && avg("hybrid gap8") > 1.0) {
+		t.Errorf("hybrid speedups must stay above 1: imm=%.3f gap8=%.3f", avg("hybrid imm"), avg("hybrid gap8"))
 	}
-	if !(avg.HybridImm > 1.0 && avg.HybridGap8 > 1.0) {
-		t.Errorf("hybrid speedups must stay above 1: imm=%.3f gap8=%.3f", avg.HybridImm, avg.HybridGap8)
+	if !(avg("hybrid gap8") <= avg("hybrid imm")) {
+		t.Errorf("gap 8 speedup (%.3f) should not beat immediate (%.3f)", avg("hybrid gap8"), avg("hybrid imm"))
 	}
-	if !(avg.HybridGap8 <= avg.HybridImm) {
-		t.Errorf("gap 8 speedup (%.3f) should not beat immediate (%.3f)", avg.HybridGap8, avg.HybridImm)
-	}
-	if !(avg.HybridGap8 >= avg.StrideGap8) {
-		t.Errorf("hybrid (%.3f) should stay ahead of stride (%.3f) at gap 8", avg.HybridGap8, avg.StrideGap8)
+	if !(avg("hybrid gap8") >= avg("stride gap8")) {
+		t.Errorf("hybrid (%.3f) should stay ahead of stride (%.3f) at gap 8", avg("hybrid gap8"), avg("stride gap8"))
 	}
 }
 
@@ -314,60 +320,51 @@ func TestAddressVsValueShape(t *testing.T) {
 
 func TestPrefetchShape(t *testing.T) {
 	r := Prefetch(Config{EventsPerTrace: 40_000})
-	// Names: baseline, RPT, address prediction, both.
-	if r.Speedups[0] != 1.0 {
-		t.Errorf("baseline speedup = %v", r.Speedups[0])
+	speedup := func(line string) float64 { return value(t, r, line, "speedup") }
+	hit := func(line string) float64 { return value(t, r, line, "avg L1 hit rate") }
+	if s := speedup("baseline"); s != 1.0 {
+		t.Errorf("baseline speedup = %v", s)
 	}
-	if !(r.Speedups[1] > 1.0) {
-		t.Errorf("prefetching should help: %.3f", r.Speedups[1])
+	if s := speedup("stride prefetch (RPT)"); !(s > 1.0) {
+		t.Errorf("prefetching should help: %.3f", s)
 	}
-	if !(r.L1HitRate[1] > r.L1HitRate[0]) {
-		t.Errorf("prefetching should raise the L1 hit rate: %.3f vs %.3f",
-			r.L1HitRate[1], r.L1HitRate[0])
+	if rpt, base := hit("stride prefetch (RPT)"), hit("baseline"); !(rpt > base) {
+		t.Errorf("prefetching should raise the L1 hit rate: %.3f vs %.3f", rpt, base)
 	}
-	if !(r.Speedups[3] >= r.Speedups[2]) {
-		t.Errorf("combining prefetch with prediction (%.3f) should not lose to prediction alone (%.3f)",
-			r.Speedups[3], r.Speedups[2])
+	if both, pred := speedup("prefetch + address prediction"), speedup("hybrid address prediction"); !(both >= pred) {
+		t.Errorf("combining prefetch with prediction (%.3f) should not lose to prediction alone (%.3f)", both, pred)
 	}
 }
 
 func TestClassCoverageShape(t *testing.T) {
 	r := ClassCoverage(Config{EventsPerTrace: 80_000})
-	cov := func(v int, c predictor.LoadClass) float64 { return r.Coverage[v][c] }
-	// Order: last, stride+, cap, hybrid.
-	const (
-		last = iota
-		stridePlus
-		capP
-		hybrid
-	)
+	cov := func(p string, c predictor.LoadClass) float64 { return value(t, r, c.String(), p) }
 	// The §2 ladder: last owns constants only; stride adds arrays; CAP
 	// adds context; the hybrid inherits the best of both.
-	if cov(last, predictor.ClassConstant) < 0.7 {
-		t.Errorf("last should own constants: %.3f", cov(last, predictor.ClassConstant))
+	if cov("last", predictor.ClassConstant) < 0.7 {
+		t.Errorf("last should own constants: %.3f", cov("last", predictor.ClassConstant))
 	}
-	if cov(last, predictor.ClassStride) > 0.2 {
-		t.Errorf("last should fail on strides: %.3f", cov(last, predictor.ClassStride))
+	if cov("last", predictor.ClassStride) > 0.2 {
+		t.Errorf("last should fail on strides: %.3f", cov("last", predictor.ClassStride))
 	}
-	if !(cov(stridePlus, predictor.ClassStride) > 0.6) {
-		t.Errorf("stride+ should own strides: %.3f", cov(stridePlus, predictor.ClassStride))
+	if !(cov("stride+", predictor.ClassStride) > 0.6) {
+		t.Errorf("stride+ should own strides: %.3f", cov("stride+", predictor.ClassStride))
 	}
-	if cov(stridePlus, predictor.ClassContext) > 0.3 {
-		t.Errorf("stride+ should fail on context loads: %.3f", cov(stridePlus, predictor.ClassContext))
+	if cov("stride+", predictor.ClassContext) > 0.3 {
+		t.Errorf("stride+ should fail on context loads: %.3f", cov("stride+", predictor.ClassContext))
 	}
-	if !(cov(capP, predictor.ClassContext) > 0.6) {
-		t.Errorf("cap should own context loads: %.3f", cov(capP, predictor.ClassContext))
+	if !(cov("cap", predictor.ClassContext) > 0.6) {
+		t.Errorf("cap should own context loads: %.3f", cov("cap", predictor.ClassContext))
 	}
 	for _, c := range []predictor.LoadClass{predictor.ClassConstant, predictor.ClassStride, predictor.ClassContext} {
-		if cov(hybrid, c) < 0.6 {
-			t.Errorf("hybrid should cover class %v: %.3f", c, cov(hybrid, c))
+		if cov("hybrid", c) < 0.6 {
+			t.Errorf("hybrid should cover class %v: %.3f", c, cov("hybrid", c))
 		}
 	}
 	// Nobody covers irregular loads well.
-	for v := range r.Predictors {
-		if cov(v, predictor.ClassIrregular) > 0.4 {
-			t.Errorf("%s covers irregular loads suspiciously well: %.3f",
-				r.Predictors[v], cov(v, predictor.ClassIrregular))
+	for _, p := range []string{"last", "stride+", "cap", "hybrid"} {
+		if cov(p, predictor.ClassIrregular) > 0.4 {
+			t.Errorf("%s covers irregular loads suspiciously well: %.3f", p, cov(p, predictor.ClassIrregular))
 		}
 	}
 }

@@ -2,59 +2,57 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"capred/internal/metrics"
 	"capred/internal/predictor"
 	"capred/internal/report"
 )
 
-// SweepResult is the result of every experiment that reports one row
-// per predictor configuration: each row's equal-weight mean over the
-// traces that survived, in row order.
+// SweepResult is the result of every experiment. Its table is data: a
+// title, a header per column and a label per line, and one number per
+// cell, each column with its format. A cell no surviving trace filled
+// holds NaN and renders "n/a". Names and Counters keep the sweep rows
+// behind the table, each row's equal-weight mean over the traces that
+// survived, for readings beyond the rendered columns; the timing and
+// class-coverage passes have none.
 type SweepResult struct {
 	FailureSet
 	Names    []string
 	Counters []metrics.Mean
 	// Sel, when non-nil, adds the tournament ablation's selection
-	// column: Sel[i] pools row i's per-entrant selections over the
+	// column: Sel[i] pools line i's per-entrant selections over the
 	// surviving traces, and a nil Sel[i] renders "—".
 	Sel [][]predictor.ComponentStat
 
 	title, first string
 	cols         []column
+	labels       []string
+	cells        [][]float64 // cells[line][column]
 }
 
-// column is one rate column of a SweepResult table.
+// column is one numeric column of a table: its header, the format of
+// its cells, and its value on each line, NaN for no data.
 type column struct {
 	header string
-	cell   func(metrics.Mean) string
+	format func(float64) string
+	value  func(line int) float64
 }
 
-// pct and pct2 are rate columns rendered with one and two decimals; a
-// row no trace survived reads "n/a".
-func pct(header string, rate func(metrics.Mean) float64) column {
-	return column{header, func(c metrics.Mean) string { return naPct(c, rate(c)) }}
-}
-
-func pct2(header string, rate func(metrics.Mean) float64) column {
-	return column{header, func(c metrics.Mean) string { return naPct2(c, rate(c)) }}
-}
-
-// sweepRows runs one suite pass per row and averages each over its
-// surviving traces. A row is labelled by its stage; the caller may
-// relabel it. The passes are returned for readings beyond the counters.
-func sweepRows(cfg Config, title, first string, cols []column, rows []row) (SweepResult, []*suitePass) {
-	r := SweepResult{title: title, first: first, cols: cols}
-	passes := sweep(cfg, &r.FailureSet, rows)
-	for i, p := range passes {
-		_, avg := p.merge()
-		r.Names = append(r.Names, rows[i].stage)
-		r.Counters = append(r.Counters, avg)
+// layout sets the table: one line per label, and each column's value on
+// each line.
+func (r *SweepResult) layout(title, first string, labels []string, cols ...column) {
+	r.title, r.first, r.labels, r.cols = title, first, labels, cols
+	r.cells = make([][]float64, len(labels))
+	for i := range labels {
+		for _, c := range cols {
+			r.cells[i] = append(r.cells[i], c.value(i))
+		}
 	}
-	return r, passes
 }
 
-// Table renders one line per row.
+// Table renders one line per label.
 func (r SweepResult) Table() *report.Table {
 	headers := []string{r.first}
 	for _, c := range r.cols {
@@ -64,10 +62,14 @@ func (r SweepResult) Table() *report.Table {
 		headers = append(headers, "selection share@accuracy")
 	}
 	t := report.New(r.title, headers...)
-	for i, name := range r.Names {
-		cells := []string{name}
-		for _, c := range r.cols {
-			cells = append(cells, c.cell(r.Counters[i]))
+	for i, label := range r.labels {
+		cells := []string{label}
+		for j, v := range r.cells[i] {
+			if math.IsNaN(v) {
+				cells = append(cells, "n/a")
+			} else {
+				cells = append(cells, r.cols[j].format(v))
+			}
 		}
 		if r.Sel != nil {
 			cells = append(cells, selShares(r.Sel[i]))
@@ -76,6 +78,95 @@ func (r SweepResult) Table() *report.Table {
 	}
 	t.SetFooter(r.Footer())
 	return t
+}
+
+// Value returns the cell on the line labelled row in the column headed
+// col, as a ratio (a percentage cell's 0.5 renders "50.0%"). It reports
+// false when the table has no such cell or no surviving trace filled it.
+func (r SweepResult) Value(row, col string) (float64, bool) {
+	i := slices.Index(r.labels, row)
+	j := slices.IndexFunc(r.cols, func(c column) bool { return c.header == col })
+	if i < 0 || j < 0 || math.IsNaN(r.cells[i][j]) {
+		return 0, false
+	}
+	return r.cells[i][j], true
+}
+
+// rate is a rate column: its header, its format, and the rate it reads
+// from counters or a mean.
+type rate struct {
+	header string
+	format func(float64) string
+	of     func(metrics.Rates) float64
+}
+
+// pct and pct2 are rate columns rendered with one and two decimals.
+func pct(header string, of func(metrics.Rates) float64) rate {
+	return rate{header, report.Pct, of}
+}
+
+func pct2(header string, of func(metrics.Rates) float64) rate {
+	return rate{header, report.Pct2, of}
+}
+
+// rateOf reads of from c, or NaN when c folded in no loads, so that a
+// partial table cannot present missing data as a measured zero.
+func rateOf(c metrics.Rates, of func(metrics.Rates) float64) float64 {
+	if c.Empty() {
+		return math.NaN()
+	}
+	return of(c)
+}
+
+// rowRate is the column that reads rt from means[line]: each line of the
+// table is one sweep row.
+func rowRate(rt rate, means []metrics.Mean) column {
+	return column{rt.header, rt.format, func(line int) float64 { return rateOf(means[line], rt.of) }}
+}
+
+// byRow lays out one line per sweep row, labelled by its name.
+func (r *SweepResult) byRow(title, first string, rates ...rate) {
+	var cols []column
+	for _, rt := range rates {
+		cols = append(cols, rowRate(rt, r.Counters))
+	}
+	r.layout(title, first, r.Names, cols...)
+}
+
+// sweepRows runs rows and lays out one line per row.
+func sweepRows(cfg Config, title, first string, rates []rate, rows []row) SweepResult {
+	r, _ := sweep(cfg, rows)
+	r.byRow(title, first, rates...)
+	return r
+}
+
+// suiteColumn is a column of a per-suite table, whose lines are
+// suiteOrder(): cell reads the runs that survived in the line's suite,
+// or every surviving run on the Average line.
+func suiteColumn(header string, format func(float64) string, runs []traceRun, cell func(in []traceRun, average bool) float64) column {
+	suites := suiteOrder()
+	return column{header, format, func(line int) float64 {
+		average := suites[line] == "Average"
+		var in []traceRun
+		for _, run := range runs {
+			if run.ok && (average || run.Spec.Suite == suites[line]) {
+				in = append(in, run)
+			}
+		}
+		return cell(in, average)
+	}}
+}
+
+// suiteRate reads rt per suite from the suite's pooled counters, and on
+// the Average line from the equal-weight mean over traces.
+func suiteRate(rt rate, runs []traceRun) column {
+	return suiteColumn(rt.header, rt.format, runs, func(in []traceRun, average bool) float64 {
+		m := meanOf(in)
+		if average {
+			return rateOf(m, rt.of)
+		}
+		return rateOf(m.Pooled, rt.of)
+	})
 }
 
 // hybridWith is the hybrid factory with one change to its default
@@ -111,9 +202,8 @@ func UpdatePolicy(cfg Config) SweepResult {
 	} {
 		rows = append(rows, row{pol.String(), hybridWith(func(hc *predictor.HybridConfig) { hc.UpdatePolicy = pol }), 0, nil})
 	}
-	r, _ := sweepRows(cfg, "§4.3: LT update policy (hybrid, average over all traces)", "policy",
-		[]column{pct("prediction rate", metrics.Mean.PredRate), pct2("accuracy", metrics.Mean.Accuracy)}, rows)
-	return r
+	return sweepRows(cfg, "§4.3: LT update policy (hybrid, average over all traces)", "policy",
+		[]rate{pct("prediction rate", metrics.Rates.PredRate), pct2("accuracy", metrics.Rates.Accuracy)}, rows)
 }
 
 // --- §4.2 text: LT size sweep ---
@@ -127,21 +217,21 @@ func LTSize(cfg Config) SweepResult {
 	for _, n := range sizes {
 		rows = append(rows, row{fmt.Sprintf("LT %d", n), hybridWith(func(hc *predictor.HybridConfig) { hc.CAP.LTEntries = n }), 0, nil})
 	}
-	r, _ := sweepRows(cfg, "§4.2: hybrid prediction rate vs LT entries", "LT entries",
-		[]column{pct("prediction rate", metrics.Mean.PredRate), pct2("accuracy", metrics.Mean.Accuracy)}, rows)
+	r, _ := sweep(cfg, rows)
 	for i, n := range sizes {
 		r.Names[i] = fmt.Sprintf("%dK", n/1024)
 	}
+	r.byRow("§4.2: hybrid prediction rate vs LT entries", "LT entries",
+		pct("prediction rate", metrics.Rates.PredRate), pct2("accuracy", metrics.Rates.Accuracy))
 	return r
 }
 
-// ladderColumns are the columns of the §1 and §3.6 predictor
-// comparisons.
-func ladderColumns() []column {
-	return []column{
-		pct("prediction rate", metrics.Mean.PredRate),
-		pct("correct of loads", metrics.Mean.CorrectSpecRate),
-		pct2("accuracy", metrics.Mean.Accuracy),
+// ladderRates are the columns of the §1 and §3.6 predictor comparisons.
+func ladderRates() []rate {
+	return []rate{
+		pct("prediction rate", metrics.Rates.PredRate),
+		pct("correct of loads", metrics.Rates.CorrectSpecRate),
+		pct2("accuracy", metrics.Rates.Accuracy),
 	}
 }
 
@@ -150,14 +240,13 @@ func ladderColumns() []column {
 // Baselines reproduces the §1 ladder: last-address predictors handle ≈40%
 // of loads, stride adds ≈13%, CAP and the hybrid sit above.
 func Baselines(cfg Config) SweepResult {
-	r, _ := sweepRows(cfg, "§1: predictor family ladder (average over all traces)", "predictor", ladderColumns(), []row{
+	return sweepRows(cfg, "§1: predictor family ladder (average over all traces)", "predictor", ladderRates(), []row{
 		{"last", func() predictor.Predictor { return predictor.NewLast(predictor.DefaultLastConfig()) }, 0, nil},
 		{"stride", func() predictor.Predictor { return predictor.NewStride(predictor.BasicStrideConfig()) }, 0, nil},
 		{"stride+", strideFactory, 0, nil},
 		{"cap", capFactory, 0, nil},
 		{"hybrid", hybridFactory, 0, nil},
 	})
-	return r
 }
 
 // --- §3.6: control-based address predictors ---
@@ -165,12 +254,11 @@ func Baselines(cfg Config) SweepResult {
 // ControlBased reproduces the §3.6 negative result: g-share-style and
 // call-path address predictors are no substitute for CAP.
 func ControlBased(cfg Config) SweepResult {
-	r, _ := sweepRows(cfg, "§3.6: control-based address predictors vs CAP", "predictor", ladderColumns(), []row{
+	return sweepRows(cfg, "§3.6: control-based address predictors vs CAP", "predictor", ladderRates(), []row{
 		{"gshare-addr", func() predictor.Predictor { return predictor.NewControl(predictor.DefaultControlConfig(false)) }, 0, nil},
 		{"path-addr", func() predictor.Predictor { return predictor.NewControl(predictor.DefaultControlConfig(true)) }, 0, nil},
 		{"cap", capFactory, 0, nil},
 	})
-	return r
 }
 
 // --- Ablations beyond the paper's figures (DESIGN.md §6) ---
@@ -178,10 +266,10 @@ func ControlBased(cfg Config) SweepResult {
 // Ablations measures the design choices DESIGN.md calls out: PF bits
 // on/off/external, static vs dynamic selector, and shift(m) variations.
 func Ablations(cfg Config) SweepResult {
-	r, _ := sweepRows(cfg, "Ablations (average over all traces)", "configuration", []column{
-		pct("prediction rate", metrics.Mean.PredRate),
-		pct2("accuracy", metrics.Mean.Accuracy),
-		pct2("mispred of loads", metrics.Mean.MispredOfLoads),
+	return sweepRows(cfg, "Ablations (average over all traces)", "configuration", []rate{
+		pct("prediction rate", metrics.Rates.PredRate),
+		pct2("accuracy", metrics.Rates.Accuracy),
+		pct2("mispred of loads", metrics.Rates.MispredOfLoads),
 	}, []row{
 		{"hybrid (baseline)", hybridFactory, 0, nil},
 		{"hybrid, no PF bits", hybridWith(func(hc *predictor.HybridConfig) {
@@ -194,5 +282,4 @@ func Ablations(cfg Config) SweepResult {
 		{"cap, history len 2", capWith(func(cc *predictor.CAPConfig) { cc.HistoryLen = 2 }), 0, nil},
 		{"cap, 2-way LT", capWith(func(cc *predictor.CAPConfig) { cc.LTWays = 2 }), 0, nil},
 	})
-	return r
 }

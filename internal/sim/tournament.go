@@ -27,23 +27,22 @@ func namedTournament(comps ...string) Factory {
 // own (a 1-way tournament is the component plus confidence gating), and
 // the default 3-way lineup. Immediate mode (§4), like Fig. 5.
 func Tournament(cfg Config) SweepResult {
-	r, passes := sweepRows(cfg, "tournament meta-predictor vs the paper's hybrid (average over traces)",
-		"configuration", []column{
-			pct("pred rate", metrics.Mean.PredRate),
-			pct("accuracy", metrics.Mean.Accuracy),
-			pct("correct spec", metrics.Mean.CorrectSpecRate),
-			pct2("mispred/loads", metrics.Mean.MispredOfLoads),
-		}, []row{
-			{"hybrid (§3.7)", hybridFactory, 0, nil},
-			{"tournament stride+cap", namedTournament("stride", "cap"), 0, nil},
-			{"markov alone", namedTournament("markov"), 0, nil},
-			{"tournament 3-way", namedTournament(tournament.DefaultComponents()...), 0, nil},
-		})
+	r, runs := sweep(cfg, []row{
+		{"hybrid (§3.7)", hybridFactory, 0, nil},
+		{"tournament stride+cap", namedTournament("stride", "cap"), 0, nil},
+		{"markov alone", namedTournament("markov"), 0, nil},
+		{"tournament 3-way", namedTournament(tournament.DefaultComponents()...), 0, nil},
+	})
+	r.byRow("tournament meta-predictor vs the paper's hybrid (average over traces)", "configuration",
+		pct("pred rate", metrics.Rates.PredRate),
+		pct("accuracy", metrics.Rates.Accuracy),
+		pct("correct spec", metrics.Rates.CorrectSpecRate),
+		pct2("mispred/loads", metrics.Rates.MispredOfLoads))
 	// Only the rows that name components report selection shares; the
 	// hybrid row keeps "—".
-	r.Sel = make([][]predictor.ComponentStat, len(passes))
-	for i := 1; i < len(passes); i++ {
-		r.Sel[i] = pooledSelections(passes[i].runs)
+	r.Sel = make([][]predictor.ComponentStat, len(runs))
+	for i := 1; i < len(runs); i++ {
+		r.Sel[i] = pooledSelections(runs[i])
 	}
 	return r
 }

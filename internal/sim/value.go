@@ -29,12 +29,11 @@ func AddressVsValue(cfg Config) SweepResult {
 				return runValueTrace(ctx, open(), v.build(valuepred.DefaultConfig()))
 			}})
 	}
-	r, _ := sweepRows(cfg, "§1: address vs value predictability (same loads, matched budgets)", "predictor", []column{
-		pct("spec rate", metrics.Mean.PredRate),
-		pct("correct of loads", metrics.Mean.CorrectSpecRate),
-		pct2("accuracy", metrics.Mean.Accuracy),
+	return sweepRows(cfg, "§1: address vs value predictability (same loads, matched budgets)", "predictor", []rate{
+		pct("spec rate", metrics.Rates.PredRate),
+		pct("correct of loads", metrics.Rates.CorrectSpecRate),
+		pct2("accuracy", metrics.Rates.Accuracy),
 	}, rows)
-	return r
 }
 
 // runValueTrace drives a value predictor over the loads of src and

@@ -135,10 +135,9 @@ func WrongPath(cfg Config) SweepResult {
 				return runTraceWrongPath(ctx, open(), p, 8, 4, mode)
 			}})
 	}
-	r, _ := sweepRows(cfg, "§5.4: speculative control flow (hybrid, gap 8, wrong-path bursts of 4)", "discipline", []column{
-		pct("prediction rate", metrics.Mean.PredRate),
-		pct2("accuracy", metrics.Mean.Accuracy),
-		pct("correct of loads", metrics.Mean.CorrectSpecRate),
+	return sweepRows(cfg, "§5.4: speculative control flow (hybrid, gap 8, wrong-path bursts of 4)", "discipline", []rate{
+		pct("prediction rate", metrics.Rates.PredRate),
+		pct2("accuracy", metrics.Rates.Accuracy),
+		pct("correct of loads", metrics.Rates.CorrectSpecRate),
 	}, rows)
-	return r
 }
