@@ -230,20 +230,27 @@ func Fig7(cfg Config) SweepResult {
 // selectorRates reads one line of Figure 8 from a selector ledger: the
 // share of dual-confident loads in each selector state (SelStrongStride
 // … SelStrongCAP), then the correct-selection rate, 1 − mis-selections
-// / dual-confident loads. An empty ledger has no shares and no
-// mis-selections.
+// / dual-confident loads. A ledger without dual-confident loads measured
+// nothing: every rate is NaN.
 func selectorRates(s predictor.SelectorStats) [5]float64 {
+	if s.DualConfident == 0 {
+		return noSelectorRates
+	}
 	var r [5]float64
 	for st, n := range s.States {
-		r[st] = safeDiv(float64(n), float64(s.DualConfident))
+		r[st] = float64(n) / float64(s.DualConfident)
 	}
-	r[4] = 1 - safeDiv(float64(s.MisSelected), float64(s.DualConfident))
+	r[4] = 1 - float64(s.MisSelected)/float64(s.DualConfident)
 	return r
 }
 
+// noSelectorRates is the Figure 8 line of a ledger, or a set of ledgers,
+// without dual-confident loads: "n/a" in every cell.
+var noSelectorRates = [5]float64{math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN()}
+
 // selectorAverage is Figure 8's Average line: the equal-weight mean of
 // the per-trace lines over the traces that had dual-confident loads, as
-// the paper's Average bars weigh every trace alike.
+// the paper's Average bars weigh every trace alike; NaN when none had.
 func selectorAverage(ledgers []predictor.SelectorStats) [5]float64 {
 	var sum [5]float64
 	n := 0
@@ -257,7 +264,7 @@ func selectorAverage(ledgers []predictor.SelectorStats) [5]float64 {
 		}
 	}
 	if n == 0 {
-		return selectorRates(predictor.SelectorStats{})
+		return noSelectorRates
 	}
 	for k := range sum {
 		sum[k] /= float64(n)

@@ -27,9 +27,30 @@ func TestFig8RowRates(t *testing.T) {
 	if want := [5]float64{0.25, 0.125, 0.125, 0.5, 0.9}; got != want {
 		t.Errorf("rates = %v, want %v", got, want)
 	}
-	// An empty ledger has no state shares and no mis-selections.
-	if got := selectorRates(predictor.SelectorStats{}); got != [5]float64{4: 1} {
-		t.Errorf("empty ledger rates = %v", got)
+}
+
+// allNaN reports whether every rate of a Figure 8 line is NaN, so it
+// renders "n/a" in every cell.
+func allNaN(r [5]float64) bool {
+	for _, v := range r {
+		if !math.IsNaN(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFig8NoDualConfidentReadsNA: a ledger without dual-confident loads
+// measured no selection, so its line is n/a in every cell rather than
+// 0% in every state and 100% correct selection; one dual-confident
+// load is already a measurement.
+func TestFig8NoDualConfidentReadsNA(t *testing.T) {
+	if got := selectorRates(predictor.SelectorStats{}); !allNaN(got) {
+		t.Errorf("empty ledger rates = %v, want n/a in every cell", got)
+	}
+	one := predictor.SelectorStats{DualConfident: 1, States: [4]int64{3: 1}}
+	if got, want := selectorRates(one), [5]float64{3: 1, 4: 1}; got != want {
+		t.Errorf("one dual-confident load: rates = %v, want %v", got, want)
 	}
 }
 
@@ -64,10 +85,9 @@ func TestFig8AverageEqualsPooledOnUniformBudgets(t *testing.T) {
 
 // TestFig8AverageSkipsTracesWithoutDualConfident: a trace with no
 // dual-confident load adds no sample, and an average over only such
-// traces (or none) has no shares and no mis-selections.
+// traces (or none) is n/a.
 func TestFig8AverageSkipsTracesWithoutDualConfident(t *testing.T) {
-	empty := [5]float64{4: 1}
-	if got := selectorAverage(nil); got != empty {
+	if got := selectorAverage(nil); !allNaN(got) {
 		t.Errorf("Average with no traces = %v", got)
 	}
 	r := rand.New(rand.NewSource(2))
@@ -80,7 +100,7 @@ func TestFig8AverageSkipsTracesWithoutDualConfident(t *testing.T) {
 	if got, want := selectorAverage(withZeros), selectorAverage(withoutZeros); got != want {
 		t.Fatalf("traces without dual-confident loads moved the average: %v vs %v", got, want)
 	}
-	if got := selectorAverage(make([]predictor.SelectorStats, 2)); got != empty {
+	if got := selectorAverage(make([]predictor.SelectorStats, 2)); !allNaN(got) {
 		t.Fatalf("Average over traces without dual-confident loads = %v", got)
 	}
 }
