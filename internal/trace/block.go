@@ -15,10 +15,10 @@ package trace
 // is what lets decoders skip zeroing 32 bytes per event. Consumers must
 // therefore gate every column read on the event kind, either by reading
 // the column only inside a switch case for a kind that carries it (as
-// Block.Event and sim.Stepper.StepBlock do) or by masking the cell with
-// a kind-indexed mask that is zero for kinds that do not carry it (as
-// cpu.Run does for Src1/Src2); comparing or copying whole columns across
-// events of mixed kinds is a bug.
+// sim.Stepper.StepBlock does) or by masking the cell with a kind-indexed
+// mask that is zero for kinds that do not carry it (as Block.Event does,
+// and cpu.Run for Src1/Src2); comparing whole columns across events of
+// mixed kinds is a bug.
 
 import "sync"
 
@@ -132,36 +132,44 @@ func (b *Block) Kind(i int) Kind { return Kind(b.KindTaken[i] &^ KindTakenBit) }
 // Taken reports event i's branch outcome.
 func (b *Block) Taken(i int) bool { return b.KindTaken[i]&KindTakenBit != 0 }
 
+// carried masks each column by whether an event kind carries it (the
+// column contract above), indexed by the kind byte without its taken
+// bit. A cell the kind does not carry masks to zero, and so does every
+// cell of a kind byte that names no kind.
+var carried = [128]struct {
+	addr, val, src1, src2 uint32
+	off                   int32
+	lat                   uint8
+}{
+	KindALU:    {src1: ^uint32(0), src2: ^uint32(0), lat: ^uint8(0)},
+	KindLoad:   {addr: ^uint32(0), val: ^uint32(0), off: -1, src1: ^uint32(0), src2: ^uint32(0)},
+	KindStore:  {addr: ^uint32(0), off: -1, src1: ^uint32(0), src2: ^uint32(0)},
+	KindBranch: {addr: ^uint32(0), src1: ^uint32(0)},
+	KindCall:   {addr: ^uint32(0)},
+	KindReturn: {addr: ^uint32(0)},
+}
+
 // Event gathers event i into the AoS representation, reading only the
 // columns event i's kind carries — fields the kind does not store come
-// back zero, exactly as a Reader would decode them.
+// back zero, exactly as a Reader would decode them. It masks rather
+// than switches on the kind, so a mixed stream costs no mispredicted
+// branch per event, and it stays within the compiler's inlining budget
+// (copying the mask entry rather than taking its address keeps it
+// there), so per-event Next loops build the event in place.
 func (b *Block) Event(i int) Event {
 	kb := b.KindTaken[i]
-	ev := Event{Kind: Kind(kb &^ KindTakenBit), IP: b.IP[i]}
-	switch ev.Kind {
-	case KindLoad:
-		ev.Addr = b.Addr[i]
-		ev.Val = b.Val[i]
-		ev.Offset = b.Offset[i]
-		ev.Src1 = b.Src1[i]
-		ev.Src2 = b.Src2[i]
-	case KindStore:
-		ev.Addr = b.Addr[i]
-		ev.Offset = b.Offset[i]
-		ev.Src1 = b.Src1[i]
-		ev.Src2 = b.Src2[i]
-	case KindBranch:
-		ev.Addr = b.Addr[i]
-		ev.Taken = kb&KindTakenBit != 0
-		ev.Src1 = b.Src1[i]
-	case KindCall, KindReturn:
-		ev.Addr = b.Addr[i]
-	case KindALU:
-		ev.Src1 = b.Src1[i]
-		ev.Src2 = b.Src2[i]
-		ev.Lat = b.Lat[i]
+	m := carried[kb&^KindTakenBit]
+	return Event{
+		Kind:   Kind(kb &^ KindTakenBit),
+		IP:     b.IP[i],
+		Addr:   b.Addr[i] & m.addr,
+		Val:    b.Val[i] & m.val,
+		Offset: b.Offset[i] & m.off,
+		Taken:  kb == uint8(KindBranch)|KindTakenBit,
+		Src1:   b.Src1[i] & m.src1,
+		Src2:   b.Src2[i] & m.src2,
+		Lat:    b.Lat[i] & m.lat,
 	}
-	return ev
 }
 
 // SetEvent scatters ev into the columns at index i, writing exactly the

@@ -203,6 +203,26 @@ func TestBlockGatherScatterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBlockEventEveryKindByte gathers one soiled cell under every kind
+// byte, including the ones SetEvent never writes (a taken bit on a
+// non-branch, a byte that names no kind): Event's masks must keep exactly
+// the fields the reference canonical form keeps.
+func TestBlockEventEveryKindByte(t *testing.T) {
+	b := NewBlock(1)
+	b.Resize(1)
+	b.IP[0], b.Addr[0], b.Val[0], b.Offset[0] = 0x400100, 0x8000_0010, 0x1234, -4
+	b.Src1[0], b.Src2[0], b.Lat[0] = 3, 5, 7
+	for kb := 0; kb < 256; kb++ {
+		b.KindTaken[0] = uint8(kb)
+		want := canonical(Event{Kind: Kind(kb &^ KindTakenBit), IP: b.IP[0], Addr: b.Addr[0],
+			Val: b.Val[0], Offset: b.Offset[0], Taken: kb&KindTakenBit != 0,
+			Src1: b.Src1[0], Src2: b.Src2[0], Lat: b.Lat[0]})
+		if got := b.Event(0); got != want {
+			t.Fatalf("kind byte %#02x: gather got %+v, want %+v", kb, got, want)
+		}
+	}
+}
+
 // TestReaderBlockDecodes drives the windowed file Reader's columnar
 // decode over a stream several times the window size, at block sizes
 // that force partial blocks at window boundaries, and requires the exact

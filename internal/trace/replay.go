@@ -113,10 +113,11 @@ func (c *ReplayCache) Open(key string, gen func() Source) Source {
 }
 
 // materialise drains one stream into a column store, honouring the byte
-// budget. It returns nil when the stream is not retained. Events pass
-// through the block scatter (SetEvent), so only the fields each kind
-// carries land in the columns — cached replays return exactly the
-// canonical form the v3 codec round-trips.
+// budget. It returns nil when the stream is not retained. It appends
+// whole column ranges of each delivered block, so cells a kind does not
+// carry keep whatever stale data the source left there, as the column
+// contract allows; the kind-gated readers (Block.Event, the cursor's
+// consumers) see exactly the canonical form the v3 codec round-trips.
 //
 // A *Limit announces the stream's length, so its columns are sized once
 // instead of grown by append; the size is capped at what the budget

@@ -12,6 +12,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 
 	"capred/internal/trace"
 )
@@ -27,12 +28,19 @@ type Behavior interface {
 }
 
 // Generator interleaves behaviours into a single instruction stream.
+//
+// A burst is emitted straight into columns: buf is a struct-of-arrays
+// refill buffer whose columns all share one length, the slots grown so
+// far, with the first n filled. Each emit helper writes only the columns
+// its event kind carries, as trace.Block's column contract allows, and
+// NextBlock hands bursts on with one copy per column.
 type Generator struct {
 	rng   *rand.Rand
 	heap  *Heap
-	buf   []trace.Event
-	pos   int   // read position in buf
-	abs   int64 // absolute index of the next event to be emitted
+	buf   trace.Block // burst columns; cells past n and cells a kind does not carry are stale
+	n     int         // events filled in buf
+	pos   int         // read position in buf
+	abs   int64       // absolute index of the next event to be emitted
 	comps []weightedBehavior
 	total int
 	ipTop uint32 // next static-code block to hand out
@@ -94,25 +102,25 @@ func (g *Generator) ipBlock(slots int) uint32 {
 	return base
 }
 
-// Next implements trace.Source.
+// Next implements trace.Source: it gathers one event from the burst
+// columns with trace.Block.Event.
 func (g *Generator) Next() (trace.Event, bool) {
-	for g.pos >= len(g.buf) {
+	for g.pos >= g.n {
 		if g.total == 0 {
 			return trace.Event{}, false
 		}
-		g.buf = g.buf[:0]
-		g.pos = 0
-		g.pick().step(g)
+		g.refill()
 	}
-	ev := g.buf[g.pos]
+	// Gather straight into the result: staging the event in a local
+	// costs one more 32-byte copy per event.
 	g.pos++
-	return ev, true
+	return g.buf.Event(g.pos - 1), true
 }
 
-// NextBlock implements trace.BlockSource: it scatters behaviour bursts
-// straight out of the refill buffer into b, refilling across burst
-// boundaries until the block holds max events, so the hot drain loops
-// pay one call per block instead of one interface dispatch per event.
+// NextBlock implements trace.BlockSource: it copies burst column ranges
+// into b, one copy per column, refilling across burst boundaries until
+// the block holds max events, so the hot drain loops pay one call per
+// block instead of one interface dispatch per event.
 func (g *Generator) NextBlock(b *trace.Block, max int) (int, bool) {
 	if g.total == 0 {
 		b.Resize(0)
@@ -120,23 +128,31 @@ func (g *Generator) NextBlock(b *trace.Block, max int) (int, bool) {
 	}
 	b.Resize(max)
 	for n := 0; n < max; {
-		if g.pos >= len(g.buf) {
-			g.buf = g.buf[:0]
-			g.pos = 0
-			g.pick().step(g)
+		if g.pos >= g.n {
+			g.refill()
 			continue
 		}
-		burst := g.buf[g.pos:]
-		if len(burst) > max-n {
-			burst = burst[:max-n]
-		}
-		for _, ev := range burst {
-			b.SetEvent(n, ev)
-			n++
-		}
-		g.pos += len(burst)
+		lo := g.pos
+		hi := min(g.n, lo+max-n)
+		c := &g.buf
+		copy(b.KindTaken[n:], c.KindTaken[lo:hi])
+		copy(b.IP[n:], c.IP[lo:hi])
+		copy(b.Addr[n:], c.Addr[lo:hi])
+		copy(b.Val[n:], c.Val[lo:hi])
+		copy(b.Offset[n:], c.Offset[lo:hi])
+		copy(b.Src1[n:], c.Src1[lo:hi])
+		copy(b.Src2[n:], c.Src2[lo:hi])
+		copy(b.Lat[n:], c.Lat[lo:hi])
+		n += hi - lo
+		g.pos = hi
 	}
 	return max, true
+}
+
+// refill empties the burst columns and emits the next burst into them.
+func (g *Generator) refill() {
+	g.n, g.pos = 0, 0
+	g.pick().step(g)
 }
 
 // Err implements trace.Source; generation never fails.
@@ -153,13 +169,45 @@ func (g *Generator) pick() Behavior {
 	panic("workload: unreachable scheduler state")
 }
 
-// emit appends an event and returns its absolute stream index, which
-// behaviours use to express dependency distances.
-func (g *Generator) emit(ev trace.Event) int64 {
-	g.buf = append(g.buf, ev)
+// minBurstCap is the burst columns' first capacity; they double from
+// there whenever a burst outgrows them, and keep their size afterwards.
+const minBurstCap = 256
+
+// emit claims the next burst slot for an event of the given kind byte
+// (kind | trace.KindTakenBit) and IP, and returns the slot's column index
+// and the event's absolute stream index, which behaviours use to express
+// dependency distances. Callers evaluate their dist fields before
+// calling emit, since dist measures from the event being emitted.
+func (g *Generator) emit(kindTaken uint8, ip uint32) (int, int64) {
+	i := g.n
+	if i == len(g.buf.KindTaken) {
+		g.grow()
+	}
+	g.buf.KindTaken[i] = kindTaken
+	g.buf.IP[i] = ip
+	g.n++
 	idx := g.abs
 	g.abs++
-	return idx
+	return i, idx
+}
+
+// grow doubles the burst columns, keeping the filled events.
+func (g *Generator) grow() {
+	c := &g.buf
+	n := max(2*len(c.KindTaken), minBurstCap)
+	c.KindTaken = extend(c.KindTaken, n)
+	c.IP = extend(c.IP, n)
+	c.Addr = extend(c.Addr, n)
+	c.Val = extend(c.Val, n)
+	c.Offset = extend(c.Offset, n)
+	c.Src1 = extend(c.Src1, n)
+	c.Src2 = extend(c.Src2, n)
+	c.Lat = extend(c.Lat, n)
+}
+
+// extend returns s lengthened to n, keeping its contents.
+func extend[T any](s []T, n int) []T {
+	return slices.Grow(s, n-len(s))[:n]
 }
 
 // dist converts a producer's absolute index into the distance field of an
@@ -175,14 +223,18 @@ func (g *Generator) dist(producer int64) uint32 {
 	return uint32(d)
 }
 
-// Emission helpers shared by behaviours.
+// Emission helpers shared by behaviours. Each writes exactly the columns
+// its kind carries (trace.Block's column contract): a zero Src2 on loads
+// and stores is written, not left stale, because those kinds carry it.
 
 // alu emits an ALU op with up to two dependencies and returns its index.
 func (g *Generator) alu(ip uint32, src1, src2 int64, lat uint8) int64 {
-	return g.emit(trace.Event{
-		Kind: trace.KindALU, IP: ip,
-		Src1: g.dist(src1), Src2: g.dist(src2), Lat: lat,
-	})
+	d1, d2 := g.dist(src1), g.dist(src2)
+	i, idx := g.emit(uint8(trace.KindALU), ip)
+	g.buf.Src1[i] = d1
+	g.buf.Src2[i] = d2
+	g.buf.Lat[i] = lat
+	return idx
 }
 
 // stableVal derives a deterministic "memory content" for an address, used
@@ -203,35 +255,51 @@ func (g *Generator) load(ip, addr uint32, offset int32, addrDep int64) int64 {
 // return the pointee's address, counters return incrementing values, and
 // volatile data returns whatever the program last stored.
 func (g *Generator) loadVal(ip, addr uint32, offset int32, addrDep int64, val uint32) int64 {
-	return g.emit(trace.Event{
-		Kind: trace.KindLoad, IP: ip, Addr: addr, Val: val, Offset: offset,
-		Src1: g.dist(addrDep),
-	})
+	d := g.dist(addrDep)
+	i, idx := g.emit(uint8(trace.KindLoad), ip)
+	g.buf.Addr[i] = addr
+	g.buf.Val[i] = val
+	g.buf.Offset[i] = offset
+	g.buf.Src1[i] = d
+	g.buf.Src2[i] = 0
+	return idx
 }
 
 // store emits a store of a value produced by valDep to addr.
 func (g *Generator) store(ip, addr uint32, offset int32, valDep int64) int64 {
-	return g.emit(trace.Event{
-		Kind: trace.KindStore, IP: ip, Addr: addr, Offset: offset,
-		Src1: g.dist(valDep),
-	})
+	d := g.dist(valDep)
+	i, idx := g.emit(uint8(trace.KindStore), ip)
+	g.buf.Addr[i] = addr
+	g.buf.Offset[i] = offset
+	g.buf.Src1[i] = d
+	g.buf.Src2[i] = 0
+	return idx
 }
 
 // branch emits a conditional branch depending on condDep.
 func (g *Generator) branch(ip, target uint32, taken bool, condDep int64) int64 {
-	return g.emit(trace.Event{
-		Kind: trace.KindBranch, IP: ip, Addr: target, Taken: taken,
-		Src1: g.dist(condDep),
-	})
+	d := g.dist(condDep)
+	kb := uint8(trace.KindBranch)
+	if taken {
+		kb |= trace.KindTakenBit
+	}
+	i, idx := g.emit(kb, ip)
+	g.buf.Addr[i] = target
+	g.buf.Src1[i] = d
+	return idx
 }
 
 // call and ret emit control transfers used for path history.
 func (g *Generator) call(ip, target uint32) int64 {
-	return g.emit(trace.Event{Kind: trace.KindCall, IP: ip, Addr: target})
+	i, idx := g.emit(uint8(trace.KindCall), ip)
+	g.buf.Addr[i] = target
+	return idx
 }
 
 func (g *Generator) ret(ip, target uint32) int64 {
-	return g.emit(trace.Event{Kind: trace.KindReturn, IP: ip, Addr: target})
+	i, idx := g.emit(uint8(trace.KindReturn), ip)
+	g.buf.Addr[i] = target
+	return idx
 }
 
 // consumers emits n dependent ALU ops consuming the value produced at
