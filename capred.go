@@ -300,8 +300,8 @@ type (
 	Mean = metrics.Mean
 	// ExperimentConfig scales the experiment drivers.
 	ExperimentConfig = sim.Config
-	// Factory builds a fresh predictor; experiment grids reset and
-	// reuse its instances across trace runs (see sim.Factory).
+	// Factory builds a fresh predictor; ExperimentConfig.WrapFactory
+	// substitutes one for a trace's cells (see sim.Factory).
 	Factory = sim.Factory
 	// TraceFailure records one trace run that did not complete.
 	TraceFailure = sim.TraceFailure

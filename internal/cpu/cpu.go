@@ -293,8 +293,8 @@ type Machine struct {
 	ports    *resource
 
 	ref   streamColumns
-	mems  []memColumns  // by Keys.Mem
-	preds []predColumns // by Keys.Pred
+	mems  []memColumns  // one per (shape, prefetcher) of the shard's runs
+	preds []predColumns // one per (spec, gap) of the shard's runs
 }
 
 // shape is what of a Config the machine's tables are sized from.
@@ -326,19 +326,6 @@ func (m *Machine) reset(cfg Config) {
 	m.ports.reset()
 }
 
-// Keys name a run's stream-determined configurations within one trace,
-// so the runs of a Shard that share one compute it once. Mem names the
-// cache hierarchy, the prefetcher and the branch predictor: runs under
-// one Mem key see the same level serve each memory op and the same
-// verdict on each branch. Pred names the address predictor and its gap:
-// runs under one Pred key see the same outcome for each load. Keys are
-// small non-negative numbers, since the machine keeps one set of
-// columns per key, and key 0 shares nothing: the run computes that part
-// and keeps it for no other run.
-type Keys struct {
-	Mem, Pred int
-}
-
 // ErrDiverged fails a run whose stream differs from the one its
 // shard's stored columns were computed from.
 var ErrDiverged = errors.New("stream diverges from the shard's stored outcomes")
@@ -354,20 +341,21 @@ type streamColumns struct {
 
 // memColumns hold, for each memory op, the level that served it with
 // prefetches applied, and for each branch whether the branch predictor
-// missed it.
+// missed it, under the machine's tables of shape and prefetcher pf.
 type memColumns struct {
-	ok       bool // a clean run filled them
-	shape    shape
-	prefetch bool
-	level    []memsys.Level
-	mispred  []bool
+	ok      bool // a clean run filled them
+	shape   shape
+	pf      prefetch.Prefetcher
+	level   []memsys.Level
+	mispred []bool
 }
 
-// predColumns hold each load's prediction outcome.
+// predColumns hold each load's outcome under spec's predictor at gap.
 type predColumns struct {
-	gap int
-	ok  bool
-	out []outcome
+	ok   bool // a clean run filled them
+	spec predictor.Spec
+	gap  int
+	out  []outcome
 }
 
 // outcome is what the address predictor did for one load.
@@ -379,31 +367,31 @@ const (
 	rightSpec                // a speculative access to the right address
 )
 
-// memFor returns the columns stored under key for shape s, and true;
-// otherwise key's columns cleared for the run to fill. Key 0's columns
-// are never read back.
-func (m *Machine) memFor(key int, s shape, prefetch bool) (*memColumns, bool) {
-	if len(m.mems) <= key {
-		m.mems = append(m.mems, make([]memColumns, key+1-len(m.mems))...)
+// memFor returns the columns a clean run of the shard stored for shape
+// s under prefetcher pf, and true; otherwise columns cleared for the run
+// to fill, with the buffers an earlier shard left in their place.
+func (m *Machine) memFor(s shape, pf prefetch.Prefetcher) (*memColumns, bool) {
+	i := slices.IndexFunc(m.mems, func(c memColumns) bool { return c.shape == s && c.pf == pf })
+	if i < 0 {
+		i, m.mems = len(m.mems), grow(m.mems, 1)
+	} else if m.mems[i].ok {
+		return &m.mems[i], true
 	}
-	c := &m.mems[key]
-	if key != 0 && c.ok && c.shape == s && c.prefetch == prefetch {
-		return c, true
-	}
-	*c = memColumns{shape: s, prefetch: prefetch, level: c.level[:0], mispred: c.mispred[:0]}
+	c := &m.mems[i]
+	*c = memColumns{shape: s, pf: pf, level: c.level[:0], mispred: c.mispred[:0]}
 	return c, false
 }
 
-// predFor is memFor for prediction columns at gap depth gap.
-func (m *Machine) predFor(key, gap int) (*predColumns, bool) {
-	if len(m.preds) <= key {
-		m.preds = append(m.preds, make([]predColumns, key+1-len(m.preds))...)
+// predFor is memFor for the outcomes of spec's predictor at gap.
+func (m *Machine) predFor(spec predictor.Spec, gap int) (*predColumns, bool) {
+	i := slices.IndexFunc(m.preds, func(c predColumns) bool { return c.spec == spec && c.gap == gap })
+	if i < 0 {
+		i, m.preds = len(m.preds), grow(m.preds, 1)
+	} else if m.preds[i].ok {
+		return &m.preds[i], true
 	}
-	c := &m.preds[key]
-	if key != 0 && c.ok && c.gap == gap {
-		return c, true
-	}
-	*c = predColumns{gap: gap, out: c.out[:0]}
+	c := &m.preds[i]
+	*c = predColumns{spec: spec, gap: gap, out: c.out[:0]}
 	return c, false
 }
 
@@ -412,26 +400,38 @@ func (m *Machine) predFor(key, gap int) (*predColumns, bool) {
 // serves each memory op, with prefetches applied, each branch's
 // verdict, and each load's prediction outcome — the run computes into
 // columns the Machine keeps for the whole trace, one block at a time
-// before it schedules that block. A later run whose Keys name columns a
-// clean run stored schedules from them instead of computing them
-// again. Every run still walks its own stream, since the schedule reads
-// its kinds, operands and latencies, and checks it against the stored
-// columns: a different event count or memory-op address fails the run
-// with ErrDiverged.
-type Shard struct{ m *Machine }
+// before it schedules that block. The shard keys memory columns by the
+// run's machine shape and Config.Prefetcher instance, and prediction
+// columns by the run's predictor.Spec and gap. A later run under a key
+// a clean run stored schedules from its columns instead of computing
+// them again, so runs under one Prefetcher must each start it in the
+// same state. Every run still walks its own stream, since the schedule
+// reads its kinds, operands and latencies, and checks it against the
+// stored columns: a different event count or memory-op address fails
+// the run with ErrDiverged.
+type Shard struct {
+	m     *Machine
+	build func(predictor.Spec) predictor.Predictor
+}
 
 // Shard starts timing a new trace on m: it forgets every column stored
-// for the last one.
-func (m *Machine) Shard() Shard {
+// for the last one. build makes the predictor of a spec whose outcomes
+// a run computes; nil calls the spec's New.
+func (m *Machine) Shard(build func(predictor.Spec) predictor.Predictor) Shard {
 	m.ref.ok = false
-	for i := range m.mems {
-		m.mems[i].ok = false
+	m.mems, m.preds = m.mems[:0], m.preds[:0]
+	if build == nil {
+		build = predictor.Spec.New
 	}
-	for i := range m.preds {
-		m.preds[i].ok = false
-	}
-	return Shard{m}
+	return Shard{m, build}
 }
+
+// instance is the Spec of a predictor that already exists: New returns
+// it. It keys only the runs of a fresh shard, which store nothing
+// another run reads.
+type instance struct{ p predictor.Predictor }
+
+func (i instance) New() predictor.Predictor { return i.p }
 
 // Run simulates the trace on a fresh machine: new(Machine).Run.
 func Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) Result {
@@ -444,11 +444,11 @@ func Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) R
 // depth 0 is the immediate update. The machine starts from the state
 // of a fresh one whatever it ran before.
 func (m *Machine) Run(src trace.Source, pred predictor.Predictor, gapDepth int, cfg Config) Result {
-	var newPred func() predictor.Predictor
+	var spec predictor.Spec
 	if pred != nil {
-		newPred = func() predictor.Predictor { return pred }
+		spec = instance{pred}
 	}
-	return m.Shard().Run(src, newPred, gapDepth, cfg, Keys{})
+	return m.Shard(nil).Run(src, spec, gapDepth, cfg)
 }
 
 // outcomes is one run's view of the stream-determined columns: the
@@ -473,21 +473,23 @@ type outcomes struct {
 	ops, loads, branches int
 }
 
-// outcomes sets up the columns of a run under cfg and k.
-func (m *Machine) outcomes(cfg Config, newPred func() predictor.Predictor, gapDepth int, k Keys) outcomes {
+// outcomes sets up the columns of a run of spec's predictor, nil for
+// none, at gapDepth under cfg.
+func (s Shard) outcomes(cfg Config, spec predictor.Spec, gapDepth int) outcomes {
+	m := s.m
 	o := outcomes{ref: &m.ref, check: m.ref.ok}
 	if !o.check {
 		m.ref.addr = m.ref.addr[:0]
 	}
 	var stored bool
-	if o.mem, stored = m.memFor(k.Mem, m.shape, cfg.Prefetcher != nil); !stored {
+	if o.mem, stored = m.memFor(m.shape, cfg.Prefetcher); !stored {
 		m.hier.Reset()
 		m.bp.reset()
 		o.hier, o.bp, o.pf = m.hier, m.bp, cfg.Prefetcher
 	}
-	if newPred != nil {
-		if o.pred, stored = m.predFor(k.Pred, gapDepth); !stored {
-			o.gap = pipeline.New(newPred(), gapDepth)
+	if spec != nil {
+		if o.pred, stored = m.predFor(spec, gapDepth); !stored {
+			o.gap = pipeline.New(s.build(spec), gapDepth)
 		}
 	}
 	return o
@@ -618,17 +620,16 @@ func (o *outcomes) finish(events int64, err error) error {
 	return nil
 }
 
-// Run times the shard's trace on the configured machine. newPred
-// builds the address predictor, and nil runs without one (the paper's
-// baseline); a run that reads stored predictions never calls it.
+// Run times the shard's trace on the configured machine with spec's
+// address predictor, or without one for a nil spec (the paper's
+// baseline); a run that reads stored predictions builds no predictor.
 // gapDepth defers prediction verification by that many dynamic loads
-// (§5), and depth 0 is the immediate update. k names the columns the
-// run may read, or else fills and stores, for the shard's other runs.
-// The Result equals a fresh Machine's run of the same stream.
-func (s Shard) Run(src trace.Source, newPred func() predictor.Predictor, gapDepth int, cfg Config, k Keys) Result {
+// (§5), and depth 0 is the immediate update. The Result equals a fresh
+// Machine's run of the same stream.
+func (s Shard) Run(src trace.Source, spec predictor.Spec, gapDepth int, cfg Config) Result {
 	m := s.m
 	m.reset(cfg)
-	o := m.outcomes(cfg, newPred, gapDepth, k)
+	o := s.outcomes(cfg, spec, gapDepth)
 	var (
 		res  Result
 		lats [3]int64 // load-to-use latency by serving level

@@ -452,41 +452,42 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 
 // replayConfigs are the timing configurations a shard shares columns
 // across: the default hierarchy with and without the RPT prefetcher,
-// times no predictor, stride and the hybrid at gaps 0 and 8. Mem and
-// Pred are the Keys the configuration's run stores its columns under.
+// times no predictor, stride and the hybrid at gaps 0 and 8.
 var replayConfigs = func() []replayConfig {
 	preds := []struct {
 		name string
-		new  func() predictor.Predictor
+		spec predictor.Spec
 		gap  int
 	}{
 		{"none", nil, 0},
-		{"stride", func() predictor.Predictor { return predictor.NewStride(predictor.DefaultStrideConfig()) }, 0},
-		{"stride", func() predictor.Predictor { return predictor.NewStride(predictor.DefaultStrideConfig()) }, 8},
-		{"hybrid", func() predictor.Predictor { return predictor.NewHybrid(predictor.DefaultHybridConfig()) }, 0},
-		{"hybrid", func() predictor.Predictor { return predictor.NewHybrid(predictor.DefaultHybridConfig()) }, 8},
+		{"stride", predictor.DefaultStrideConfig(), 0},
+		{"stride", predictor.DefaultStrideConfig(), 8},
+		{"hybrid", predictor.DefaultHybridConfig(), 0},
+		{"hybrid", predictor.DefaultHybridConfig(), 8},
 	}
 	var out []replayConfig
-	for mem, rpt := range []bool{false, true} {
-		for key, p := range preds {
-			out = append(out, replayConfig{rpt: rpt, pred: p.name, newPred: p.new, gap: p.gap, keys: Keys{Mem: mem + 1, Pred: key}})
+	for _, rpt := range []bool{false, true} {
+		for _, p := range preds {
+			out = append(out, replayConfig{rpt: rpt, pred: p.name, spec: p.spec, gap: p.gap})
 		}
 	}
 	return out
 }()
 
 type replayConfig struct {
-	rpt     bool
-	pred    string
-	newPred func() predictor.Predictor
-	gap     int
-	keys    Keys
+	rpt  bool
+	pred string
+	spec predictor.Spec
+	gap  int
 }
 
-func (rc replayConfig) config() Config {
+// config is the machine configuration of rc, whose RPT runs, if any,
+// prefetch with rpt reset.
+func (rc replayConfig) config(rpt *prefetch.RPT) Config {
 	cfg := DefaultConfig()
 	if rc.rpt {
-		cfg.Prefetcher = prefetch.NewRPT(prefetch.DefaultRPTConfig())
+		rpt.Reset()
+		cfg.Prefetcher = rpt
 	}
 	return cfg
 }
@@ -495,6 +496,8 @@ func (rc replayConfig) config() Config {
 // one Shard, so the first round computes each key's columns once (the
 // RPT round reads the plain round's predictions) and the second round
 // reads them all, and requires every run to equal a fresh machine's.
+// Every RPT run on the shard prefetches with one RPT, reset before each
+// run, as a sim worker's runs do; every live run gets a new one.
 func checkReplayMatchesLive(t *testing.T, evs []trace.Event, blockLen int) {
 	t.Helper()
 	open := func() trace.Source { return &columnSource{evs: evs, blockLen: blockLen} }
@@ -505,15 +508,16 @@ func checkReplayMatchesLive(t *testing.T, evs []trace.Event, blockLen int) {
 	live := make([]Result, len(replayConfigs))
 	for i, rc := range replayConfigs {
 		var p predictor.Predictor
-		if rc.newPred != nil {
-			p = rc.newPred()
+		if rc.spec != nil {
+			p = rc.spec.New()
 		}
-		live[i] = fresh.Run(open(), p, rc.gap, rc.config())
+		live[i] = fresh.Run(open(), p, rc.gap, rc.config(prefetch.NewRPT(prefetch.DefaultRPTConfig())))
 	}
-	ts := new(Machine).Shard()
+	rpt := prefetch.NewRPT(prefetch.DefaultRPTConfig())
+	ts := new(Machine).Shard(nil)
 	for round := 0; round < 2; round++ {
 		for i, rc := range replayConfigs {
-			got := ts.Run(open(), rc.newPred, rc.gap, rc.config(), rc.keys)
+			got := ts.Run(open(), rc.spec, rc.gap, rc.config(rpt))
 			if got != live[i] {
 				t.Errorf("round %d, rpt %v, %s gap %d over %d events:\nshard %+v\nlive  %+v",
 					round, rc.rpt, rc.pred, rc.gap, len(evs), got, live[i])
@@ -522,30 +526,70 @@ func checkReplayMatchesLive(t *testing.T, evs []trace.Event, blockLen int) {
 	}
 }
 
-func TestTimingReplayMatchesLive(t *testing.T) {
-	spec, _ := workload.ByName("MM_aud")
-	src := trace.NewLimit(spec.Open(), 30_000)
+// traceEvents returns the first n events of the named roster trace.
+func traceEvents(name string, n int64) []trace.Event {
+	spec, _ := workload.ByName(name)
+	src := trace.NewLimit(spec.Open(), n)
 	var evs []trace.Event
 	for ev, ok := src.Next(); ok; ev, ok = src.Next() {
 		evs = append(evs, ev)
 	}
-	checkReplayMatchesLive(t, evs, trace.BlockLen)
+	return evs
+}
+
+func TestTimingReplayMatchesLive(t *testing.T) {
+	checkReplayMatchesLive(t, traceEvents("MM_aud", 30_000), trace.BlockLen)
+}
+
+// TestShardKeysBySpecAndPrefetcher runs two predictor specs at one gap,
+// each under two RPT instances of different configurations, twice on
+// one shard: every run must equal a fresh machine's live run, so no run
+// reads the columns another spec or another prefetcher stored.
+func TestShardKeysBySpecAndPrefetcher(t *testing.T) {
+	evs := traceEvents("MM_aud", 30_000)
+	far := prefetch.DefaultRPTConfig()
+	far.Degree = 4
+	rpts := []prefetch.RPTConfig{prefetch.DefaultRPTConfig(), far}
+	specs := []predictor.Spec{predictor.DefaultStrideConfig(), predictor.DefaultHybridConfig()}
+	shared := []*prefetch.RPT{prefetch.NewRPT(rpts[0]), prefetch.NewRPT(rpts[1])}
+	ts := new(Machine).Shard(nil)
+	for round := 0; round < 2; round++ {
+		var lives []Result
+		for r, rc := range rpts {
+			for _, spec := range specs {
+				cfg := DefaultConfig()
+				cfg.Prefetcher = prefetch.NewRPT(rc)
+				live := Run(trace.NewSliceSource(evs), spec.New(), 0, cfg)
+				shared[r].Reset()
+				cfg.Prefetcher = shared[r]
+				if got := ts.Run(trace.NewSliceSource(evs), spec, 0, cfg); got != live {
+					t.Errorf("round %d, RPT %+v, %T:\nshard %+v\nlive  %+v", round, rc, spec, got, live)
+				}
+				for _, l := range lives {
+					if l == live {
+						t.Fatalf("two configurations time alike, %+v and %+v: a mis-keyed run would pass", l, live)
+					}
+				}
+				lives = append(lives, live)
+			}
+		}
+	}
 }
 
 // TestShardRejectsDivergedStream stores a stream's columns and then
 // runs a stream with one load address changed, one event more and one
 // event fewer: each fails with ErrDiverged, and no run that reads the
-// stored columns calls the predictor factory.
+// stored columns builds a predictor.
 func TestShardRejectsDivergedStream(t *testing.T) {
 	evs := pointerChase(3000)
 	moved := append([]trace.Event(nil), evs...)
 	moved[2000].Addr ^= 0x40 // a load: pointerChase alternates load, ALU
 	longer := append(append([]trace.Event(nil), evs...), trace.Event{Kind: trace.KindALU})
-	newPred := func() predictor.Predictor { return predictor.NewHybrid(predictor.DefaultHybridConfig()) }
-	ts := new(Machine).Shard()
-	k := Keys{Mem: 1, Pred: 1}
-	if r := ts.Run(trace.NewSliceSource(evs), newPred, 0, DefaultConfig(), k); r.Err != nil {
-		t.Fatal(r.Err)
+	spec := predictor.DefaultHybridConfig()
+	built := 0
+	ts := new(Machine).Shard(func(s predictor.Spec) predictor.Predictor { built++; return s.New() })
+	if r := ts.Run(trace.NewSliceSource(evs), spec, 0, DefaultConfig()); r.Err != nil || built != 1 {
+		t.Fatalf("first run: err %v, built %d predictors, want 1", r.Err, built)
 	}
 	for _, c := range []struct {
 		name string
@@ -555,17 +599,17 @@ func TestShardRejectsDivergedStream(t *testing.T) {
 		{"one event more", longer},
 		{"one event fewer", evs[:len(evs)-1]},
 	} {
-		built := false
-		r := ts.Run(trace.NewSliceSource(c.evs), func() predictor.Predictor { built = true; return newPred() }, 0, DefaultConfig(), k)
+		built = 0
+		r := ts.Run(trace.NewSliceSource(c.evs), spec, 0, DefaultConfig())
 		if !errors.Is(r.Err, ErrDiverged) {
 			t.Errorf("%s: err = %v, want ErrDiverged", c.name, r.Err)
 		}
-		if built {
+		if built != 0 {
 			t.Errorf("%s: the run built a predictor despite stored predictions", c.name)
 		}
 	}
 	// The stored columns survive the failed runs.
-	if r := ts.Run(trace.NewSliceSource(evs), nil, 0, DefaultConfig(), k); r.Err != nil {
+	if r := ts.Run(trace.NewSliceSource(evs), nil, 0, DefaultConfig()); r.Err != nil {
 		t.Errorf("the original stream after the diverged ones: %v", r.Err)
 	}
 }

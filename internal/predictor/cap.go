@@ -380,6 +380,9 @@ func NewCAP(cfg CAPConfig) *CAP {
 	return &CAP{newSolo(NewCAPComponent(cfg), cfg.LBEntries, cfg.LBWays)}
 }
 
+// New builds a stand-alone CAP predictor of c.
+func (c CAPConfig) New() Predictor { return NewCAP(c) }
+
 // PredictAhead follows the link-table chain n steps from the load's
 // current history, returning up to n predicted future addresses for the
 // same static load. This is the §5.4 mechanism for predicting "multiple

@@ -48,6 +48,9 @@ func NewControl(cfg ControlConfig) *Control {
 	}
 }
 
+// New builds a control-based address predictor of c.
+func (c ControlConfig) New() Predictor { return NewControl(c) }
+
 // Reset implements Resetter: the address table is cleared.
 func (c *Control) Reset() { clear(c.tab) }
 

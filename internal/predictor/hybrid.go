@@ -95,3 +95,6 @@ func NewHybrid(cfg HybridConfig) *Tournament {
 	}
 	return t
 }
+
+// New builds the hybrid predictor of c.
+func (c HybridConfig) New() Predictor { return NewHybrid(c) }

@@ -83,3 +83,6 @@ func NewLast(cfg LastConfig) *Last {
 	l := newSolo(NewLastComponent(cfg), cfg.Entries, cfg.Ways)
 	return &l
 }
+
+// New builds a last-address predictor of c.
+func (c LastConfig) New() Predictor { return NewLast(c) }

@@ -138,6 +138,15 @@ type Resetter interface {
 	Reset()
 }
 
+// Spec names a predictor configuration by value: New builds a fresh
+// predictor of it. Its dynamic type is comparable, and equal Specs build
+// predictors that behave identically, so simulations key what they
+// compute or cache by Spec. LastConfig, StrideConfig, CAPConfig,
+// HybridConfig, ControlConfig and tournament.Lineup are Specs.
+type Spec interface {
+	New() Predictor
+}
+
 // GHR is the global branch-history register: a shift register of recent
 // branch outcomes, most recent in bit 0.
 type GHR struct {

@@ -201,3 +201,6 @@ func NewStride(cfg StrideConfig) *Stride {
 	s := newSolo(NewStrideComponent(cfg), cfg.Entries, cfg.Ways)
 	return &s
 }
+
+// New builds a stride predictor of c.
+func (c StrideConfig) New() Predictor { return NewStride(c) }

@@ -8,6 +8,7 @@ package tournament
 
 import (
 	"fmt"
+	"strings"
 
 	"capred/internal/predictor"
 )
@@ -57,15 +58,29 @@ func NewNamed(cfg predictor.Config, names ...string) (*predictor.Tournament, err
 	return predictor.New(cfg, comps...), nil
 }
 
+// Lineup is the predictor.Spec of a named tournament: its entrants'
+// names in order, joined by "+" ("stride+cap"), each entrant with its
+// default configuration, over predictor.DefaultConfig's chooser.
+type Lineup string
+
+// LineupOf is the Lineup of the named entrants.
+func LineupOf(names ...string) Lineup { return Lineup(strings.Join(names, "+")) }
+
+// New builds the lineup's tournament. It panics on a name NewComponent
+// does not know.
+func (l Lineup) New() predictor.Predictor {
+	t, err := NewNamed(predictor.DefaultConfig(), strings.Split(string(l), "+")...)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 // NewFull builds the default tournament: stride, CAP and Markov
 // (DefaultComponents) over the default chooser.
 //
 // Deprecated: the bool is ignored. The prediction gap the tournament is
 // driven under is the only input that picks the resolution discipline.
 func NewFull(_ bool) *predictor.Tournament {
-	t, err := NewNamed(predictor.DefaultConfig(), DefaultComponents()...)
-	if err != nil {
-		panic(err) // unreachable: DefaultComponents are all known
-	}
-	return t
+	return LineupOf(DefaultComponents()...).New().(*predictor.Tournament)
 }

@@ -29,19 +29,20 @@ var classOrder = [...]predictor.LoadClass{
 // predictor's correct speculations over the loads of the class.
 func ClassCoverage(cfg Config) SweepResult {
 	specs := workload.Traces()
-	factories := [...]Factory{
-		func() predictor.Predictor { return predictor.NewLast(predictor.DefaultLastConfig()) },
-		strideFactory,
-		capFactory,
-		hybridFactory,
+	// Distinct specs, as all four are live at once (see worker.predictor).
+	preds := [...]predictor.Spec{
+		predictor.DefaultLastConfig(),
+		predictor.DefaultStrideConfig(),
+		predictor.DefaultCAPConfig(),
+		predictor.DefaultHybridConfig(),
 	}
-	names := [len(factories)]string{"last", "stride+", "cap", "hybrid"}
+	names := [len(preds)]string{"last", "stride+", "cap", "hybrid"}
 
 	// tally is one trace's result: dynamic loads per profiled class and,
 	// per predictor, correct speculations per class.
 	type tally struct {
 		loads   [len(classOrder)]int64
-		correct [len(factories)][len(classOrder)]int64
+		correct [len(preds)][len(classOrder)]int64
 		ok      bool
 	}
 	tallies := make([]tally, len(specs))
@@ -60,9 +61,9 @@ func ClassCoverage(cfg Config) SweepResult {
 				return err
 			}
 			t = tally{}
-			var preds [len(factories)]predictor.Predictor
-			for v, f := range factories {
-				preds[v] = w.predictor(cfg, spec, v, f)
+			var live [len(preds)]predictor.Predictor
+			for v, pred := range preds {
+				live[v] = w.predictor(cfg, spec, pred)
 			}
 
 			var ghr predictor.GHR
@@ -82,7 +83,7 @@ func ClassCoverage(cfg Config) SweepResult {
 							GHR: ghr.Value(), Path: path.Value(),
 						}
 						addr := b.Addr[i]
-						for v, p := range preds {
+						for v, p := range live {
 							pr := p.Predict(ref)
 							if pr.Speculate && pr.Addr == addr {
 								t.correct[v][class]++
@@ -118,7 +119,7 @@ func ClassCoverage(cfg Config) SweepResult {
 			sum.loads[c] += n
 			total += n
 		}
-		for v := range factories {
+		for v := range preds {
 			for c, n := range t.correct[v] {
 				sum.correct[v][c] += n
 			}

@@ -13,20 +13,6 @@ import (
 	"capred/internal/workload"
 )
 
-// Standard factories.
-
-func strideFactory() predictor.Predictor {
-	return predictor.NewStride(predictor.DefaultStrideConfig())
-}
-
-func capFactory() predictor.Predictor {
-	return predictor.NewCAP(predictor.DefaultCAPConfig())
-}
-
-func hybridFactory() predictor.Predictor {
-	return predictor.NewHybrid(predictor.DefaultHybridConfig())
-}
-
 // suiteOrder returns suite names plus the aggregate row label.
 func suiteOrder() []string {
 	return append(workload.SuiteNames(), "Average")
@@ -42,43 +28,38 @@ func safeDiv(num, den float64) float64 {
 }
 
 // timed is one configuration of the timing pass: the timing model, with
-// the RPT prefetcher or without, running f's predictor (nil: none) at a
-// prediction gap. k names what the run shares with the trace's other
-// configurations; k.Pred also names f's configuration within the pass
-// (see worker.predictor). name, when set, prefixes the run's errors.
+// the RPT prefetcher or without, running pred's predictor (nil: none)
+// at a prediction gap. name, when set, prefixes the run's errors.
 type timed struct {
 	name string
 	rpt  bool
-	f    Factory
+	pred predictor.Spec
 	gap  int
-	k    cpu.Keys
 }
 
 // timingPass runs every configuration, in order, on each trace of the
 // roster, on one cpu.Shard of its worker's machine, as one grid pass
 // under stage, and returns the result with the attempts and failures,
-// and each trace's run. Each run has the experiment config's budget,
-// context, per-trace deadline, transient retry and fault wrappers
-// applied. Under WrapFactory, which may substitute a trace's factory on
-// any call, no run shares predictions. Each surviving trace's T holds
-// one result per configuration; configuration 0 is the baseline of
-// speedup.
+// and each trace's run. Runs share what the shard keys alike: the cache
+// levels of runs with, or without, the worker's one RPT, and the
+// predictions of one spec at one gap. Each run has the experiment
+// config's budget, context, per-trace deadline, transient retry and
+// fault wrappers applied. Under WrapFactory, which may substitute any
+// run's predictor, every run starts a fresh cpu.Shard and shares
+// nothing. Each surviving trace's T holds one result per configuration;
+// configuration 0 is the baseline of speedup.
 func timingPass(cfg Config, stage string, configs []timed) (SweepResult, []traceRun) {
 	specs := workload.Traces()
 	runs := make([]traceRun, len(specs))
 	g := newGrid(cfg)
 	g.addPass(stage, specs, func(w *worker, i int) error {
 		spec := specs[i]
-		ts := w.machine.Shard()
+		build := func(pred predictor.Spec) predictor.Predictor { return w.predictor(cfg, spec, pred) }
+		ts := w.machine.Shard(build)
 		res := make([]cpu.Result, len(configs))
 		for v, c := range configs {
-			var newPred func() predictor.Predictor
-			if c.f != nil {
-				newPred = func() predictor.Predictor { return w.predictor(cfg, spec, c.k.Pred, c.f) }
-			}
-			k := c.k
 			if cfg.WrapFactory != nil {
-				k.Pred = 0
+				ts = w.machine.Shard(build)
 			}
 			err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) error {
 				mcfg := cpu.DefaultConfig()
@@ -86,7 +67,7 @@ func timingPass(cfg Config, stage string, configs []timed) (SweepResult, []trace
 				if c.rpt {
 					mcfg.Prefetcher = w.prefetcher()
 				}
-				res[v] = ts.Run(open(), newPred, c.gap, mcfg, k)
+				res[v] = ts.Run(open(), c.pred, c.gap, mcfg)
 				return res[v].Err
 			})
 			if err != nil {
@@ -136,9 +117,9 @@ func survivors(runs []traceRun) []traceRun {
 // All three passes shard across one worker pool.
 func Fig5(cfg Config) SweepResult {
 	r, runs := sweep(cfg, []row{
-		{"stride", strideFactory, 0, nil},
-		{"cap", capFactory, 0, nil},
-		{"hybrid", hybridFactory, 0, nil},
+		{"stride", predictor.DefaultStrideConfig(), 0, nil},
+		{"cap", predictor.DefaultCAPConfig(), 0, nil},
+		{"hybrid", predictor.DefaultHybridConfig(), 0, nil},
 	})
 	r.layout("Figure 5: prediction performance of the different predictors", "suite", suiteOrder(),
 		suiteRate(pct("stride rate", metrics.Rates.PredRate), runs[0]),
@@ -174,10 +155,9 @@ func Fig6Geometries() []LBGeometry {
 func Fig6(cfg Config) SweepResult {
 	var rows []row
 	for _, geom := range Fig6Geometries() {
-		rows = append(rows, row{"LB " + geom.String(), hybridWith(func(hc *predictor.HybridConfig) {
-			hc.CAP.LBEntries = geom.Entries
-			hc.CAP.LBWays = geom.Ways
-		}), 0, nil})
+		hc := predictor.DefaultHybridConfig()
+		hc.CAP.LBEntries, hc.CAP.LBWays = geom.Entries, geom.Ways
+		rows = append(rows, row{"LB " + geom.String(), hc, 0, nil})
 	}
 	r, runs := sweep(cfg, rows)
 	var cols []column
@@ -196,9 +176,9 @@ func Fig6(cfg Config) SweepResult {
 // Its lines are the surviving traces, then their mean speedup.
 func Fig7(cfg Config) SweepResult {
 	r, runs := timingPass(cfg, "timing", []timed{
-		{"baseline", false, nil, 0, cpu.Keys{Mem: 1}},
-		{"stride", false, strideFactory, 0, cpu.Keys{Mem: 1, Pred: 1}},
-		{"hybrid", false, hybridFactory, 0, cpu.Keys{Mem: 1, Pred: 2}},
+		{"baseline", false, nil, 0},
+		{"stride", false, predictor.DefaultStrideConfig(), 0},
+		{"hybrid", false, predictor.DefaultHybridConfig(), 0},
 	})
 	runs = survivors(runs)
 	var labels []string
@@ -277,7 +257,7 @@ func selectorAverage(ledgers []predictor.SelectorStats) [5]float64 {
 // the ledger each trace's hybrid keeps (immediate mode, like Fig. 5).
 // A suite's line pools its traces' ledgers.
 func Fig8(cfg Config) SweepResult {
-	r, runs := sweep(cfg, []row{{"hybrid", hybridFactory, 0, nil}})
+	r, runs := sweep(cfg, []row{{"hybrid", predictor.DefaultHybridConfig(), 0, nil}})
 	col := func(header string, format func(float64) string, k int) column {
 		return suiteColumn(header, format, runs[0], func(in []traceRun, average bool) float64 {
 			if len(in) == 0 {
@@ -316,13 +296,13 @@ func Fig9(cfg Config) SweepResult {
 	var rows []row
 	for _, gc := range []bool{true, false} {
 		for _, hl := range lengths {
-			rows = append(rows, row{fmt.Sprintf("hist %d gc=%v", hl, gc), capWith(func(cc *predictor.CAPConfig) {
-				cc.HistoryLen = hl
-				cc.GlobalCorrelation = gc
-				cc.ConfThreshold = 0 // no confidence mechanism
-				cc.TagBits = 0
-				cc.CF = predictor.NoCF()
-			}), 0, nil})
+			cc := predictor.DefaultCAPConfig()
+			cc.HistoryLen = hl
+			cc.GlobalCorrelation = gc
+			cc.ConfThreshold = 0 // no confidence mechanism
+			cc.TagBits = 0
+			cc.CF = predictor.NoCF()
+			rows = append(rows, row{fmt.Sprintf("hist %d gc=%v", hl, gc), cc, 0, nil})
 		}
 	}
 	r, _ := sweep(cfg, rows)
@@ -364,12 +344,12 @@ func Fig10Variants() []Fig10Variant {
 func Fig10(cfg Config) SweepResult {
 	var rows []row
 	for _, v := range Fig10Variants() {
-		rows = append(rows, row{v.Name, capWith(func(cc *predictor.CAPConfig) {
-			cc.TagBits = v.TagBits
-			if !v.Path {
-				cc.CF = predictor.NoCF()
-			}
-		}), 0, nil})
+		cc := predictor.DefaultCAPConfig()
+		cc.TagBits = v.TagBits
+		if !v.Path {
+			cc.CF = predictor.NoCF()
+		}
+		rows = append(rows, row{v.Name, cc, 0, nil})
 	}
 	return sweepRows(cfg, "Figure 10: influence of LT tags on the CAP predictor", "variant", []rate{
 		pct("prediction rate", metrics.Rates.PredRate),
@@ -391,8 +371,8 @@ func Fig11(cfg Config) SweepResult {
 	var labels []string
 	for _, gap := range Fig11Gaps() {
 		rows = append(rows,
-			row{fmt.Sprintf("stride gap %d", gap), strideFactory, gap, nil},
-			row{fmt.Sprintf("hybrid gap %d", gap), hybridFactory, gap, nil})
+			row{fmt.Sprintf("stride gap %d", gap), predictor.DefaultStrideConfig(), gap, nil},
+			row{fmt.Sprintf("hybrid gap %d", gap), predictor.DefaultHybridConfig(), gap, nil})
 		label := "immediate"
 		if gap > 0 {
 			label = fmt.Sprintf("%d", gap)
@@ -420,15 +400,15 @@ func Fig11(cfg Config) SweepResult {
 // every trace.
 func Fig12(cfg Config) SweepResult {
 	// One pass over the roster, which lists the traces suite by suite,
-	// so the pool stays busy across suite boundaries and a worker's
+	// so the pool stays busy across suite boundaries and a worker's two
 	// predictors serve every suite. One hierarchy throughout; each
-	// predictor configuration is its own Pred key.
+	// (spec, gap) computes its own predictions.
 	r, runs := timingPass(cfg, "timing", []timed{
-		{"", false, nil, 0, cpu.Keys{Mem: 1}},
-		{"", false, strideFactory, 0, cpu.Keys{Mem: 1, Pred: 1}},
-		{"", false, strideFactory, 8, cpu.Keys{Mem: 1, Pred: 2}},
-		{"", false, hybridFactory, 0, cpu.Keys{Mem: 1, Pred: 3}},
-		{"", false, hybridFactory, 8, cpu.Keys{Mem: 1, Pred: 4}},
+		{"", false, nil, 0},
+		{"", false, predictor.DefaultStrideConfig(), 0},
+		{"", false, predictor.DefaultStrideConfig(), 8},
+		{"", false, predictor.DefaultHybridConfig(), 0},
+		{"", false, predictor.DefaultHybridConfig(), 8},
 	})
 	col := func(header string, v int) column {
 		return suiteColumn(header, report.Speedup, runs, func(in []traceRun, _ bool) float64 { return speedup(in, v) })

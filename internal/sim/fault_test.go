@@ -38,7 +38,7 @@ func panicFactoryFor(name string) func(string, Factory) Factory {
 func TestRunTraceSurfacesDecodeError(t *testing.T) {
 	spec, _ := workload.ByName("INT_go")
 	src := trace.NewFailAfter(trace.NewLimit(spec.Open(), 50_000), 10_000, nil)
-	c, err := RunTrace(src, hybridFactory(), 0)
+	c, err := RunTrace(src, predictor.DefaultHybridConfig().New(), 0)
 	if !errors.Is(err, trace.ErrInjected) {
 		t.Fatalf("err = %v, want wrapped ErrInjected", err)
 	}
@@ -52,7 +52,7 @@ func TestRunTraceCleanEOFHasNoError(t *testing.T) {
 	// The fault budget outlives the stream, so EOF arrives cleanly and no
 	// error may be invented.
 	src := trace.NewFailAfter(trace.NewLimit(spec.Open(), 5_000), 1_000_000, nil)
-	if _, err := RunTrace(src, hybridFactory(), 0); err != nil {
+	if _, err := RunTrace(src, predictor.DefaultHybridConfig().New(), 0); err != nil {
 		t.Fatalf("clean EOF reported an error: %v", err)
 	}
 }
@@ -61,7 +61,7 @@ func TestRunTraceContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	spec, _ := workload.ByName("INT_go")
-	_, err := RunTraceContext(ctx, trace.NewLimit(spec.Open(), 50_000), hybridFactory(), 0)
+	_, err := RunTraceContext(ctx, trace.NewLimit(spec.Open(), 50_000), predictor.DefaultHybridConfig().New(), 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -74,7 +74,7 @@ func TestRunTraceHangingSourceUnblocksOnCancel(t *testing.T) {
 	src := trace.NewHang(ctx, trace.NewLimit(spec.Open(), 50_000), 1000)
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunTraceContext(ctx, src, hybridFactory(), 0)
+		_, err := RunTraceContext(ctx, src, predictor.DefaultHybridConfig().New(), 0)
 		done <- err
 	}()
 	select {
@@ -216,13 +216,13 @@ func TestTraceTimeoutFailsSlowTraceOnly(t *testing.T) {
 
 func TestCorruptedSourceCompletesButDegrades(t *testing.T) {
 	spec, _ := workload.ByName("INT_xli")
-	clean, err := RunTrace(trace.NewLimit(spec.Open(), 50_000), hybridFactory(), 0)
+	clean, err := RunTrace(trace.NewLimit(spec.Open(), 50_000), predictor.DefaultHybridConfig().New(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	corrupted, err := RunTrace(
 		trace.NewCorrupt(trace.NewLimit(spec.Open(), 50_000), 5, nil),
-		hybridFactory(), 0)
+		predictor.DefaultHybridConfig().New(), 0)
 	if err != nil {
 		t.Fatalf("corruption is silent damage, not a stream error: %v", err)
 	}

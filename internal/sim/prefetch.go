@@ -3,7 +3,7 @@ package sim
 import (
 	"math"
 
-	"capred/internal/cpu"
+	"capred/internal/predictor"
 	"capred/internal/report"
 )
 
@@ -13,13 +13,13 @@ import (
 // structures for both). A line's speedup pools the surviving traces'
 // cycles; its L1 hit rate is their equal-weight mean.
 func Prefetch(cfg Config) SweepResult {
-	// Mem key 1 is the plain hierarchy and 2 the one the RPT warms; the
-	// combination reads the hybrid's predictions from its own run.
+	// The hybrid runs share the plain and RPT runs' cache levels, and
+	// the combination reads the hybrid's predictions from its own run.
 	r, runs := timingPass(cfg, "prefetch", []timed{
-		{"", false, nil, 0, cpu.Keys{Mem: 1}},
-		{"", true, nil, 0, cpu.Keys{Mem: 2}},
-		{"", false, hybridFactory, 0, cpu.Keys{Mem: 1, Pred: 1}},
-		{"", true, hybridFactory, 0, cpu.Keys{Mem: 2, Pred: 1}},
+		{"", false, nil, 0},
+		{"", true, nil, 0},
+		{"", false, predictor.DefaultHybridConfig(), 0},
+		{"", true, predictor.DefaultHybridConfig(), 0},
 	})
 	runs = survivors(runs)
 	l1 := func(v int) float64 {

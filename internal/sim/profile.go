@@ -32,10 +32,9 @@ func profileLoads(ctx context.Context, src trace.Source) (*predictor.Profile, er
 // never speculate, at 4K- and 512-entry link tables (the paper expects
 // profile feedback to "help reducing predictor size").
 func ProfileAssist(cfg Config) SweepResult {
-	small := hybridWith(func(hc *predictor.HybridConfig) {
-		hc.CAP.LTEntries = 512
-		hc.CAP.PFTableEntries = 2048
-	})
+	hybrid := predictor.DefaultHybridConfig()
+	small := hybrid
+	small.CAP.LTEntries, small.CAP.PFTableEntries = 512, 2048
 	// profiled runs the row's predictor behind the profile of the first
 	// half of the trace's budget.
 	profiled := func(ctx context.Context, open func() trace.Source, p predictor.Predictor) (metrics.Counters, error) {
@@ -50,8 +49,8 @@ func ProfileAssist(cfg Config) SweepResult {
 		pct2("accuracy", metrics.Rates.Accuracy),
 		pct2("mispred of loads", metrics.Rates.MispredOfLoads),
 	}, []row{
-		{"hybrid 4K LT", hybridFactory, 0, nil},
-		{"hybrid 4K LT + profile", hybridFactory, 0, profiled},
+		{"hybrid 4K LT", hybrid, 0, nil},
+		{"hybrid 4K LT + profile", hybrid, 0, profiled},
 		{"hybrid 512 LT", small, 0, nil},
 		{"hybrid 512 LT + profile", small, 0, profiled},
 	})

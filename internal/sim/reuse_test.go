@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -80,20 +81,44 @@ func TestRetriedAttemptResetsPredictor(t *testing.T) {
 	}
 }
 
-// TestWorkerCachesPerPassVariant drives runShards directly: a worker
-// reuses its predictor for a (pass, variant) it has built, builds anew
-// for another pass or variant and after a failed or panicked shard, and
-// never caches under WrapFactory.
-func TestWorkerCachesPerPassVariant(t *testing.T) {
-	spec := workload.Traces()[0]
+// countedSpec is a stride spec that counts the predictors it builds.
+type countedSpec struct {
+	predictor.StrideConfig
+	built *int
+}
+
+func (s countedSpec) New() predictor.Predictor {
+	*s.built++
+	return s.StrideConfig.New()
+}
+
+// TestWorkerCachesPerSpec holds the worker's cache to spec keys: Fig.
+// 11's stride rows at gaps 0-12, four passes on the serial path, build
+// one stride predictor. Driving runShards directly, a worker reuses its
+// predictor for a spec it has built and builds anew for a distinct spec
+// and after a failed or panicked shard, and under WrapFactory every
+// cell builds fresh.
+func TestWorkerCachesPerSpec(t *testing.T) {
 	built := 0
-	f := func() predictor.Predictor { built++; return hybridFactory() }
+	stride := countedSpec{predictor.DefaultStrideConfig(), &built}
+	basic := countedSpec{predictor.BasicStrideConfig(), &built}
+
+	var rows []row
+	for _, gap := range Fig11Gaps() {
+		rows = append(rows, row{fmt.Sprintf("stride gap %d", gap), stride, gap, nil})
+	}
+	r, _ := sweep(Config{EventsPerTrace: 2_000, Workers: 1}, rows)
+	if len(r.Failures) != 0 || built != 1 {
+		t.Errorf("Fig. 11 stride rows: %d failures, built %d predictors, want 1", len(r.Failures), built)
+	}
+
+	spec := workload.Traces()[0]
 	wrapped := Config{WrapFactory: func(_ string, f Factory) Factory { return f }}
-	// cell is a shard of the given pass that takes its predictor for
-	// variant and then ends as outcome says: "ok", "error" or "panic".
-	cell := func(cfg Config, pass, variant int, outcome string) shard {
-		return shard{pass: pass, run: func(w *worker) error {
-			w.predictor(cfg, spec, variant, f)
+	// cell is a shard that takes pred's predictor and then ends as
+	// outcome says: "ok", "error" or "panic".
+	cell := func(cfg Config, pred predictor.Spec, outcome string) shard {
+		return shard{run: func(w *worker) error {
+			w.predictor(cfg, spec, pred)
 			switch outcome {
 			case "error":
 				return context.Canceled
@@ -109,12 +134,11 @@ func TestWorkerCachesPerPassVariant(t *testing.T) {
 		shards []shard
 		builds int
 	}{
-		{"one pass", []shard{cell(cfg, 0, 0, "ok"), cell(cfg, 0, 0, "ok"), cell(cfg, 0, 0, "ok")}, 1},
-		{"two variants", []shard{cell(cfg, 0, 0, "ok"), cell(cfg, 0, 1, "ok"), cell(cfg, 0, 0, "ok")}, 2},
-		{"two passes", []shard{cell(cfg, 0, 0, "ok"), cell(cfg, 1, 0, "ok"), cell(cfg, 1, 0, "ok")}, 2},
-		{"failed shard", []shard{cell(cfg, 0, 0, "ok"), cell(cfg, 0, 0, "error"), cell(cfg, 0, 0, "ok")}, 2},
-		{"panicked shard", []shard{cell(cfg, 0, 0, "ok"), cell(cfg, 0, 0, "panic"), cell(cfg, 0, 0, "ok")}, 2},
-		{"wrapped factory", []shard{cell(wrapped, 0, 0, "ok"), cell(wrapped, 0, 0, "ok"), cell(wrapped, 0, 0, "ok")}, 3},
+		{"equal specs", []shard{cell(cfg, stride, "ok"), cell(cfg, stride, "ok"), cell(cfg, stride, "ok")}, 1},
+		{"distinct specs", []shard{cell(cfg, stride, "ok"), cell(cfg, basic, "ok"), cell(cfg, stride, "ok"), cell(cfg, basic, "ok")}, 2},
+		{"failed shard", []shard{cell(cfg, stride, "ok"), cell(cfg, stride, "error"), cell(cfg, stride, "ok")}, 2},
+		{"panicked shard", []shard{cell(cfg, stride, "ok"), cell(cfg, stride, "panic"), cell(cfg, stride, "ok")}, 2},
+		{"wrapped factory", []shard{cell(wrapped, stride, "ok"), cell(wrapped, stride, "ok"), cell(wrapped, stride, "ok")}, 3},
 	} {
 		built = 0
 		runShards(Config{Workers: 1}, c.shards)

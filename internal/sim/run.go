@@ -45,8 +45,9 @@ type Config struct {
 	SourceRetries int
 
 	// Progress, when non-nil, is invoked by the scheduler as grid shards
-	// complete: done counts finished (trace × configuration) cells of the
-	// current pass, total the cells the pass registered. Calls may arrive
+	// complete: done counts the finished shards of the experiment's one
+	// grid, total the shards it registered. A shard is one trace of one
+	// pass; a timing shard runs several configurations. Calls may arrive
 	// concurrently from worker goroutines; the callback must be fast and
 	// thread-safe. The serving layer uses it to report job progress.
 	Progress func(done, total int)
@@ -69,7 +70,9 @@ type Config struct {
 	// to the run's own deadline) can be injected.
 	WrapSourceCtx func(ctx context.Context, traceName string, src trace.Source) trace.Source
 	// WrapFactory, like WrapSource, substitutes the predictor factory
-	// for specific traces (e.g. one that panics, to test isolation).
+	// for specific traces (e.g. one that panics, to test isolation). It
+	// gets each cell's spec.New; with it set, no cell reuses or shares
+	// another's predictor.
 	WrapFactory func(traceName string, f Factory) Factory
 }
 
@@ -87,10 +90,10 @@ func (c Config) schedWorkers() int {
 	return 1
 }
 
-// Factory builds a fresh predictor instance. A grid pass calls it once
-// per worker for each of its configurations and, when the instance
-// implements predictor.Resetter, resets it for every later trace that
-// worker runs; otherwise it builds one instance per trace run.
+// Factory builds a fresh predictor instance. Grids name configurations
+// by predictor.Spec and reuse a worker's instance of an equal spec;
+// WrapFactory sees a cell's spec.New as a Factory and may substitute
+// another, and then every call builds fresh.
 type Factory func() predictor.Predictor
 
 // RunTrace drives one predictor over one event stream, maintaining the

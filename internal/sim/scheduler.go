@@ -2,13 +2,14 @@
 // of independent (configuration pass × trace) cells — exactly the
 // embarrassingly-parallel shape of the paper's evaluation — and this
 // file turns that grid into shards executed across a bounded worker
-// pool.
+// pool. A cell names its predictor configuration by value, a
+// predictor.Spec, so equal configurations share a worker's instance.
 //
 // Determinism: output tables are bit-identical at every worker count.
 // Three properties make that structural rather than lucky:
 //
 //  1. Shards are independent. Each shard starts its predictor
-//     instance(s) and timing model from the state a fresh factory call
+//     instance(s) and timing model from the state a fresh spec.New()
 //     or a fresh cpu.Machine has — its worker's cached instance, reset
 //     in place (see worker), or a new one; a timing shard's cpu.Shard
 //     forgets the columns of the worker's last trace — and opens its
@@ -49,59 +50,55 @@ import (
 type shard struct {
 	stage string
 	spec  workload.TraceSpec
-	pass  int // the registering pass's index within the grid
 	run   func(w *worker) error
 }
 
-// maxCached bounds the predictors a worker keeps: Fig. 12 and the
-// class-coverage matrix run four predictor configurations per cell.
+// maxCached bounds the predictors a worker keeps: the class-coverage
+// matrix steps four distinct specs at once in each cell.
 const maxCached = 4
 
 // worker is one scheduler goroutine's reusable simulation state: the
-// predictors of the passes it ran last, one timing model and one RPT
+// predictors of the specs it ran last, one timing model and one RPT
 // prefetcher. A shard gets a cached predictor reset in place
-// (predictor.Resetter) instead of a fresh factory call, so the tables
-// of a pass's configuration are allocated once per worker rather than
-// once per cell. Retention is bounded by maxCached predictors plus one
-// cpu.Machine, with the stream-determined columns of the longest trace
-// it timed, and one RPT per worker, and the state lives only as long as
-// the grid's run.
+// (predictor.Resetter) instead of a fresh spec.New(), so the tables of
+// a configuration are allocated once per worker rather than once per
+// cell, whichever pass asks for it. Retention is bounded by maxCached
+// predictors plus one cpu.Machine, with the stream-determined columns
+// of the longest trace it timed, and one RPT per worker, and the state
+// lives only as long as the grid's run.
 type worker struct {
-	pass    int // pass of the shard being run
 	cached  [maxCached]cachedPredictor
 	next    int         // cached slot the next new predictor takes
 	machine cpu.Machine // each timing shard starts a cpu.Shard on it
 	rpt     *prefetch.RPT
 }
 
-// cachedPredictor is a predictor built for one configuration of one
-// pass.
+// cachedPredictor is a predictor built from spec.
 type cachedPredictor struct {
-	pass, variant int
-	p             predictor.Predictor
+	spec predictor.Spec
+	p    predictor.Predictor
 }
 
-// predictor returns the predictor for configuration variant of the
-// current shard's pass, in the state a fresh f() has. A pass's variant
-// always names the same factory, so a cached instance is reset and
-// reused; otherwise f builds one, which the worker keeps if it can be
-// reset, evicting its oldest. Factory values are never compared:
-// closures with different captured configurations look alike. With a
-// WrapFactory configured (it may substitute another factory for spec)
-// every call builds fresh and nothing is cached.
-func (w *worker) predictor(cfg Config, spec workload.TraceSpec, variant int, f Factory) predictor.Predictor {
+// predictor returns spec's predictor, for a run on trace t, in the
+// state a fresh spec.New() has: the cached instance of an equal spec,
+// reset, or else a new one, which the worker keeps if it can be reset,
+// evicting its oldest. A cell must therefore never hold two live
+// predictors of equal spec: the second call resets and returns the
+// first. With a WrapFactory configured (it may substitute another
+// factory for t) every call builds fresh and nothing is cached.
+func (w *worker) predictor(cfg Config, t workload.TraceSpec, spec predictor.Spec) predictor.Predictor {
 	if cfg.WrapFactory != nil {
-		return cfg.WrapFactory(spec.Name, f)()
+		return cfg.WrapFactory(t.Name, spec.New)()
 	}
 	for _, c := range w.cached {
-		if c.p != nil && c.pass == w.pass && c.variant == variant {
+		if c.p != nil && c.spec == spec {
 			c.p.(predictor.Resetter).Reset()
 			return c.p
 		}
 	}
-	p := f()
+	p := spec.New()
 	if _, ok := p.(predictor.Resetter); ok {
-		w.cached[w.next] = cachedPredictor{w.pass, variant, p}
+		w.cached[w.next] = cachedPredictor{spec, p}
 		w.next = (w.next + 1) % maxCached
 	}
 	return p
@@ -128,7 +125,6 @@ func (w *worker) drop() { *w = worker{} }
 type grid struct {
 	cfg    Config
 	shards []shard
-	passes int
 }
 
 func newGrid(cfg Config) *grid { return &grid{cfg: cfg} }
@@ -138,27 +134,23 @@ func newGrid(cfg Config) *grid { return &grid{cfg: cfg} }
 // only to slot i of whatever the caller pre-allocated (see the
 // determinism contract at the top of the file).
 func (g *grid) addPass(stage string, specs []workload.TraceSpec, body func(w *worker, i int) error) {
-	pass := g.passes
-	g.passes++
 	for i := range specs {
-		i := i
 		g.shards = append(g.shards, shard{
 			stage: stage,
 			spec:  specs[i],
-			pass:  pass,
 			run:   func(w *worker) error { return body(w, i) },
 		})
 	}
 }
 
 // row is one configuration of a predictor sweep: the stage its
-// failures report, the factory that builds its predictor, and the
+// failures report, the spec of its predictor (nil for none), and the
 // prediction gap it runs at. A row with a body runs it on each trace
 // instead of RunTraceContext at gap; p is the row's predictor, nil for a
-// row without a factory.
+// row without a spec.
 type row struct {
 	stage string
-	f     Factory
+	pred  predictor.Spec
 	gap   int
 	body  func(ctx context.Context, open func() trace.Source, p predictor.Predictor) (metrics.Counters, error)
 }
@@ -204,8 +196,8 @@ func (g *grid) addSuitePass(r row) []traceRun {
 		var run traceRun
 		err := cfg.perTrace(spec, func(ctx context.Context, open func() trace.Source) (err error) {
 			var p predictor.Predictor
-			if r.f != nil {
-				p = w.predictor(cfg, spec, 0, r.f)
+			if r.pred != nil {
+				p = w.predictor(cfg, spec, r.pred)
 			}
 			run = traceRun{Spec: spec}
 			run.C, err = body(ctx, open, p)
@@ -279,7 +271,6 @@ func runShards(cfg Config, shards []shard) []error {
 				w.drop()
 			}
 		}()
-		w.pass = shards[i].pass
 		errs[i] = shards[i].run(w)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"capred/internal/predictor"
 	"capred/internal/trace"
 	"capred/internal/workload"
 )
@@ -15,7 +16,7 @@ import (
 // hybridPass sweeps one row — every trace through the hybrid,
 // immediate mode — and returns the per-trace runs with the failures.
 func hybridPass(cfg Config, stage string) ([]traceRun, []TraceFailure) {
-	r, runs := sweep(cfg, []row{{stage, hybridFactory, 0, nil}})
+	r, runs := sweep(cfg, []row{{stage, predictor.DefaultHybridConfig(), 0, nil}})
 	return runs[0], r.Failures
 }
 

@@ -18,7 +18,7 @@ func testCfg() Config { return Config{EventsPerTrace: 100_000} }
 func TestRunTraceCountsLoads(t *testing.T) {
 	spec, _ := workload.ByName("INT_go")
 	src := trace.NewLimit(spec.Open(), 50_000)
-	c, err := RunTrace(src, hybridFactory(), 0)
+	c, err := RunTrace(src, predictor.DefaultHybridConfig().New(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,18 +19,18 @@ func TestStepperMatchesRunTrace(t *testing.T) {
 	}
 	const events = 50_000
 	factories := map[string]func() predictor.Predictor{
-		"last": func() predictor.Predictor {
-			return predictor.NewLast(predictor.DefaultLastConfig())
+		"last":         predictor.DefaultLastConfig().New,
+		"stride":       predictor.DefaultStrideConfig().New,
+		"stride-basic": predictor.BasicStrideConfig().New,
+		"cap":          predictor.DefaultCAPConfig().New,
+		"hybrid":       predictor.DefaultHybridConfig().New,
+		"stride+cap":   tournament.LineupOf("stride", "cap").New,
+		"default tournament": func() predictor.Predictor {
+			return tournament.NewFull(false)
 		},
-		"stride": func() predictor.Predictor {
-			return predictor.NewStride(predictor.DefaultStrideConfig())
-		},
-		"cap": func() predictor.Predictor {
-			return predictor.NewCAP(predictor.DefaultCAPConfig())
-		},
-		"hybrid": func() predictor.Predictor {
-			return predictor.NewHybrid(predictor.DefaultHybridConfig())
-		},
+	}
+	for _, name := range tournament.ComponentNames() {
+		factories[name+" alone"] = tournament.LineupOf(name).New
 	}
 	for name, mk := range factories {
 		for _, gap := range []int{0, 8} {
@@ -115,10 +115,10 @@ func TestSquashAtGapZeroLeavesNoTrace(t *testing.T) {
 	const events = 20_000
 	factories := map[string]func() predictor.Predictor{
 		"last":         func() predictor.Predictor { return predictor.NewLast(predictor.DefaultLastConfig()) },
-		"stride":       strideFactory,
+		"stride":       predictor.DefaultStrideConfig().New,
 		"stride-basic": func() predictor.Predictor { return predictor.NewStride(predictor.BasicStrideConfig()) },
-		"cap":          capFactory,
-		"hybrid":       hybridFactory,
+		"cap":          predictor.DefaultCAPConfig().New,
+		"hybrid":       predictor.DefaultHybridConfig().New,
 		"stride+cap": func() predictor.Predictor {
 			tp, err := tournament.NewNamed(predictor.DefaultConfig(), "stride", "cap")
 			if err != nil {

@@ -169,26 +169,6 @@ func suiteRate(rt rate, runs []traceRun) column {
 	})
 }
 
-// hybridWith is the hybrid factory with one change to its default
-// configuration.
-func hybridWith(edit func(*predictor.HybridConfig)) Factory {
-	return func() predictor.Predictor {
-		hc := predictor.DefaultHybridConfig()
-		edit(&hc)
-		return predictor.NewHybrid(hc)
-	}
-}
-
-// capWith is the stand-alone CAP factory with one change to its default
-// configuration.
-func capWith(edit func(*predictor.CAPConfig)) Factory {
-	return func() predictor.Predictor {
-		cc := predictor.DefaultCAPConfig()
-		edit(&cc)
-		return predictor.NewCAP(cc)
-	}
-}
-
 // --- §4.3: link-table update policy ---
 
 // UpdatePolicy reproduces the §4.3 study: the three LT update policies.
@@ -200,7 +180,9 @@ func UpdatePolicy(cfg Config) SweepResult {
 		predictor.UpdateUnlessStrideCorrect,
 		predictor.UpdateUnlessStrideSelected,
 	} {
-		rows = append(rows, row{pol.String(), hybridWith(func(hc *predictor.HybridConfig) { hc.UpdatePolicy = pol }), 0, nil})
+		hc := predictor.DefaultHybridConfig()
+		hc.UpdatePolicy = pol
+		rows = append(rows, row{pol.String(), hc, 0, nil})
 	}
 	return sweepRows(cfg, "§4.3: LT update policy (hybrid, average over all traces)", "policy",
 		[]rate{pct("prediction rate", metrics.Rates.PredRate), pct2("accuracy", metrics.Rates.Accuracy)}, rows)
@@ -215,7 +197,9 @@ func LTSize(cfg Config) SweepResult {
 	sizes := []int{1024, 2048, 4096, 8192}
 	var rows []row
 	for _, n := range sizes {
-		rows = append(rows, row{fmt.Sprintf("LT %d", n), hybridWith(func(hc *predictor.HybridConfig) { hc.CAP.LTEntries = n }), 0, nil})
+		hc := predictor.DefaultHybridConfig()
+		hc.CAP.LTEntries = n
+		rows = append(rows, row{fmt.Sprintf("LT %d", n), hc, 0, nil})
 	}
 	r, _ := sweep(cfg, rows)
 	for i, n := range sizes {
@@ -241,11 +225,11 @@ func ladderRates() []rate {
 // of loads, stride adds ≈13%, CAP and the hybrid sit above.
 func Baselines(cfg Config) SweepResult {
 	return sweepRows(cfg, "§1: predictor family ladder (average over all traces)", "predictor", ladderRates(), []row{
-		{"last", func() predictor.Predictor { return predictor.NewLast(predictor.DefaultLastConfig()) }, 0, nil},
-		{"stride", func() predictor.Predictor { return predictor.NewStride(predictor.BasicStrideConfig()) }, 0, nil},
-		{"stride+", strideFactory, 0, nil},
-		{"cap", capFactory, 0, nil},
-		{"hybrid", hybridFactory, 0, nil},
+		{"last", predictor.DefaultLastConfig(), 0, nil},
+		{"stride", predictor.BasicStrideConfig(), 0, nil},
+		{"stride+", predictor.DefaultStrideConfig(), 0, nil},
+		{"cap", predictor.DefaultCAPConfig(), 0, nil},
+		{"hybrid", predictor.DefaultHybridConfig(), 0, nil},
 	})
 }
 
@@ -255,9 +239,9 @@ func Baselines(cfg Config) SweepResult {
 // call-path address predictors are no substitute for CAP.
 func ControlBased(cfg Config) SweepResult {
 	return sweepRows(cfg, "§3.6: control-based address predictors vs CAP", "predictor", ladderRates(), []row{
-		{"gshare-addr", func() predictor.Predictor { return predictor.NewControl(predictor.DefaultControlConfig(false)) }, 0, nil},
-		{"path-addr", func() predictor.Predictor { return predictor.NewControl(predictor.DefaultControlConfig(true)) }, 0, nil},
-		{"cap", capFactory, 0, nil},
+		{"gshare-addr", predictor.DefaultControlConfig(false), 0, nil},
+		{"path-addr", predictor.DefaultControlConfig(true), 0, nil},
+		{"cap", predictor.DefaultCAPConfig(), 0, nil},
 	})
 }
 
@@ -266,20 +250,26 @@ func ControlBased(cfg Config) SweepResult {
 // Ablations measures the design choices DESIGN.md calls out: PF bits
 // on/off/external, static vs dynamic selector, and shift(m) variations.
 func Ablations(cfg Config) SweepResult {
+	hybrid := predictor.DefaultHybridConfig()
+	noPF, inLT, toStride, toCAP := hybrid, hybrid, hybrid, hybrid
+	hist2, ways2 := predictor.DefaultCAPConfig(), predictor.DefaultCAPConfig()
+	noPF.CAP.PFBits, noPF.CAP.PFTableEntries = 0, 0
+	inLT.CAP.PFTableEntries = 0
+	toStride.StaticSelector = predictor.CompStride
+	toCAP.StaticSelector = predictor.CompCAP
+	hist2.HistoryLen = 2
+	ways2.LTWays = 2
 	return sweepRows(cfg, "Ablations (average over all traces)", "configuration", []rate{
 		pct("prediction rate", metrics.Rates.PredRate),
 		pct2("accuracy", metrics.Rates.Accuracy),
 		pct2("mispred of loads", metrics.Rates.MispredOfLoads),
 	}, []row{
-		{"hybrid (baseline)", hybridFactory, 0, nil},
-		{"hybrid, no PF bits", hybridWith(func(hc *predictor.HybridConfig) {
-			hc.CAP.PFBits = 0
-			hc.CAP.PFTableEntries = 0
-		}), 0, nil},
-		{"hybrid, in-LT PF bits", hybridWith(func(hc *predictor.HybridConfig) { hc.CAP.PFTableEntries = 0 }), 0, nil},
-		{"hybrid, static selector=stride", hybridWith(func(hc *predictor.HybridConfig) { hc.StaticSelector = predictor.CompStride }), 0, nil},
-		{"hybrid, static selector=cap", hybridWith(func(hc *predictor.HybridConfig) { hc.StaticSelector = predictor.CompCAP }), 0, nil},
-		{"cap, history len 2", capWith(func(cc *predictor.CAPConfig) { cc.HistoryLen = 2 }), 0, nil},
-		{"cap, 2-way LT", capWith(func(cc *predictor.CAPConfig) { cc.LTWays = 2 }), 0, nil},
+		{"hybrid (baseline)", hybrid, 0, nil},
+		{"hybrid, no PF bits", noPF, 0, nil},
+		{"hybrid, in-LT PF bits", inLT, 0, nil},
+		{"hybrid, static selector=stride", toStride, 0, nil},
+		{"hybrid, static selector=cap", toCAP, 0, nil},
+		{"cap, history len 2", hist2, 0, nil},
+		{"cap, 2-way LT", ways2, 0, nil},
 	})
 }

@@ -10,17 +10,6 @@ import (
 	"capred/internal/report"
 )
 
-// namedTournament builds a tournament over the named entrants.
-func namedTournament(comps ...string) Factory {
-	return func() predictor.Predictor {
-		p, err := tournament.NewNamed(predictor.DefaultConfig(), comps...)
-		if err != nil {
-			panic(err) // unreachable: rows name known components only
-		}
-		return p
-	}
-}
-
 // Tournament runs the meta-predictor ablation across every trace: the
 // paper's hybrid (§3.7) as the reference, the two-way stride+CAP
 // tournament that must reproduce it exactly, the Markov component on its
@@ -28,10 +17,10 @@ func namedTournament(comps ...string) Factory {
 // the default 3-way lineup. Immediate mode (§4), like Fig. 5.
 func Tournament(cfg Config) SweepResult {
 	r, runs := sweep(cfg, []row{
-		{"hybrid (§3.7)", hybridFactory, 0, nil},
-		{"tournament stride+cap", namedTournament("stride", "cap"), 0, nil},
-		{"markov alone", namedTournament("markov"), 0, nil},
-		{"tournament 3-way", namedTournament(tournament.DefaultComponents()...), 0, nil},
+		{"hybrid (§3.7)", predictor.DefaultHybridConfig(), 0, nil},
+		{"tournament stride+cap", tournament.LineupOf("stride", "cap"), 0, nil},
+		{"markov alone", tournament.LineupOf("markov"), 0, nil},
+		{"tournament 3-way", tournament.LineupOf(tournament.DefaultComponents()...), 0, nil},
 	})
 	r.byRow("tournament meta-predictor vs the paper's hybrid (average over traces)", "configuration",
 		pct("pred rate", metrics.Rates.PredRate),

@@ -81,3 +81,42 @@ func TestTournamentPairMatchesHybridOnTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestTournamentSelectionsSumToSpeculations: in every trace run of a
+// body-less tournament row — the hybrid, the tournament ablation's
+// lineups, Fig. 11's hybrid at gaps 0 and 8 — the entrants' selections
+// sum to the run's speculative accesses and their correct selections to
+// its correct ones. The rows share one serial grid, so the worker's
+// cached hybrid serves every trace of three rows in turn, and a ledger
+// that a reset left standing would break the sums.
+func TestTournamentSelectionsSumToSpeculations(t *testing.T) {
+	hybrid := predictor.DefaultHybridConfig()
+	rows := []row{
+		{"hybrid (§3.7)", hybrid, 0, nil},
+		{"tournament stride+cap", tournament.LineupOf("stride", "cap"), 0, nil},
+		{"markov alone", tournament.LineupOf("markov"), 0, nil},
+		{"tournament 3-way", tournament.LineupOf(tournament.DefaultComponents()...), 0, nil},
+		{"hybrid gap 0", hybrid, 0, nil},
+		{"hybrid gap 8", hybrid, 8, nil},
+	}
+	r, runs := sweep(Config{EventsPerTrace: 5_000, Workers: 1}, rows)
+	if len(r.Failures) != 0 {
+		t.Fatalf("failures: %v", r.Failures)
+	}
+	for i, rr := range runs {
+		for _, run := range rr {
+			if run.Comps == nil {
+				t.Fatalf("%s on %s: no selection ledger", rows[i].stage, run.Spec.Name)
+			}
+			var sel, correct int64
+			for _, c := range run.Comps {
+				sel += c.Selected
+				correct += c.Correct
+			}
+			if sel != run.C.Speculated || correct != run.C.SpecCorrect {
+				t.Errorf("%s on %s: selections %d, %d correct; speculated %d, %d correct",
+					rows[i].stage, run.Spec.Name, sel, correct, run.C.Speculated, run.C.SpecCorrect)
+			}
+		}
+	}
+}

@@ -14,7 +14,7 @@ import (
 // predictor on identical load streams — the §1 claim that value
 // prediction's "lower predictability makes this option less attractive".
 func AddressVsValue(cfg Config) SweepResult {
-	rows := []row{{"hybrid address", hybridFactory, 0, nil}}
+	rows := []row{{"hybrid address", predictor.DefaultHybridConfig(), 0, nil}}
 	for _, v := range []struct {
 		name  string
 		build func(valuepred.Config) valuepred.Predictor

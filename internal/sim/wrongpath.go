@@ -128,9 +128,10 @@ func b2u(b bool) uint32 {
 // every modelled branch misprediction, handled by squash recovery or
 // resolved destructively. The first row runs no wrong path.
 func WrongPath(cfg Config) SweepResult {
-	rows := []row{{"no wrong path", hybridFactory, 8, nil}}
+	hybrid := predictor.DefaultHybridConfig()
+	rows := []row{{"no wrong path", hybrid, 8, nil}}
 	for _, mode := range []WrongPathMode{WrongPathSquash, WrongPathDestructive} {
-		rows = append(rows, row{mode.String(), hybridFactory, 0,
+		rows = append(rows, row{mode.String(), hybrid, 0,
 			func(ctx context.Context, open func() trace.Source, p predictor.Predictor) (metrics.Counters, error) {
 				return runTraceWrongPath(ctx, open(), p, 8, 4, mode)
 			}})
